@@ -10,10 +10,8 @@
  *
  * All benches also accept --jobs N (or the ALEWIFE_JOBS environment
  * variable) to fan independent simulations out over worker threads,
- * --threads N to run the intra-run window engine inside each
- * simulation (results are bit-identical either way; jobs x threads is
- * arbitrated against the host by the sweep engine), and --cache-dir
- * DIR to persist results between invocations — see BenchEngine below.
+ * and --cache-dir DIR to persist results between invocations — see
+ * BenchEngine below.
  */
 
 #ifndef ALEWIFE_BENCH_COMMON_HH
@@ -308,8 +306,6 @@ class BenchEngine
         for (int i = 1; i + 1 < argc; ++i) {
             if (std::strcmp(argv[i], "--jobs") == 0)
                 jobs_ = std::max(1, std::atoi(argv[i + 1]));
-            else if (std::strcmp(argv[i], "--threads") == 0)
-                threads_ = std::max(1, std::atoi(argv[i + 1]));
             else if (std::strcmp(argv[i], "--trace-out") == 0)
                 obs_.traceOut = argv[i + 1];
             else if (std::strcmp(argv[i], "--metrics-out") == 0)
@@ -326,7 +322,6 @@ class BenchEngine
     {
         exp::EngineOptions opts;
         opts.jobs = jobs_;
-        opts.threads = threads_;
         if (!cache_.dir().empty()) {
             opts.cache = &cache_;
             opts.appKey = appName + "/" + scaleName(scale_);
@@ -379,7 +374,6 @@ class BenchEngine
     exp::ResultCache cache_;
     Scale scale_;
     int jobs_ = 1;
-    int threads_ = 1;
     obs::RecorderOptions obs_;
 };
 

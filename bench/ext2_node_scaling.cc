@@ -10,8 +10,6 @@
  * only pays the second, mildly.
  */
 
-#include <chrono>
-#include <cstring>
 #include <iomanip>
 
 #include "bench_common.hh"
@@ -22,30 +20,17 @@ main(int argc, char **argv)
     using namespace alewife;
     const auto scale = bench::parseScale(argc, argv);
 
-    // --threads N runs every simulation on the intra-run window
-    // engine (sim/parallel.hh). Simulated results are bit-identical
-    // at any thread count, so the cycle columns cannot change; the
-    // wall column is what moves, and only on hosts with spare
-    // hardware threads.
-    int threads = 1;
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], "--threads") == 0)
-            threads = std::max(1, std::atoi(argv[i + 1]));
-
     struct Shape
     {
         int x, y;
     };
     const std::vector<Shape> shapes = {{4, 2}, {4, 4}, {8, 4}, {8, 8}};
 
-    std::cout << "EXT2: strong scaling, fixed EM3D problem";
-    if (threads > 1)
-        std::cout << " (intra-run threads=" << threads << ")";
-    std::cout << "\n\n";
+    std::cout << "EXT2: strong scaling, fixed EM3D problem\n\n";
     std::cout << std::left << std::setw(10) << "nodes" << std::right
               << std::setw(12) << "SM" << std::setw(12) << "MP-I"
               << std::setw(12) << "SM spdup" << std::setw(12)
-              << "MP spdup" << std::setw(12) << "wall (s)" << '\n';
+              << "MP spdup" << '\n';
 
     double sm_base = 0.0, mp_base = 0.0;
     for (const Shape &sh : shapes) {
@@ -59,18 +44,12 @@ main(int argc, char **argv)
         core::RunSpec sm;
         sm.machine = cfg;
         sm.mechanism = core::Mechanism::SharedMemory;
-        sm.threads = threads;
         core::RunSpec mp = sm;
         mp.mechanism = core::Mechanism::MpInterrupt;
 
         const auto factory = apps::Em3d::factory(p);
-        const auto t0 = std::chrono::steady_clock::now();
         const double rs = core::runApp(factory, sm).runtimeCycles;
         const double rm = core::runApp(factory, mp).runtimeCycles;
-        const double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
         if (sm_base == 0.0) {
             sm_base = rs;
             mp_base = rm;
@@ -80,7 +59,7 @@ main(int argc, char **argv)
                   << std::setw(12) << rs << std::setw(12) << rm
                   << std::setprecision(2) << std::setw(12)
                   << sm_base / rs << std::setw(12) << mp_base / rm
-                  << std::setw(12) << wall << '\n';
+                  << '\n';
     }
     std::cout << "\n(speedups are relative to the 8-node run; ideal "
                  "at 64 nodes would be 8.0.)\n";

@@ -28,7 +28,6 @@
 #include <fstream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -65,11 +64,6 @@ struct Row
     double wallSeconds = 0.0;
     double eventsPerSec = 0.0;
     double runtimeCycles = 0.0; ///< 0 for microbenches
-
-    // Parallel-engine rows only (threads > 0).
-    int threads = 0;
-    std::uint64_t parallelWindows = 0;
-    double checksum = 0.0;
 
     // Checkpoint rows only.
     std::uint64_t snapshotBytes = 0;
@@ -183,15 +177,11 @@ runMicro(const std::string &name, std::uint64_t events, int actors,
 
 Row
 runWorkload(const std::string &name, const core::AppFactory &factory,
-            core::Mechanism mech, double crossBytesPerCycle,
-            const MachineConfig &machine = {}, int threads = 0)
+            core::Mechanism mech, double crossBytesPerCycle)
 {
     core::RunSpec spec;
-    spec.machine = machine;
     spec.mechanism = mech;
     spec.crossTraffic.bytesPerCycle = crossBytesPerCycle;
-    if (threads > 0)
-        spec.threads = threads;
     const double t0 = nowSeconds();
     const auto res = core::runApp(factory, spec);
     Row row;
@@ -201,9 +191,6 @@ runWorkload(const std::string &name, const core::AppFactory &factory,
     row.eventsPerSec =
         static_cast<double>(res.simEvents) / row.wallSeconds;
     row.runtimeCycles = res.runtimeCycles;
-    row.threads = threads;
-    row.parallelWindows = res.parallelWindows;
-    row.checksum = res.checksum;
     return row;
 }
 
@@ -470,53 +457,6 @@ main(int argc, char **argv)
         "fig08_em3d_mpi", apps::Em3d::factory(fig08Params),
         core::Mechanism::MpInterrupt, 8.0));
 
-    // --- intra-run parallel engine (sim/parallel.hh) ---
-    // One 256-node EM3D run per worker count. The t1 row is the
-    // serial kernel (the engine never engages at threads=1); t2/t4
-    // use the windowed engine and must reproduce the serial run
-    // bit-identically — checked here, not just in the test suite.
-    // Wall-clock speedup depends on the host: with fewer hardware
-    // threads than workers (see machine.hw_threads) the extra workers
-    // only add coordination cost, which this bench then documents
-    // honestly rather than hiding.
-    {
-        apps::Em3d::Params p = bench::em3dParams(bench::Scale::Quick);
-        p.graph.nprocs = 256;
-        MachineConfig mesh256;
-        mesh256.meshX = 16;
-        mesh256.meshY = 16;
-        const auto factory = apps::Em3d::factory(p);
-        Row base;
-        const std::vector<int> counts =
-            quick ? std::vector<int>{1, 2, 4}
-                  : std::vector<int>{1, 2, 4, 8};
-        for (int threads : counts) {
-            Row r = runWorkload(
-                "par_em3d_256_t" + std::to_string(threads), factory,
-                core::Mechanism::SharedMemory, 0.0, mesh256, threads);
-            if (threads == 1) {
-                base = r;
-            } else {
-                if (r.parallelWindows == 0) {
-                    std::fprintf(stderr,
-                                 "perf_kernel: parallel engine did not "
-                                 "engage at threads=%d\n", threads);
-                    return 1;
-                }
-                if (r.checksum != base.checksum
-                    || r.events != base.events
-                    || r.runtimeCycles != base.runtimeCycles) {
-                    std::fprintf(stderr,
-                                 "perf_kernel: parallel run at "
-                                 "threads=%d is not bit-identical to "
-                                 "serial\n", threads);
-                    return 1;
-                }
-            }
-            rows.push_back(r);
-        }
-    }
-
     // --- checkpoint save/restore throughput ---
     {
         const Row *em3d = nullptr;
@@ -606,27 +546,15 @@ main(int argc, char **argv)
     }
 
     auto doc = exp::Json::object();
-    // v2: git_sha in build, the engine block, and per-row threads /
-    // parallel_windows on the intra-run parallel rows.
-    doc.set("schema_version", 2);
+    // v3: v2 without the engine block and the per-row threads /
+    // parallel_windows fields.
+    doc.set("schema_version", 3);
     doc.set("benchmark", "perf_kernel");
     doc.set("mode", quick ? "quick" : "default");
     doc.set("generated_at", isoTimestamp());
     doc.set("repeat", repeat);
     doc.set("machine", machineMeta());
     doc.set("build", buildMeta());
-    {
-        // Engine mode: rows without "threads" use the serial kernel;
-        // par_* rows use the conservative windowed engine, whose
-        // wall-clock is only meaningful relative to hw_threads.
-        auto eng = exp::Json::object();
-        eng.set("serial", "event-loop");
-        eng.set("parallel", "conservative-window");
-        eng.set("hw_threads",
-                static_cast<std::int64_t>(
-                    std::thread::hardware_concurrency()));
-        doc.set("engine", std::move(eng));
-    }
     auto arr = exp::Json::array();
     for (const auto &r : rows) {
         auto o = exp::Json::object();
@@ -636,10 +564,6 @@ main(int argc, char **argv)
         o.set("events_per_sec", r.eventsPerSec);
         if (r.runtimeCycles > 0.0)
             o.set("runtime_cycles", r.runtimeCycles);
-        if (r.threads > 0) {
-            o.set("threads", static_cast<std::int64_t>(r.threads));
-            o.set("parallel_windows", r.parallelWindows);
-        }
         if (r.snapshotBytes > 0) {
             o.set("snapshot_bytes", r.snapshotBytes);
             o.set("mb_per_sec", r.mbPerSec);

@@ -56,7 +56,6 @@ struct Options
     std::vector<core::Mechanism> mechs;
     std::vector<double> points;
     int workers = 1; ///< in-process workers the coordinator adds
-    int threads = 1; ///< intra-run threads per simulation
     int maxJobs = -1;
     double ckptInterval = 2'000'000.0;
     exp::FarmTuning tuning;
@@ -90,12 +89,11 @@ usage()
            "wait for\n"
            "                                 external `farm_cli "
            "worker`s)\n"
-           "                [--threads n]   [--out file]\n"
+           "                [--out file]\n"
            "                [--lease-ttl-ms n] [--heartbeat-ms n]\n"
            "                [--poll-ms n] [--backoff-ms n]\n"
            "                [--retry-budget n] [--ckpt-interval cyc]\n"
-           "       farm_cli worker --farm-dir DIR [--threads n] "
-           "[--max-jobs n]\n"
+           "       farm_cli worker --farm-dir DIR [--max-jobs n]\n"
            "       farm_cli status --farm-dir DIR\n"
            "\n"
            "FARM_FAULT=drop-lease|stall-heartbeat|corrupt-result|\n"
@@ -176,8 +174,6 @@ parse(int argc, char **argv)
                 o.points.push_back(parseNum("--points", p));
         } else if (a == "--workers") {
             o.workers = static_cast<int>(parseNum("--workers", next()));
-        } else if (a == "--threads") {
-            o.threads = static_cast<int>(parseNum("--threads", next()));
         } else if (a == "--max-jobs") {
             o.maxJobs =
                 static_cast<int>(parseNum("--max-jobs", next()));
@@ -256,7 +252,6 @@ runCoordinator(const Options &o)
     fo.ckptIntervalCycles = o.ckptInterval;
     fo.tuning = o.tuning;
     fo.workers = o.workers;
-    fo.threads = o.threads;
     fo.onStatus = [](const exp::QueueCounts &c) {
         std::cerr << "  farm: " << c.pending << " pending, "
                   << c.leased << " leased, " << c.done << " done, "
@@ -338,7 +333,6 @@ runWorker(const Options &o)
                   << " (start the coordinator first)\n";
         return 2;
     }
-    wo->threads = o.threads;
     wo->maxJobs = o.maxJobs;
     exp::FarmWorker worker(std::move(*wo));
     const int n = worker.runLoop();

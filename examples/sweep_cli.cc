@@ -16,11 +16,6 @@
  *
  * --jobs N       run up to N simulations on worker threads (results
  *                are byte-identical to --jobs 1)
- * --threads N    intra-run workers inside each simulation (the
- *                sim/parallel.hh window engine; results are
- *                byte-identical at any count). jobs x threads is
- *                arbitrated against the host's hardware threads and
- *                auto-downscaled with a message when oversubscribed.
  * --out FILE     also write structured results; .csv extension emits
  *                CSV, anything else schema-versioned JSON
  * --cache-dir D  persist results as JSON under D and skip any run
@@ -67,7 +62,6 @@ struct Options
     std::vector<double> points;
     double scale = 1.0;
     int jobs = 1;
-    int threads = 1; ///< intra-run workers per simulation
     std::string out;      ///< structured output file; "" = none
     std::string cacheDir; ///< on-disk result cache; "" = no cache
     bool progress = false;
@@ -105,12 +99,6 @@ usage()
            "                 [--points x1,x2,...]\n"
            "                 [--scale f]   (workload size multiplier)\n"
            "                 [--jobs n]    (parallel simulations)\n"
-           "                 [--threads n] (workers inside each "
-           "simulation;\n"
-           "                                jobs x threads is "
-           "arbitrated against\n"
-           "                                the host and downscaled "
-           "with a message)\n"
            "                 [--out file]  (.csv -> CSV, else JSON)\n"
            "                 [--cache-dir dir]\n"
            "                 [--progress]\n"
@@ -235,11 +223,6 @@ parse(int argc, char **argv)
             o.jobs = static_cast<int>(parseNum("--jobs", v));
             if (o.jobs < 1)
                 badValue("--jobs value", v, "a positive integer");
-        } else if (a == "--threads") {
-            const std::string v = next();
-            o.threads = static_cast<int>(parseNum("--threads", v));
-            if (o.threads < 1)
-                badValue("--threads value", v, "a positive integer");
         } else if (a == "--out") {
             o.out = next();
         } else if (a == "--cache-dir") {
@@ -520,7 +503,6 @@ main(int argc, char **argv)
     exp::ResultCache cache(o.cacheDir);
     exp::EngineOptions opts;
     opts.jobs = o.jobs;
-    opts.threads = o.threads;
     opts.cache = o.cacheDir.empty() ? nullptr : &cache;
     // Workload identity for the cache: app name + everything that
     // changes the generated workload (scale, and the graph family

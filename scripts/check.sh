@@ -2,10 +2,9 @@
 # Full local CI sweep:
 #   1. tier-1: default build + complete ctest suite
 #   2. ASan/UBSan build + complete ctest suite
-#   3. TSan build + the parallel-engine suites (exp_test) and the
-#      intra-run window engine (`parallel` ctest label subset)
-#   4. short check_fuzz corpus (schedule-perturbation + auditor),
-#      then a 2-worker node-scaling bench smoke
+#   3. TSan build + the concurrent-sweep and kernel-pool suites
+#      (sweep jobs and farm workers run simulations on threads)
+#   4. short check_fuzz corpus (schedule-perturbation + auditor)
 #   5. observability smoke: tiny EM3D sweep with trace + metrics out
 #   6. checkpoint smokes: warm-start sweep equals cold sweep, and a
 #      kill -9 mid-run resumes from the last periodic snapshot
@@ -67,28 +66,11 @@ if [[ "$FAST" -eq 0 ]]; then
     # kernel determinism regression is sanitizer-proven both ways.
     ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
         -R "SweepEngine|Determinism|EventPool|KernelGolden|InlineFn|RadixQueue"
-
-    # Intra-run window engine (sim/parallel.hh) under TSan: the subset
-    # below still exercises every synchronization path — staged
-    # commits, the gated-live perturbation path, the cross-traffic LP
-    # and the order gate — at TSan-tolerable cost; the full `parallel`
-    # label runs in the tier-1 pass above.
-    step "TSan: intra-run parallel window engine"
-    ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-        -L parallel -R "Em3d|Perturbed|CrossTraffic"
 fi
 
 step "check_fuzz: short corpus"
 ./build/bench/check_fuzz --seeds 4 --ops 100
 ./build/bench/check_fuzz --inject-bug
-
-step "parallel bench smoke: node-scaling rows with 2 workers"
-# The cycle columns are bit-identical at any thread count by the
-# engine's contract; this smoke proves the bench path itself drives
-# the window engine (and its banner says so) without timing asserts.
-./build/bench/ext2_node_scaling --quick --threads 2 \
-    | grep -q "intra-run threads=2" \
-    || { echo "parallel smoke: ext2 did not engage --threads"; exit 1; }
 
 step "warm-start smoke: forked sweep matches cold sweep"
 COLD="$(./build/examples/sweep_cli --app stream --mechs SM,MP-I \

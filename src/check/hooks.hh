@@ -19,7 +19,6 @@
 #define ALEWIFE_CHECK_HOOKS_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -86,46 +85,13 @@ struct PacketEdgeCost
  * Two kinds of consumers exist: check::InvariantAuditor (correctness)
  * and obs::Recorder (metrics / timelines / flight recording). A
  * Machine multiplexes several observers through HookFanout below.
- *
- * Threading contract (parallel engine). Under the serial engine every
- * callback arrives on the one simulation thread, in event order. Under
- * the parallel window engine (sim::ParallelExec):
- *  - per-node callbacks (onProcSpan, onCache*, onPfb*, onMshr*, the
- *    coherence family, ...) fire on the worker thread that owns that
- *    node's LP — concurrently with other workers' callbacks, but each
- *    node's stream stays in that node's event order;
- *  - mesh callbacks (onPacketInjected/onHop and the reject path) fire
- *    under the engine's order gate, i.e. serialized and in exact
- *    serial event order; onPacketDelivered fires on the destination
- *    node's worker;
- *  - onEventExecuted fires on the executing worker with that event's
- *    tick (ticks interleave across workers within a window);
- *  - onParallelWindowCommit fires on the committing thread after all
- *    workers quiesced, in window (time) order — state-summarizing
- *    observers should flush there.
- * An observer that can live with this declares it by overriding
- * parallelCapable(); a Machine refuses to run parallel (silently falls
- * back to serial) while any attached observer is not capable.
+ * Every callback arrives on the machine's one simulation thread, in
+ * event order.
  */
 class Hooks
 {
   public:
     virtual ~Hooks() = default;
-
-    /**
-     * True if this observer tolerates the parallel threading contract
-     * above. Defaults to false: an observer written for the serial
-     * engine (e.g. InvariantAuditor's global event-order checks)
-     * forces the machine back to serial execution rather than racing.
-     */
-    virtual bool parallelCapable() const { return false; }
-
-    /**
-     * One parallel window committed; every event before @p bound has
-     * executed and its effects are visible on the calling thread.
-     * Never called by the serial engine.
-     */
-    virtual void onParallelWindowCommit(Tick bound) { (void)bound; }
 
     // --- sim::EventQueue ---
 
@@ -343,39 +309,6 @@ class HookFanout final : public Hooks
     void add(Hooks *h) { obs_.push_back(h); }
     std::size_t size() const { return obs_.size(); }
 
-    /** The fanout is parallel-capable iff every observer is. */
-    bool
-    parallelCapable() const override
-    {
-        for (const Hooks *h : obs_)
-            if (!h->parallelCapable())
-                return false;
-        return true;
-    }
-
-    /**
-     * Debug enforcement of the threading contract: the parallel
-     * engine installs a checker that panics when a per-node callback
-     * fires on a thread that does not own that node's LP (null
-     * restores no-op). Active only in assertion builds; release
-     * builds keep the plain forwarding cost.
-     */
-    void
-    setOwnerCheck(std::function<void(NodeId)> check)
-    {
-#ifndef NDEBUG
-        ownerCheck_ = std::move(check);
-#else
-        (void)check;
-#endif
-    }
-
-    void onParallelWindowCommit(Tick bound) override
-    {
-        for (Hooks *h : obs_)
-            h->onParallelWindowCommit(bound);
-    }
-
     void onEventExecuted(Tick now) override
     {
         for (Hooks *h : obs_)
@@ -406,25 +339,21 @@ class HookFanout final : public Hooks
     void
     onProcSpan(NodeId node, TimeCat cat, Tick start, Tick end) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onProcSpan(node, cat, start, end);
     }
     void onHandlerRun(NodeId node, Tick start, Tick end) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onHandlerRun(node, start, end);
     }
     void onBarrierEpisode(NodeId node, Tick start, Tick end) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onBarrierEpisode(node, start, end);
     }
     void onProgramDone(NodeId node, Tick extraTicks) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onProgramDone(node, extraTicks);
     }
@@ -432,44 +361,37 @@ class HookFanout final : public Hooks
     onCacheFill(NodeId node, Addr line, mem::LineState st,
                 const std::vector<std::uint64_t> &words) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onCacheFill(node, line, st, words);
     }
     void onCacheEvict(NodeId node, Addr line, bool dirty) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onCacheEvict(node, line, dirty);
     }
     void
     onCacheInvalidate(NodeId node, Addr line, bool wasModified) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onCacheInvalidate(node, line, wasModified);
     }
     void onCacheDowngrade(NodeId node, Addr line) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onCacheDowngrade(node, line);
     }
     void onCacheUpgrade(NodeId node, Addr line) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onCacheUpgrade(node, line);
     }
     void onCacheRead(NodeId node, Addr a, std::uint64_t v) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onCacheRead(node, a, v);
     }
     void onCacheWrite(NodeId node, Addr a, std::uint64_t v) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onCacheWrite(node, a, v);
     }
@@ -477,101 +399,74 @@ class HookFanout final : public Hooks
     onPfbInstall(NodeId node, Addr line, mem::LineState st,
                  const std::vector<std::uint64_t> &words) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onPfbInstall(node, line, st, words);
     }
     void onPfbRemove(NodeId node, Addr line) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onPfbRemove(node, line);
     }
     void onPfbDowngrade(NodeId node, Addr line) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onPfbDowngrade(node, line);
     }
     void
     onProtoSend(NodeId src, NodeId dst, const coh::ProtoMsg &msg) override
     {
-        checkOwner(src);
         for (Hooks *h : obs_)
             h->onProtoSend(src, dst, msg);
     }
     void onProtoProcess(NodeId at, const coh::ProtoMsg &msg) override
     {
-        checkOwner(at);
         for (Hooks *h : obs_)
             h->onProtoProcess(at, msg);
     }
     void onLocalGrant(NodeId node, Addr line, bool exclusive) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onLocalGrant(node, line, exclusive);
     }
     void onFill(NodeId node, Addr line, bool exclusive) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onFill(node, line, exclusive);
     }
     void onMshrOpen(NodeId node, Addr line, bool exclusive) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onMshrOpen(node, line, exclusive);
     }
     void onMshrClose(NodeId node, Addr line) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onMshrClose(node, line);
     }
     void
     onTxnOpen(NodeId home, Addr line, const coh::DirTxn &txn) override
     {
-        checkOwner(home);
         for (Hooks *h : obs_)
             h->onTxnOpen(home, line, txn);
     }
     void onTxnClose(NodeId home, Addr line) override
     {
-        checkOwner(home);
         for (Hooks *h : obs_)
             h->onTxnClose(home, line);
     }
     void onRecallStashed(NodeId node, Addr line) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onRecallStashed(node, line);
     }
     void onRecallHonored(NodeId node, Addr line) override
     {
-        checkOwner(node);
         for (Hooks *h : obs_)
             h->onRecallHonored(node, line);
     }
 
   private:
-    void
-    checkOwner(NodeId node) const
-    {
-#ifndef NDEBUG
-        if (ownerCheck_)
-            ownerCheck_(node);
-#else
-        (void)node;
-#endif
-    }
-
     std::vector<Hooks *> obs_;
-#ifndef NDEBUG
-    std::function<void(NodeId)> ownerCheck_;
-#endif
 };
 
 } // namespace alewife::check

@@ -508,11 +508,8 @@ Json
 Access::countersSection(const Machine &m)
 {
     Json o = Json::object();
-    // Counters live in per-node shards (parallel engine); capture the
-    // machine-wide aggregate, which is what restore verifies against.
-    const MachineCounters total = m.countersAggregate();
     for (const CounterField &f : machineCounterFields())
-        o.set(f.name, hx(total.*(f.member)));
+        o.set(f.name, hx(m.counters_.*(f.member)));
     return o;
 }
 

@@ -29,12 +29,6 @@ runApp(App &app, const RunSpec &spec, bool verify_fatal,
         m.addCrossTraffic(spec.crossTraffic);
     if (spec.perturb.enabled())
         m.setPerturbation(spec.perturb);
-    // An enabled delay injection schedules an untagged event, which
-    // the parallel engine's LP classifier cannot place; it pins the
-    // serial kernel (as does an attached dependency recorder, via
-    // Machine::parallelEligible).
-    if (spec.threads > 1 && !spec.delay.enabled())
-        m.setThreads(spec.threads);
 
     // Attach the dependency recorder before anything schedules events,
     // so it sees sequence numbers from 0.
@@ -108,7 +102,6 @@ runApp(App &app, const RunSpec &spec, bool verify_fatal,
     r.volume = m.volume();
     r.counters = m.counters();
     r.simEvents = m.eq().eventsExecuted();
-    r.parallelWindows = m.parallelWindows();
 
     r.checksum = app.checksum();
     r.reference = app.reference();

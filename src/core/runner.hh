@@ -34,8 +34,8 @@ namespace alewife::core {
  * handler-style stall of @p stallCycles at global time @p atCycles
  * (arXiv 1905.10603-style perturbation probing). Changes results by
  * design, so an enabled injection makes the run uncacheable (see
- * ResultCache::key) and pins the serial kernel; disabled (the
- * default) schedules nothing and is bit-identical to no knob at all.
+ * ResultCache::key); disabled (the default) schedules nothing and is
+ * bit-identical to no knob at all.
  */
 struct DelayInjection
 {
@@ -72,10 +72,6 @@ struct RunResult
     /** Simulator diagnostics. */
     std::uint64_t simEvents = 0;
 
-    /** Windows committed by the parallel engine; 0 = serial kernel.
-     *  Diagnostic only — every other field is identical either way. */
-    std::uint64_t parallelWindows = 0;
-
     /** Cycles per category, averaged over nodes. */
     double avgCycles(TimeCat c) const;
 };
@@ -99,17 +95,8 @@ struct RunSpec
      */
     obs::RecorderOptions obs;
 
-    /**
-     * Intra-run worker threads (Machine::setThreads). Results are
-     * bit-identical at any thread count, so — like obs — this is not
-     * part of result-cache keys.
-     */
-    int threads = 1;
-
-    /**
-     * One-off delay injection (off by default). Enabled injections
-     * run on the serial kernel and are never cached.
-     */
+    /** One-off delay injection (off by default). Enabled injections
+     *  are never cached. */
     DelayInjection delay;
 };
 
@@ -141,7 +128,7 @@ class RunDriver
  * @param driver optional machine-driving seam (checkpointing); null
  *        uses Machine::run()
  * @param critpath externally owned critical-path dependency recorder
- *        to attach (obs/critpath.hh); forces the serial kernel
+ *        to attach (obs/critpath.hh)
  */
 RunResult runApp(App &app, const RunSpec &spec, bool verify_fatal = true,
                  check::InvariantAuditor *auditor = nullptr,

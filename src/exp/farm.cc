@@ -215,8 +215,6 @@ FarmWorker::FarmWorker(Options o) : opts_(std::move(o))
 {
     if (opts_.workerId.empty())
         opts_.workerId = WorkQueue::defaultWorkerId();
-    if (opts_.threads < 1)
-        opts_.threads = 1;
 }
 
 int
@@ -288,8 +286,6 @@ FarmWorker::runOne(WorkQueue &q, ResultCache &cache, const FarmJob &job)
         }
     });
 
-    core::RunSpec spec = job.spec;
-    spec.threads = std::max(spec.threads, opts_.threads);
     core::RunResult result;
     if (!opts_.ckptDir.empty()) {
         // Shared snapshot path (jobSnapshotFile): a job reclaimed from
@@ -299,10 +295,10 @@ FarmWorker::runOne(WorkQueue &q, ResultCache &cache, const FarmJob &job)
                  + jobSnapshotFile(job.id, job.appKey, job.spec),
              opts_.ckptIntervalCycles, /*resume=*/true,
              /*deleteOnSuccess=*/true});
-        result = core::runApp(factory, spec, /*verify_fatal=*/false,
+        result = core::runApp(factory, job.spec, /*verify_fatal=*/false,
                               nullptr, &driver);
     } else {
-        result = core::runApp(factory, spec, /*verify_fatal=*/false);
+        result = core::runApp(factory, job.spec, /*verify_fatal=*/false);
     }
     running.store(false);
     hb.join();
@@ -346,8 +342,6 @@ FarmCoordinator::FarmCoordinator(FarmOptions opts)
         opts_.ckptDir = opts_.dir + "/ckpt";
     if (opts_.workers < 0)
         opts_.workers = 0;
-    if (opts_.threads < 1)
-        opts_.threads = 1;
 }
 
 void
@@ -450,7 +444,6 @@ FarmCoordinator::runUntilDrained()
         // Faults are for external worker processes (farm_cli worker)
         // and directly constructed FarmWorker instances.
         wo.tuning.fault = FarmFault::None;
-        wo.threads = opts_.threads;
         workers.push_back(std::make_unique<FarmWorker>(wo));
         threads.emplace_back(
             [&worker = *workers.back()] { worker.runLoop(); });
@@ -540,10 +533,8 @@ FarmCoordinator::collect()
         ALEWIFE_WARN("farm: job #", job.id,
                      " has no usable cache entry; recomputing "
                      "locally");
-        core::RunSpec spec = job.spec;
-        spec.threads = std::max(spec.threads, opts_.threads);
         core::RunResult r =
-            core::runApp(factory, spec, /*verify_fatal=*/false);
+            core::runApp(factory, job.spec, /*verify_fatal=*/false);
         if (!key.empty())
             cache.store(key, r);
         ++report_.recomputes;

@@ -103,8 +103,6 @@ struct FarmOptions
     FarmTuning tuning;
     /** In-process worker threads the coordinator contributes. */
     int workers = 1;
-    /** Intra-run threads per simulation (RunSpec::threads). */
-    int threads = 1;
     /** Called after every coordinator pass with the live census. */
     std::function<void(const QueueCounts &)> onStatus;
 };
@@ -140,8 +138,6 @@ class FarmWorker
         std::string ckptDir;
         double ckptIntervalCycles = 2'000'000.0;
         FarmTuning tuning;
-        /** Intra-run threads per simulation. */
-        int threads = 1;
         /** Stop after this many completed jobs; < 0 = until drained. */
         int maxJobs = -1;
     };

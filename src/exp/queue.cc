@@ -680,6 +680,9 @@ WorkQueue::reapExpired(std::int64_t nowMs)
             }
         }
     }
+    // Rebuilt every pass, so an id drops out once its lease appears or
+    // it leaves leased/.
+    std::map<int, std::int64_t> leaseless;
     for (int id : idsIn("leased")) {
         std::string holder = "unknown";
         std::int64_t hbMs = -1;
@@ -689,10 +692,17 @@ WorkQueue::reapExpired(std::int64_t nowMs)
             if (const Json *t = lease->find("heartbeatMs"))
                 hbMs = static_cast<std::int64_t>(t->asDouble());
         }
-        const bool expired =
-            hbMs < 0 || nowMs - hbMs > tuning_.leaseTtlMs;
-        if (!expired)
+        if (hbMs < 0) {
+            const auto seen = leaselessSinceMs_.find(id);
+            const std::int64_t since =
+                seen != leaselessSinceMs_.end() ? seen->second : nowMs;
+            if (nowMs - since <= tuning_.leaseTtlMs) {
+                leaseless.emplace(id, since);
+                continue;
+            }
+        } else if (nowMs - hbMs <= tuning_.leaseTtlMs) {
             continue;
+        }
         auto job = readEntry("leased", id);
         if (!job)
             continue; // completed or failed while we looked
@@ -707,6 +717,7 @@ WorkQueue::reapExpired(std::int64_t nowMs)
                                   + "ms ago)",
                         nowMs, &stats);
     }
+    leaselessSinceMs_ = std::move(leaseless);
     return stats;
 }
 

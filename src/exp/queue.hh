@@ -35,6 +35,7 @@
 #define ALEWIFE_EXP_QUEUE_HH
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,7 +61,8 @@ enum class FarmFault
 {
     None,
     /** Delete the lease file right after claiming: the coordinator
-     *  sees a leased job with no lease and reclaims it immediately. */
+     *  sees a leased job with no lease and reclaims it once it has
+     *  stayed lease-less for the TTL. */
     DropLease,
     /** Never renew the lease: the heartbeat goes stale and the job is
      *  reclaimed after the TTL even though the worker is still alive. */
@@ -234,9 +236,12 @@ class WorkQueue
               std::int64_t nowMs);
 
     /**
-     * Coordinator duty: reap every leased entry whose lease is missing
-     * or older than the TTL; re-queue (backoff, attempts+1) or
-     * quarantine. Safe to run concurrently with workers.
+     * Coordinator duty: reap every leased entry whose heartbeat is
+     * older than the TTL, or whose lease has been missing for longer
+     * than the TTL since this queue handle first saw it missing (claim
+     * renames the entry before it writes the lease, so a lease-less
+     * entry may be a claim in flight); re-queue (backoff, attempts+1)
+     * or quarantine. Safe to run concurrently with workers.
      */
     ReapStats reapExpired(std::int64_t nowMs);
 
@@ -281,6 +286,9 @@ class WorkQueue
     bool faultArmed_ = true; ///< one-shot FARM_FAULT not yet fired
     std::uint64_t completions_ = 0;
     std::uint64_t lateCompletions_ = 0;
+    /** Leased entries the reaper found without a lease: id -> time of
+     *  the first pass that saw it so. */
+    std::map<int, std::int64_t> leaselessSinceMs_;
 };
 
 } // namespace alewife::exp

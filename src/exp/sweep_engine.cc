@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -32,21 +31,6 @@ SweepEngine::SweepEngine(EngineOptions opts) : opts_(std::move(opts))
 {
     if (opts_.jobs < 1)
         opts_.jobs = 1;
-    if (opts_.threads < 1)
-        opts_.threads = 1;
-}
-
-int
-SweepEngine::effectiveThreads(int jobs, int threads, unsigned hw)
-{
-    jobs = std::max(1, jobs);
-    threads = std::max(1, threads);
-    if (threads == 1 || hw == 0)
-        return threads;
-    if (static_cast<unsigned>(jobs) * static_cast<unsigned>(threads)
-        <= hw)
-        return threads;
-    return std::max(1, static_cast<int>(hw) / jobs);
 }
 
 std::vector<core::RunResult>
@@ -129,7 +113,6 @@ SweepEngine::run(const std::vector<Job> &jobs)
             fo.ckptIntervalCycles = opts_.ckptIntervalCycles;
             fo.tuning = opts_.farm;
             fo.workers = opts_.jobs;
-            fo.threads = opts_.threads;
             FarmCoordinator coord(std::move(fo));
 
             std::vector<FarmJob> farmJobs;
@@ -175,24 +158,6 @@ SweepEngine::run(const std::vector<Job> &jobs)
         }
     }
 
-    // Per-run thread count, arbitrated against the host: only as many
-    // jobs as remain can run at once, so arbitrate with that number.
-    const int concurrent =
-        std::max(1, std::min<int>(opts_.jobs,
-                                  static_cast<int>(todo.size())));
-    const int runThreads = effectiveThreads(
-        concurrent, opts_.threads, std::thread::hardware_concurrency());
-    if (runThreads < opts_.threads) {
-        std::fprintf(stderr,
-                     "sweep: %d jobs x %d intra-run threads "
-                     "oversubscribes this host (%u hardware threads); "
-                     "running each simulation with %d worker%s instead "
-                     "(results are identical at any thread count)\n",
-                     concurrent, opts_.threads,
-                     std::thread::hardware_concurrency(), runThreads,
-                     runThreads == 1 ? "" : "s");
-    }
-
     std::mutex mu; // guards progress_ and the hook
     auto finishJob = [&](std::uint64_t simEvents) {
         std::lock_guard<std::mutex> lock(mu);
@@ -212,8 +177,6 @@ SweepEngine::run(const std::vector<Job> &jobs)
         const Job &job = jobs[i];
         core::RunSpec spec = job.spec;
         spec.audit = spec.audit || opts_.audit;
-        if (runThreads > 1)
-            spec.threads = std::max(spec.threads, runThreads);
         if (opts_.obs.any()) {
             // Per-run output paths: one sink per simulation thread,
             // never a shared file between parallel workers.

@@ -69,17 +69,6 @@ struct EngineOptions
 {
     /** Worker threads; <= 1 runs serially on the calling thread. */
     int jobs = 1;
-    /**
-     * Intra-run worker threads applied to every job of the batch
-     * (RunSpec::threads — the sim/parallel.hh window engine inside one
-     * simulation). Composes multiplicatively with jobs: the host load
-     * is jobs x threads. When that product oversubscribes the host,
-     * the engine downscales threads (never jobs — run-level
-     * parallelism has no lookahead bound and scales better) via
-     * effectiveThreads() and prints one clear message. Results are
-     * unaffected either way: both axes are bit-identity-preserving.
-     */
-    int threads = 1;
     /** Optional cross-sweep result cache (not owned). */
     ResultCache *cache = nullptr;
     /**
@@ -163,17 +152,6 @@ class SweepEngine
     const Progress &progress() const { return progress_; }
 
     const EngineOptions &options() const { return opts_; }
-
-    /**
-     * Arbitrate jobs x threads against @p hw hardware threads: the
-     * per-run thread count actually used. Keeps the request when the
-     * product fits (or @p hw is 0 = unknown); otherwise downscales
-     * toward max(1, hw / jobs) so concurrent simulations never
-     * oversubscribe the host with spinning window workers. Pure —
-     * callers (and tests) pass hw explicitly;
-     * std::thread::hardware_concurrency() at the call site.
-     */
-    static int effectiveThreads(int jobs, int threads, unsigned hw);
 
   private:
     EngineOptions opts_;

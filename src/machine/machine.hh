@@ -42,11 +42,6 @@ namespace alewife::ckpt {
 class Access;
 }
 
-namespace alewife::sim {
-class ParallelExec;
-struct ExecRecord;
-}
-
 namespace alewife {
 
 /**
@@ -72,13 +67,9 @@ class Machine
     mem::AddressSpace &mem() { return *mem_; }
     msg::HandlerRegistry &handlers() { return handlers_; }
 
-    /**
-     * Aggregated machine-wide counters. Each node increments its own
-     * cache-line-aligned shard (so parallel windows never contend on a
-     * shared line); this sums the shards into a stable snapshot. Call
-     * from serial phases only (between windows or after a run).
-     */
-    MachineCounters &counters();
+    /** Machine-wide counters; every node's components increment these
+     *  directly. */
+    MachineCounters &counters() { return counters_; }
 
     proc::SyncSystem &sync() { return *sync_; }
 
@@ -97,33 +88,6 @@ class Machine
      * a disabled config is a no-op, leaving the run bit-identical.
      */
     void setPerturbation(const check::PerturbConfig &p);
-
-    /**
-     * Worker threads for run(). 1 (the default) drives the serial
-     * kernel; >= 2 requests the conservative time-windowed parallel
-     * engine (sim/parallel.hh). The engine only engages when the run
-     * is eligible — see parallelEligible(); otherwise run() silently
-     * falls back to the serial kernel. Results are bit-identical
-     * either way. Call before run().
-     */
-    void setThreads(int threads);
-    int threads() const { return threads_; }
-
-    /**
-     * True iff run() would use the parallel engine right now:
-     * threads >= 2, at least two nodes, a positive cross-LP lookahead
-     * (mesh minimum cross-node latency), no trace category enabled
-     * (trace lines read per-LP time), and every attached hook
-     * parallel-capable. Tie-break perturbation is allowed (it runs in
-     * the slower gated-live mode).
-     */
-    bool parallelEligible() const;
-
-    /**
-     * Windows committed by the parallel engine during the last run;
-     * 0 means the run executed on the serial kernel.
-     */
-    std::uint64_t parallelWindows() const { return parWindows_; }
 
     /** Default tick limit for run(): panic past 4G cycles. */
     static constexpr Tick kDefaultRunLimit =
@@ -220,44 +184,9 @@ class Machine
 
     bool allDone() const;
 
-    /** Sum of every per-node counter shard. */
-    MachineCounters countersAggregate() const;
-
-    /** Owning LP of a tagged pending event; LP nodes() is the
-     *  cross-traffic injector, -1 is unclassifiable (panics). */
-    int eventLp(const EventMeta &meta) const;
-
-    /** Drive the started machine to completion with the windowed
-     *  parallel engine (run()'s middle when parallelEligible()). */
-    void runParallelLoop(Tick limit);
-
     MachineConfig cfg_;
     EventQueue eq_;
     MachineCounters counters_;
-
-    /**
-     * Per-node counter shards, one cache line each: every component of
-     * node i holds a reference to shards_[i].c, so counter increments
-     * during parallel windows stay single-writer per line. Sized once
-     * in the ctor, before any Node captures its reference.
-     */
-    struct alignas(64) CounterShard
-    {
-        MachineCounters c;
-    };
-    std::vector<CounterShard> shards_;
-
-    int threads_ = 1;
-    std::uint64_t parWindows_ = 0;
-    /**
-     * Serial-order stop tick of the last parallel run: the `when` of
-     * the event that completed the final unfinished program. The
-     * serial loop stops there, so finishRun() bounds its quiesce drain
-     * from this tick (not the possibly-later window-commit clock) to
-     * keep the drained event set identical to the serial engine's.
-     * 0 = serial run (use eq_.now()).
-     */
-    Tick parStopTick_ = 0;
     msg::HandlerRegistry handlers_;
     std::unique_ptr<net::Mesh> mesh_;
     std::unique_ptr<mem::AddressSpace> mem_;

@@ -49,11 +49,6 @@ CrossTraffic::injectAll()
 {
     if (!running_)
         return;
-    // Parallel engine: behave exactly like a tick after stop() — no
-    // injection, no reschedule — iff the serial driver would already
-    // have stopped by this event's position in the serial order.
-    if (quiesced_ && quiesced_())
-        return;
     for (const Stream &s : streams_) {
         auto pkt = std::make_unique<Packet>();
         pkt->src = s.src;

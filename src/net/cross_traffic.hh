@@ -19,7 +19,6 @@
 #define ALEWIFE_NET_CROSS_TRAFFIC_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "net/mesh.hh"
 #include "sim/event_queue.hh"
@@ -58,21 +57,6 @@ class CrossTraffic
     std::uint64_t bytesInjected() const { return bytesInjected_; }
 
     /**
-     * Parallel-engine stop condition. The serial driver checks
-     * "all programs done" before every event and calls stop() the
-     * moment it holds, so ticks after that point do nothing; a
-     * parallel window cannot stop mid-window, so the machine installs
-     * a predicate that reproduces the exact cutoff: true iff every
-     * program completed strictly before the current tick event in
-     * serial event order. Null (the default) disables the check.
-     */
-    void
-    setQuiescedCheck(std::function<bool()> check)
-    {
-        quiesced_ = std::move(check);
-    }
-
-    /**
      * The bisection bandwidth (bytes/cycle) left for the application,
      * i.e. native minus consumed. Clamped at zero.
      */
@@ -98,7 +82,6 @@ class CrossTraffic
     Tick periodTicks_ = 0;
     bool running_ = false;
     std::uint64_t bytesInjected_ = 0;
-    std::function<bool()> quiesced_;
 };
 
 } // namespace alewife::net

@@ -5,7 +5,6 @@
 
 #include "check/hooks.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/trace.hh"
 
 namespace alewife::net {
@@ -124,11 +123,6 @@ Mesh::hopCount(NodeId a, NodeId b) const
 Tick
 Mesh::send(std::unique_ptr<Packet> pkt)
 {
-    // Parallel windows: sends mutate mesh-global state (packet ids,
-    // link horizons, volume, the jitter RNG), so they run gated — one
-    // at a time, in exact serial event order.
-    if (gate_) [[unlikely]]
-        gate_->gateWait();
     pkt->id = nextId_++;
     ++injected_;
     ALEWIFE_TRACE_EVENT(TraceCat::Net, eq_.now(), "inject #", pkt->id,
@@ -248,10 +242,7 @@ Mesh::deliver(std::unique_ptr<Packet> pkt, int finalLink)
     if (sink(*pkt)) {
         ALEWIFE_TRACE_EVENT(TraceCat::Net, eq_.now(), "deliver #",
                             pkt->id, " at ", pkt->dst);
-        // Accept path: everything else it touches is destination-node
-        // state, so it runs ungated on that node's worker; only this
-        // machine-wide counter is shared (sum order is commutative).
-        delivered_.fetch_add(1, std::memory_order_relaxed);
+        ++delivered_;
         if (hooks_)
             hooks_->onPacketDelivered(*pkt);
         return;
@@ -260,9 +251,6 @@ Mesh::deliver(std::unique_ptr<Packet> pkt, int finalLink)
                         " at ", pkt->dst, " (NI full)");
 
     // Receiver full: park the packet, keep the final link busy, retry.
-    // This path mutates the shared link horizon, so gate it like send.
-    if (gate_) [[unlikely]]
-        gate_->gateWait();
     ++niRejects_;
     if (finalLink >= 0) {
         Link &link = links_[finalLink];

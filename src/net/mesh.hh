@@ -22,7 +22,6 @@
 #ifndef ALEWIFE_NET_MESH_HH
 #define ALEWIFE_NET_MESH_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -41,10 +40,6 @@ class Hooks;
 
 namespace alewife::ckpt {
 class Access;
-}
-
-namespace alewife::sim {
-class ParallelExec;
 }
 
 namespace alewife::net {
@@ -79,11 +74,7 @@ class Mesh
 
     /** Total packets injected / delivered, including cross-traffic. */
     std::uint64_t packetsInjected() const { return injected_; }
-    std::uint64_t
-    packetsDelivered() const
-    {
-        return delivered_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t packetsDelivered() const { return delivered_; }
 
     /** Times a delivery was rejected by a full NI queue. */
     std::uint64_t niRejects() const { return niRejects_; }
@@ -109,32 +100,6 @@ class Mesh
 
     /** Observer notified on packet injection/delivery; may be null. */
     void setAuditHooks(check::Hooks *hooks) { hooks_ = hooks; }
-
-    /**
-     * Guaranteed minimum latency between a cross-node injection and any
-     * effect at the destination — the conservative lookahead of the
-     * parallel window engine. Contended mode: the network fixed cost
-     * plus one (possibly jittered, floor 1) hop plus the serialization
-     * floor from the memoized table; queueing and extra hops only add
-     * to it. Ideal mode: the uniform one-way latency. Self-sends
-     * (src == dst) stay node-local, so they may undercut this freely.
-     */
-    Tick
-    crossLookahead() const
-    {
-        if (cfg_.idealNet)
-            return idealTicks_;
-        const Tick hopMin = jitterFrac_ > 0.0 ? 1 : hopTicks_;
-        return fixedTicks_ + hopMin + serTable_[0];
-    }
-
-    /**
-     * Order gate for parallel windows: while set, send() and the
-     * reject/retry half of deliver() — the paths touching mesh-global
-     * state (link horizons, packet ids, RNGs, counters) — wait for
-     * their turn in the serial event order before proceeding.
-     */
-    void setOrderGate(sim::ParallelExec *gate) { gate_ = gate; }
 
     /**
      * Scale each hop's latency by a seeded uniform factor in
@@ -201,9 +166,7 @@ class Mesh
     std::vector<Link> links_;
     VolumeBreakdown volume_;
     std::uint64_t injected_ = 0;
-    /** Atomic: bumped on the destination worker's accept path, which
-     *  is not gated (all other mutable mesh state is gate-serialized). */
-    std::atomic<std::uint64_t> delivered_{0};
+    std::uint64_t delivered_ = 0;
     std::uint64_t niRejects_ = 0;
     std::uint64_t bisectionBytes_ = 0;
     std::uint64_t nextId_ = 1;
@@ -219,7 +182,6 @@ class Mesh
      */
     std::vector<Tick> serTable_;
     check::Hooks *hooks_ = nullptr;
-    sim::ParallelExec *gate_ = nullptr;
     double jitterFrac_ = 0.0;
     Rng jitterRng_{0};
     mutable RouteBuf scratchLinks_;

@@ -22,11 +22,9 @@
  * verbatim.
  *
  * The recorder implements both check::Hooks and DepListener; attaching
- * it forces the serial kernel (the parallel window engine re-assigns
- * sequence numbers at commit, which would scramble the tree) and never
- * changes results — the graph of a run is bit-identical run-to-run and
- * identical whether or not an obs::Recorder is attached alongside
- * (pinned by tests/obs/critpath).
+ * it never changes results — the graph of a run is bit-identical
+ * run-to-run and identical whether or not an obs::Recorder is attached
+ * alongside (pinned by tests/obs/critpath).
  */
 
 #ifndef ALEWIFE_OBS_CRITPATH_HH

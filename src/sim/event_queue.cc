@@ -4,17 +4,10 @@
 
 #include "check/hooks.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 
 namespace alewife {
 
 namespace detail {
-
-void
-EventPool::parallelRelease(std::uint32_t idx)
-{
-    par->workerRelease(idx);
-}
 
 void
 EventPool::addSlab()
@@ -37,14 +30,14 @@ bool
 EventHandle::pending() const
 {
     detail::EventPool *pool = pool_.get();
-    return pool && pool->queueAlive && pool->slot(idx_).genNow() == gen_;
+    return pool && pool->queueAlive && pool->slot(idx_).gen == gen_;
 }
 
 void
 EventHandle::cancel()
 {
     detail::EventPool *pool = pool_.get();
-    if (pool && pool->queueAlive && pool->slot(idx_).genNow() == gen_)
+    if (pool && pool->queueAlive && pool->slot(idx_).gen == gen_)
         pool->release(idx_); // stale heap entry is skipped on pop
 }
 
@@ -79,7 +72,7 @@ EventQueue::step()
         const Entry e = heap_.top();
         heap_.pop();
         detail::EventPool::Slot &slot = pool_->slot(e.idx);
-        if (slot.genNow() != e.gen)
+        if (slot.gen != e.gen)
             continue; // cancelled
         now_ = e.when;
         ++executed_;
@@ -90,7 +83,7 @@ EventQueue::step()
         // only afterwards, so it cannot be handed out mid-execution.
         // Slot addresses are stable across addSlab, so `slot` stays
         // valid even if the callback grows the pool.
-        slot.bumpGen();
+        ++slot.gen;
         if (dep_) [[unlikely]] {
             curExec_ = e.seq;
             dep_->onExecute(e.seq, e.when);
@@ -143,25 +136,6 @@ EventQueue::peekNextTick()
         return heap_.top().when;
     }
     return std::nullopt;
-}
-
-Tick
-EventQueue::parallelNow() const
-{
-    return par_->workerNow();
-}
-
-std::uint32_t
-EventQueue::parallelAllocate(Tick when)
-{
-    return par_->workerAllocate(when);
-}
-
-EventHandle
-EventQueue::parallelPush(Tick when, std::uint32_t idx,
-                         std::uint64_t gen)
-{
-    return par_->workerSchedule(when, idx, gen);
 }
 
 bool

@@ -36,7 +36,6 @@
 #ifndef ALEWIFE_SIM_EVENT_QUEUE_HH
 #define ALEWIFE_SIM_EVENT_QUEUE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -57,10 +56,6 @@ class Hooks;
 
 namespace alewife::ckpt {
 class Access;
-}
-
-namespace alewife::sim {
-class ParallelExec;
 }
 
 namespace alewife {
@@ -87,9 +82,7 @@ using EventFn = sim::InlineFn<kEventCallbackBytes>;
  * are assigned monotonically at schedule time, so child seq > parent seq
  * and a single forward pass over seq order is a valid topological replay.
  *
- * Detached cost is one predictable branch per schedule/execute. The
- * parallel window engine does not route through this seam; an attached
- * listener forces the serial kernel (Machine::parallelEligible).
+ * Detached cost is one predictable branch per schedule/execute.
  */
 class DepListener
 {
@@ -118,9 +111,8 @@ namespace detail {
 
 /**
  * Slab-allocated free-list pool of event state, refcounted by one
- * EventQueue plus any outstanding EventHandles. The refcount goes
- * through locked RMWs only while a parallel engine is attached (par
- * below); serial runs keep the plain-increment cost.
+ * EventQueue plus any outstanding EventHandles (non-atomic: a queue
+ * and its handles live on one thread).
  *
  * A slot's generation counter is bumped every time the slot is
  * released; a handle or heap entry is live iff its recorded generation
@@ -136,47 +128,21 @@ struct EventPool
     struct Slot
     {
         EventFn fn;
-        /** Liveness generation. Atomic only so stale handles on other
-         *  worker threads may race their pending()/cancel() reads
-         *  against the current owner's bump: gens are monotonic and
-         *  window barriers order the owner's last bump before any slot
-         *  reuse, so a relaxed read can never equal a stale handle's
-         *  recorded gen. Writers are always exclusive (the executing
-         *  owner), so bumps are plain load+store, never locked RMW. */
-        std::atomic<std::uint64_t> gen{0};
+        std::uint64_t gen = 0;
         std::uint32_t nextFree = kNone;
         /** Typed record for checkpointing; Untagged for plain closures. */
         EventMeta meta;
         /** Schedule call site, recorded only for untagged events. */
         const char *siteFile = nullptr;
         std::uint32_t siteLine = 0;
-
-        std::uint64_t
-        genNow() const
-        {
-            return gen.load(std::memory_order_relaxed);
-        }
-
-        /** Exclusive-writer increment; compiles to mov/add, no lock. */
-        void
-        bumpGen()
-        {
-            gen.store(genNow() + 1, std::memory_order_relaxed);
-        }
     };
 
     std::vector<std::unique_ptr<Slot[]>> slabs;
     std::uint32_t freeHead = kNone;
-    /** Intrusive refcount: the owning queue plus live handles.
-     *  Atomic because parallel-window workers create and drop handles
-     *  concurrently; serial code keeps the plain-increment cost via
-     *  the unlocked fast path in PoolRef (see acquire()/release()). */
-    std::atomic<std::uint32_t> refs{0};
+    /** Intrusive refcount: the owning queue plus live handles. */
+    std::uint32_t refs = 0;
     /** Cleared by ~EventQueue; dangling handles check it first. */
     bool queueAlive = true;
-    /** Set while a parallel engine drives the queue: release() then
-     *  routes through per-worker free caches (see sim/parallel.hh). */
-    sim::ParallelExec *par = nullptr;
 
     Slot &
     slot(std::uint32_t idx)
@@ -205,30 +171,20 @@ struct EventPool
     void
     release(std::uint32_t idx)
     {
-        if (par) [[unlikely]] {
-            parallelRelease(idx);
-            return;
-        }
         Slot &s = slot(idx);
         s.fn.reset();
-        s.bumpGen();
+        ++s.gen;
         s.nextFree = freeHead;
         freeHead = idx;
     }
-
-    /** Parallel-mode release: free into the calling worker's cache. */
-    void parallelRelease(std::uint32_t idx);
 
     void addSlab();
 };
 
 /**
- * Intrusive smart pointer to an EventPool. Dropping the last
- * reference deletes the pool; while no parallel engine is attached,
- * copies cost a plain increment, so handle creation on the
- * schedule() hot path stays a few instructions. Parallel windows
- * switch the count to locked RMWs because workers create and drop
- * handles concurrently.
+ * Non-atomic intrusive smart pointer to an EventPool. Dropping the
+ * last reference deletes the pool; copies cost a plain increment, so
+ * handle creation on the schedule() hot path stays a few instructions.
  */
 class PoolRef
 {
@@ -237,27 +193,9 @@ class PoolRef
 
     explicit PoolRef(EventPool *p) : p_(p) { acquire(); }
 
-    /**
-     * Reference that does not touch the refcount: handles created on
-     * parallel worker threads use this. Such handles are
-     * machine-internal and never outlive the queue, so the pool's
-     * lifetime is carried by the queue's own owning reference.
-     */
-    static PoolRef
-    nonOwning(EventPool *p)
-    {
-        PoolRef r;
-        r.p_ = p;
-        r.owns_ = false;
-        return r;
-    }
+    PoolRef(const PoolRef &o) : p_(o.p_) { acquire(); }
 
-    PoolRef(const PoolRef &o) : p_(o.p_), owns_(o.owns_) { acquire(); }
-
-    PoolRef(PoolRef &&o) noexcept : p_(o.p_), owns_(o.owns_)
-    {
-        o.p_ = nullptr;
-    }
+    PoolRef(PoolRef &&o) noexcept : p_(o.p_) { o.p_ = nullptr; }
 
     PoolRef &
     operator=(const PoolRef &o)
@@ -265,7 +203,6 @@ class PoolRef
         if (this != &o) {
             release();
             p_ = o.p_;
-            owns_ = o.owns_;
             acquire();
         }
         return *this;
@@ -277,7 +214,6 @@ class PoolRef
         if (this != &o) {
             release();
             p_ = o.p_;
-            owns_ = o.owns_;
             o.p_ = nullptr;
         }
         return *this;
@@ -292,35 +228,18 @@ class PoolRef
     void
     acquire()
     {
-        if (!p_ || !owns_)
-            return;
-        if (p_->par) [[unlikely]]
-            p_->refs.fetch_add(1, std::memory_order_relaxed);
-        else
-            p_->refs.store(
-                p_->refs.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
+        if (p_)
+            ++p_->refs;
     }
 
     void
     release()
     {
-        if (!p_ || !owns_)
-            return;
-        if (p_->par) [[unlikely]] {
-            if (p_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-                delete p_;
-            return;
-        }
-        const std::uint32_t left =
-            p_->refs.load(std::memory_order_relaxed) - 1;
-        p_->refs.store(left, std::memory_order_relaxed);
-        if (left == 0)
+        if (p_ && --p_->refs == 0)
             delete p_;
     }
 
     EventPool *p_ = nullptr;
-    bool owns_ = true;
 };
 
 } // namespace detail
@@ -342,7 +261,6 @@ class EventHandle
 
   private:
     friend class EventQueue;
-    friend class sim::ParallelExec;
 
     EventHandle(const detail::PoolRef &pool, std::uint32_t idx,
                 std::uint64_t gen)
@@ -366,18 +284,8 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /**
-     * Current simulated time. Under a parallel engine this is the
-     * `when` of the calling worker's current event (time advances
-     * per-LP inside a window); elsewhere the global clock.
-     */
-    Tick
-    now() const
-    {
-        if (par_) [[unlikely]]
-            return parallelNow();
-        return now_;
-    }
+    /** Current simulated time. */
+    Tick now() const { return now_; }
 
     /**
      * Schedule @p fn to run at absolute time @p when, as an *untagged*
@@ -407,7 +315,7 @@ class EventQueue
         slot.meta = EventMeta{};
         slot.siteFile = site.file_name();
         slot.siteLine = site.line();
-        return pushEntry(when, idx, slot.genNow());
+        return pushEntry(when, idx, slot.gen);
     }
 
     /**
@@ -426,7 +334,7 @@ class EventQueue
         slot.meta = meta;
         slot.siteFile = nullptr;
         slot.siteLine = 0;
-        return pushEntry(when, idx, slot.genNow());
+        return pushEntry(when, idx, slot.gen);
     }
 
     /** Overload for an already-built EventFn (moved into the slot). */
@@ -440,7 +348,7 @@ class EventQueue
         slot.meta = EventMeta{};
         slot.siteFile = site.file_name();
         slot.siteLine = site.line();
-        return pushEntry(when, idx, slot.genNow());
+        return pushEntry(when, idx, slot.gen);
     }
 
     /** Schedule @p fn to run @p delay ticks from now (untagged). */
@@ -449,7 +357,7 @@ class EventQueue
     scheduleIn(Tick delay, F &&fn,
                std::source_location site = std::source_location::current())
     {
-        return schedule(now() + delay, std::forward<F>(fn), site);
+        return schedule(now_ + delay, std::forward<F>(fn), site);
     }
 
     /** Schedule a typed event @p delay ticks from now. */
@@ -457,7 +365,7 @@ class EventQueue
     EventHandle
     scheduleIn(Tick delay, EventMeta meta, F &&fn)
     {
-        return schedule(now() + delay, meta, std::forward<F>(fn));
+        return schedule(now_ + delay, meta, std::forward<F>(fn));
     }
 
     /** Run until the queue is empty. Returns final time. */
@@ -488,18 +396,11 @@ class EventQueue
      */
     void setTieBreak(std::uint64_t seed);
 
-    /** True once setTieBreak() armed the perturbation RNG (the
-     *  parallel engine must then gate schedule() calls live). */
-    bool tieBreakEnabled() const { return tieBreak_; }
-
     /** Observer notified after every executed event; may be null. */
     void setAuditHooks(check::Hooks *hooks) { hooks_ = hooks; }
 
-    /**
-     * Attach the dependency-tree observer (at most one; null detaches).
-     * Incompatible with the parallel window engine: the machine falls
-     * back to the serial kernel while a listener is attached.
-     */
+    /** Attach the dependency-tree observer (at most one; null
+     *  detaches). */
     void setDepListener(DepListener *dep) { dep_ = dep; }
 
     /** The attached dependency listener, or null. */
@@ -530,7 +431,7 @@ class EventQueue
     {
         heap_.forEach([&](const Entry &e) {
             const detail::EventPool::Slot &s = pool_->slot(e.idx);
-            if (s.genNow() != e.gen)
+            if (s.gen != e.gen)
                 return; // cancelled
             fn(PendingEvent{e.when, e.pri, e.seq, s.meta, s.siteFile,
                             s.siteLine});
@@ -548,8 +449,6 @@ class EventQueue
   private:
     /** Checkpoint capture/verify reads private kernel state. */
     friend class alewife::ckpt::Access;
-    /** The parallel window engine drives the heap/pool directly. */
-    friend class sim::ParallelExec;
 
     /** Queue entry: trivially copyable, moves are plain word copies. */
     struct Entry
@@ -568,8 +467,6 @@ class EventQueue
     std::uint32_t
     allocateChecked(Tick when)
     {
-        if (par_) [[unlikely]]
-            return parallelAllocate(when);
         if (when < now_) [[unlikely]]
             panicScheduledPast(when);
         return pool_->allocate();
@@ -578,14 +475,6 @@ class EventQueue
     /** Heap insertion + handle construction shared by schedule(). */
     EventHandle
     pushEntry(Tick when, std::uint32_t idx, std::uint64_t gen)
-    {
-        if (par_) [[unlikely]]
-            return parallelPush(when, idx, gen);
-        return pushEntrySerial(when, idx, gen);
-    }
-
-    EventHandle
-    pushEntrySerial(Tick when, std::uint32_t idx, std::uint64_t gen)
     {
         // Same-tick events scheduled at now() keep FIFO order (they
         // must run after already-queued same-tick events), so only
@@ -603,21 +492,13 @@ class EventQueue
         return EventHandle(pool_, idx, gen);
     }
 
-    // Parallel-engine reroutes of the hot-path primitives, out of line
-    // so this header does not depend on sim/parallel.hh. Only taken
-    // while a ParallelExec is attached (par_ != nullptr).
-    Tick parallelNow() const;
-    std::uint32_t parallelAllocate(Tick when);
-    EventHandle parallelPush(Tick when, std::uint32_t idx,
-                             std::uint64_t gen);
-
     [[noreturn]] void panicScheduledPast(Tick when) const;
 
     /** True if @p e still refers to a scheduled, uncancelled event. */
     bool
     entryLive(const Entry &e) const
     {
-        return pool_->slot(e.idx).genNow() == e.gen;
+        return pool_->slot(e.idx).gen == e.gen;
     }
 
     Tick now_ = 0;
@@ -631,8 +512,6 @@ class EventQueue
     /** Seq of the event whose callback is executing (parent of any
      *  event scheduled from inside it); kNoParent between events. */
     std::uint64_t curExec_ = DepListener::kNoParent;
-    /** Attached parallel window engine, or null (serial operation). */
-    sim::ParallelExec *par_ = nullptr;
     detail::PoolRef pool_;
     sim::RadixQueue<Entry> heap_;
 };

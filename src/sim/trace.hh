@@ -60,20 +60,6 @@ class Trace
             .load(std::memory_order_relaxed);
     }
 
-    /** True if any category is enabled (parallel-engine eligibility:
-     *  trace lines carry eq.now(), which is per-LP inside a window, so
-     *  traced runs stay on the serial engine). */
-    static bool
-    anyEnabled()
-    {
-        for (std::size_t i = 0;
-             i < static_cast<std::size_t>(TraceCat::NumCats); ++i) {
-            if (state().on[i].load(std::memory_order_relaxed))
-                return true;
-        }
-        return false;
-    }
-
     /** Enable/disable a category at runtime (tests). */
     static void enable(TraceCat c, bool on = true);
 

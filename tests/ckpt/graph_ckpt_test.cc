@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <functional>
+#include <type_traits>
 
 #include "apps/graph/catalog.hh"
 #include "ckpt/ckpt.hh"
@@ -58,11 +59,16 @@ expectIdentical(const core::RunResult &a, const core::RunResult &b)
     EXPECT_TRUE(b.verified);
 }
 
+// gtest prints a parameter that has no printer as its raw bytes, and
+// gtest_discover_tests copies that dump into the ctest test name. The
+// app name is held inline rather than as a pointer, whose value moves
+// with every load address, so the name is the same on every build.
 struct GoldenCase
 {
-    const char *app;
+    char app[15];
     Mechanism mech;
 };
+static_assert(std::has_unique_object_representations_v<GoldenCase>);
 
 class GraphResumeGolden : public ::testing::TestWithParam<GoldenCase>
 {

@@ -2,7 +2,7 @@
  * @file
  * Determinism regression for concurrent simulations: the same RunSpec
  * must produce bit-identical results run serially, run twice, and run
- * through the parallel engine with jobs=4 — while other simulations
+ * through the sweep engine with jobs=4 — while other simulations
  * execute concurrently on sibling worker threads. Any divergence means
  * hidden shared mutable state between Machine instances.
  */

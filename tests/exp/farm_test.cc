@@ -309,6 +309,27 @@ TEST(WorkQueueTest, ReapReclaimsStaleLeaseAndLateCompletionIsDropped)
     EXPECT_EQ(b.counts().done, 1);
 }
 
+TEST(WorkQueueTest, ReaperSparesAClaimInFlight)
+{
+    TempDir tmp;
+    WorkQueue q = makeQueue(tmp, "w1"); // ttl 200ms
+    ASSERT_TRUE(q.enqueue(makeJob(0, core::Mechanism::SharedMemory)));
+
+    // A claim between its rename into leased/ and its lease write.
+    fs::rename(tmp.path / "pending" / "000000.json",
+               tmp.path / "leased" / "000000.json");
+
+    EXPECT_EQ(q.reapExpired(1000).reclaims, 0u);
+    EXPECT_EQ(q.counts().leased, 1);
+
+    // Still lease-less a full TTL after the reaper first saw it.
+    const ReapStats stats = q.reapExpired(1000 + 200 + 1);
+    EXPECT_EQ(stats.reclaims, 1u);
+    auto entry = q.readEntry("pending", 0);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_NE(entry->lastError.find("lease lost"), std::string::npos);
+}
+
 TEST(WorkQueueTest, UnreadableEntryIsQuarantinedByTheReaper)
 {
     TempDir tmp;
@@ -334,7 +355,7 @@ TEST(FarmFaultTest, NamesRoundTrip)
     EXPECT_STREQ(farmFaultName(FarmFault::None), "");
 }
 
-TEST(FarmFaultTest, DropLeaseIsReclaimedImmediately)
+TEST(FarmFaultTest, DropLeaseIsReclaimedAfterTtl)
 {
     TempDir tmp;
     FarmTuning t = fastTuning();
@@ -347,8 +368,10 @@ TEST(FarmFaultTest, DropLeaseIsReclaimedImmediately)
     ASSERT_TRUE(job.has_value());
     EXPECT_FALSE(fs::exists(tmp.path / "leases" / "000000.json"));
 
-    // No lease at all means no TTL grace: reclaimed on the next pass.
-    const ReapStats stats = q.reapExpired(1001);
+    // A missing lease could be a claim in flight, so it gets the TTL
+    // grace, timed from the first pass that saw it missing.
+    EXPECT_EQ(q.reapExpired(1001).reclaims, 0u);
+    const ReapStats stats = q.reapExpired(1001 + t.leaseTtlMs + 1);
     EXPECT_EQ(stats.leaseExpiries, 1u);
     EXPECT_EQ(stats.reclaims, 1u);
     auto entry = q.readEntry("pending", 0);

@@ -85,40 +85,6 @@ TEST(SweepEngine, ParallelMatchesSerialExactly)
         expectIdentical(a[i], b[i]);
 }
 
-TEST(SweepEngine, EffectiveThreadsArbitration)
-{
-    // Fits: the request is honored.
-    EXPECT_EQ(SweepEngine::effectiveThreads(4, 4, 16), 4);
-    EXPECT_EQ(SweepEngine::effectiveThreads(1, 8, 8), 8);
-    // Oversubscribed: threads downscale toward hw / jobs, never jobs.
-    EXPECT_EQ(SweepEngine::effectiveThreads(4, 4, 8), 2);
-    EXPECT_EQ(SweepEngine::effectiveThreads(4, 4, 4), 1);
-    EXPECT_EQ(SweepEngine::effectiveThreads(2, 3, 4), 2);
-    EXPECT_EQ(SweepEngine::effectiveThreads(8, 2, 1), 1);
-    // Unknown hardware (hw == 0) keeps the request.
-    EXPECT_EQ(SweepEngine::effectiveThreads(4, 4, 0), 4);
-    // threads == 1 is always 1, whatever the host looks like.
-    EXPECT_EQ(SweepEngine::effectiveThreads(64, 1, 1), 1);
-    // Degenerate inputs clamp instead of dividing by zero.
-    EXPECT_EQ(SweepEngine::effectiveThreads(0, 0, 4), 1);
-}
-
-TEST(SweepEngine, IntraRunThreadsPreserveResults)
-{
-    // jobs x threads composition end-to-end: whatever thread count the
-    // host arbitration lands on (including a downscale to 1 on small
-    // hosts), batch results must equal the all-serial baseline.
-    SweepEngine serial(withJobs(1));
-    EngineOptions opts = withJobs(2);
-    opts.threads = 4;
-    SweepEngine composed(opts);
-    const auto a = serial.run(mechanismJobs());
-    const auto b = composed.run(mechanismJobs());
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectIdentical(a[i], b[i]);
-}
-
 TEST(SweepEngine, EmptyBatchIsFine)
 {
     int hookCalls = 0;

@@ -4,9 +4,10 @@
  *
  * The load-bearing one is ObservationNeverChangesTheResult: a fully
  * instrumented run (timeline + metrics + interval profile + flight
- * ring) must be bit-identical to a detached run — same runtime, same
- * checksum, same event count, same CMMU counters. That is the contract
- * that lets obs settings stay out of result-cache keys.
+ * ring), and an audited run, must each be bit-identical to a detached
+ * run — same runtime, same checksum, same event count, same volume,
+ * breakdown and CMMU counters. That is the contract that lets obs and
+ * audit settings stay out of result-cache keys.
  */
 
 #include <gtest/gtest.h>
@@ -57,20 +58,28 @@ TEST(Recorder, ObservationNeverChangesTheResult)
     observed.obs.metricsOut = testing::TempDir() + "obs-det-metrics.json";
     observed.obs.intervalCycles = 100;
     observed.obs.flightEvents = 256;
-    const auto attached = core::runApp(tinyStream(), observed);
 
-    EXPECT_EQ(detached.runtimeCycles, attached.runtimeCycles);
-    EXPECT_EQ(detached.checksum, attached.checksum);
-    EXPECT_EQ(detached.simEvents, attached.simEvents);
+    // The invariant auditor is an attached observer too.
+    core::RunSpec audited;
+    audited.audit = true;
+
     EXPECT_TRUE(detached.verified);
-    EXPECT_TRUE(attached.verified);
-    for (std::size_t i = 0; i < detached.breakdown.ticks.size(); ++i)
-        EXPECT_EQ(detached.breakdown.ticks[i],
-                  attached.breakdown.ticks[i]);
-    for (const auto &f : machineCounterFields())
-        EXPECT_EQ(detached.counters.*(f.member),
-                  attached.counters.*(f.member))
-            << "counter " << f.name;
+    for (const core::RunSpec &spec : {observed, audited}) {
+        SCOPED_TRACE(spec.audit ? "audited" : "observed");
+        const auto attached = core::runApp(tinyStream(), spec);
+        EXPECT_EQ(detached.runtimeCycles, attached.runtimeCycles);
+        EXPECT_EQ(detached.checksum, attached.checksum);
+        EXPECT_EQ(detached.simEvents, attached.simEvents);
+        EXPECT_EQ(detached.volume.total(), attached.volume.total());
+        EXPECT_TRUE(attached.verified);
+        for (std::size_t i = 0; i < detached.breakdown.ticks.size(); ++i)
+            EXPECT_EQ(detached.breakdown.ticks[i],
+                      attached.breakdown.ticks[i]);
+        for (const auto &f : machineCounterFields())
+            EXPECT_EQ(detached.counters.*(f.member),
+                      attached.counters.*(f.member))
+                << "counter " << f.name;
+    }
 }
 
 TEST(Recorder, MetricsFileIsSchemaVersionedAndPopulated)
