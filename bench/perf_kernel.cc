@@ -447,6 +447,15 @@ main(int argc, char **argv)
             "bfs",
             bench::graphParams(scale, workload::GraphFamily::RMat)),
         core::Mechanism::MpPolling, 0.0));
+    // NI-full retry storm (R-MAT pagerank-push under interrupts): nearly
+    // every event redelivers a packet parked behind a full NI queue, so
+    // this row tracks the kernel's slot-free retry-record path.
+    rows.push_back(runWorkload(
+        "graph_prpush_mpi",
+        apps::graph::makeApp(
+            "pagerank-push",
+            bench::graphParams(scale, workload::GraphFamily::RMat)),
+        core::Mechanism::MpInterrupt, 0.0));
     // One Figure-8 column: EM3D under cross-traffic consuming 8 B/cyc
     // of the native 18 B/cyc bisection, SM and MP-interrupt.
     const auto fig08Params = bench::em3dParams(bench::Scale::Quick);

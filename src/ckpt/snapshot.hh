@@ -36,11 +36,13 @@ namespace alewife::ckpt {
 inline constexpr const char *kCkptSchemaName = "alewife-ckpt";
 
 /**
- * Snapshot format version. Bump whenever a section's layout changes;
- * the ResultCache key includes this value, so cached sweep results are
- * invalidated together with stale snapshots.
+ * Snapshot format version. Bump whenever a section's layout or the
+ * meaning of a captured value changes (2: `mesh.links[].busyTicks`
+ * counts a parked packet's hold only where it extends the link's
+ * horizon); the ResultCache key includes this value, so cached sweep
+ * results are invalidated together with stale snapshots.
  */
-inline constexpr int kCkptSchemaVersion = 1;
+inline constexpr int kCkptSchemaVersion = 2;
 
 /** Encode a 64-bit word as a fixed-width hex string ("0x...."). */
 std::string hexU64(std::uint64_t v);
@@ -51,7 +53,7 @@ std::uint64_t parseHexU64(const std::string &s);
 /**
  * A captured machine state. The document layout:
  *
- *   { "schema": "alewife-ckpt", "version": 1,
+ *   { "schema": "alewife-ckpt", "version": 2,
  *     "config":  { "key": <canonicalKey>, "nodes": N, ... },
  *     "kernel":  { "now", "seq", "executed", tie-break RNG },
  *     "events":  [ typed pending-event records, ascending seq ],

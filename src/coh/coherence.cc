@@ -6,7 +6,6 @@
 
 #include "check/hooks.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace alewife::coh {
 
@@ -531,9 +530,6 @@ CoherenceController::fillArrived(Addr line, bool exclusive,
     mshrs_.erase(it);
     if (hooks_)
         hooks_->onMshrClose(self_, line);
-    ALEWIFE_TRACE_EVENT(TraceCat::Coh, eq_.now(), "fill at ", self_,
-                        " line ", line, exclusive ? " X" : " S",
-                        " demands ", m.demands.size());
 
     const bool pure_prefetch = m.demands.empty() && m.deferred.empty();
     const auto st =
@@ -760,10 +756,6 @@ void
 CoherenceController::homeServe(const ProtoMsg &msg)
 {
     DirEntry &e = dir_.entry(msg.lineAddr);
-    ALEWIFE_TRACE_EVENT(TraceCat::Coh, eq_.now(), "home ", self_,
-                        " serve ", msgTypeName(msg.type), " line ",
-                        msg.lineAddr, " from ", msg.requester,
-                        " state ", static_cast<int>(e.state));
     const Addr line = msg.lineAddr;
     const NodeId req = msg.requester;
     Tick reply_at = eq_.now();

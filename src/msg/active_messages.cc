@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace alewife::msg {
 
@@ -125,12 +124,6 @@ NetIface::receive(net::Packet &pkt)
 Tick
 NetIface::runHandler(const AmMessage &m)
 {
-    ALEWIFE_TRACE_EVENT(TraceCat::Msg, eq_.now(), "handler ",
-                        m.handler, " at ", self_, " from ", m.src,
-                        " args ", m.args.size(), " body ",
-                        m.body.size(),
-                        mode_ == RecvMode::Interrupt ? " (int)"
-                                                     : " (poll)");
     HandlerEnv env(self_, m, *this);
     handlers_.run(m.handler, env);
 

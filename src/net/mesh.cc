@@ -5,7 +5,6 @@
 
 #include "check/hooks.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace alewife::net {
 
@@ -16,6 +15,14 @@ Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg) : eq_(eq), cfg_(cfg)
     // edge exist but are only used by cross-traffic draining off-edge.
     links_.resize(static_cast<std::size_t>(cfg.nodes()) * 4);
     computeDerivedTiming();
+    eq_.setRetryHandler(
+        [](void *mesh, const EventMeta &meta) {
+            static_cast<Mesh *>(mesh)->deliver(
+                std::unique_ptr<Packet>(
+                    reinterpret_cast<Packet *>(meta.a)),
+                static_cast<int>(static_cast<std::int64_t>(meta.b)));
+        },
+        this);
 }
 
 void
@@ -125,10 +132,6 @@ Mesh::send(std::unique_ptr<Packet> pkt)
 {
     pkt->id = nextId_++;
     ++injected_;
-    ALEWIFE_TRACE_EVENT(TraceCat::Net, eq_.now(), "inject #", pkt->id,
-                        " ", pkt->src, "->", pkt->dst, " ",
-                        pkt->sizeBytes, "B kind ",
-                        static_cast<int>(pkt->kind));
     if (pkt->countInVolume) {
         for (std::size_t c = 0;
              c < static_cast<std::size_t>(VolCat::NumCats); ++c) {
@@ -240,32 +243,31 @@ Mesh::deliver(std::unique_ptr<Packet> pkt, int finalLink)
     if (!sink)
         ALEWIFE_PANIC("no sink registered for node ", pkt->dst);
     if (sink(*pkt)) {
-        ALEWIFE_TRACE_EVENT(TraceCat::Net, eq_.now(), "deliver #",
-                            pkt->id, " at ", pkt->dst);
         ++delivered_;
         if (hooks_)
             hooks_->onPacketDelivered(*pkt);
         return;
     }
-    ALEWIFE_TRACE_EVENT(TraceCat::Net, eq_.now(), "reject #", pkt->id,
-                        " at ", pkt->dst, " (NI full)");
 
     // Receiver full: park the packet, keep the final link busy, retry.
+    // Busy time grows only by the ticks the hold adds past the link's
+    // current horizon, so several packets parked behind one link never
+    // count the same tick twice.
     ++niRejects_;
     if (finalLink >= 0) {
         Link &link = links_[finalLink];
-        link.freeAt = std::max(link.freeAt, eq_.now() + retryTicks_);
-        link.busyTicks += retryTicks_;
+        const Tick holdEnd = eq_.now() + retryTicks_;
+        if (holdEnd > link.freeAt) {
+            link.busyTicks += holdEnd - std::max(link.freeAt, eq_.now());
+            link.freeAt = holdEnd;
+        }
     }
-    auto *raw = pkt.release();
-    eq_.schedule(eq_.now() + retryTicks_,
-                 EventMeta{EventTag::MeshRetry,
-                           reinterpret_cast<std::uintptr_t>(raw),
-                           static_cast<std::uint64_t>(
-                               static_cast<std::int64_t>(finalLink))},
-                 [this, raw, finalLink]() {
-                     deliver(std::unique_ptr<Packet>(raw), finalLink);
-                 });
+    eq_.scheduleRetry(eq_.now() + retryTicks_,
+                      EventMeta{EventTag::MeshRetry,
+                                reinterpret_cast<std::uintptr_t>(
+                                    pkt.release()),
+                                static_cast<std::uint64_t>(
+                                    static_cast<std::int64_t>(finalLink))});
 }
 
 double

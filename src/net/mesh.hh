@@ -12,7 +12,13 @@
  * Backpressure: a receiver may reject a delivery (network-interface input
  * queue full). The packet then parks, holds its final link busy, and is
  * redelivered after niRetryCycles — modelling the tree saturation the
- * paper observes for message-passing traffic at high rates.
+ * paper observes for message-passing traffic at high rates. A link's
+ * busy time grows only by the ticks a hold extends its horizon, so
+ * packets parked side by side are not counted twice. Redeliveries are
+ * the bulk of all events under irregular message passing, so each is
+ * an EventQueue retry record (scheduleRetry) rather than a closure,
+ * dispatched back to the mesh through the handler it registers when it
+ * is constructed.
  *
  * An ideal mode (MachineConfig::idealNet) replaces all of this with a
  * uniform one-way latency and infinite bandwidth, used by the Figure 10
@@ -56,7 +62,10 @@ class Mesh
      */
     using Sink = std::function<bool(Packet &)>;
 
+    /** Registers itself as @p eq's retry handler (see deliver()). */
     Mesh(EventQueue &eq, const MachineConfig &cfg);
+    Mesh(const Mesh &) = delete;
+    Mesh &operator=(const Mesh &) = delete;
 
     /** Register the delivery callback for @p node. */
     void setSink(NodeId node, Sink sink);
@@ -143,7 +152,10 @@ class Mesh
     /** Compute the XY route; fills @p links with link indices in order. */
     void route(NodeId src, NodeId dst, RouteBuf &links) const;
 
-    /** Schedule delivery (and retry-on-reject) of an arrived packet. */
+    /**
+     * Hand an arrived packet to its sink; on reject, park it and queue
+     * an EventQueue retry record (dispatched back here).
+     */
     void deliver(std::unique_ptr<Packet> pkt, int finalLink);
 
     /** The un-memoized serialization formula (table fill + fallback). */

@@ -6,7 +6,6 @@
 #include "machine/machine.hh"
 #include "net/packet.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace alewife::obs {
 
@@ -376,16 +375,10 @@ Recorder::finalize()
             ALEWIFE_FATAL("metrics-out: cannot open ",
                           opts_.metricsOut);
         os << j.dump(1) << "\n";
-        ALEWIFE_TRACE_EVENT(TraceCat::Obs, tick(), "metrics -> ",
-                            opts_.metricsOut);
     }
 
-    if (traceOn_) {
+    if (traceOn_)
         trace_.writeFile(opts_.traceOut);
-        ALEWIFE_TRACE_EVENT(TraceCat::Obs, tick(), "trace -> ",
-                            opts_.traceOut, " (", trace_.events(),
-                            " events)");
-    }
 }
 
 } // namespace alewife::obs

@@ -4,7 +4,6 @@
 
 #include "check/hooks.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace alewife::proc {
 
@@ -153,9 +152,6 @@ Proc::chargeHandler(double cycles, TimeCat cat)
 {
     const Tick cost = cyclesToTicks(cycles);
     const Tick now = eq_.now();
-    ALEWIFE_TRACE_EVENT(TraceCat::Proc, now, "node ", id_, " charge ",
-                        cycles, "cyc state ",
-                        static_cast<int>(state_));
     breakdown_.add(cat, cost);
     stolen_ += cost;
 

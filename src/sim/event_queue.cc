@@ -1,5 +1,6 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "check/hooks.hh"
@@ -65,15 +66,74 @@ EventQueue::setTieBreak(std::uint64_t seed)
     rng_ = Rng(seed);
 }
 
+void
+EventQueue::scheduleRetry(Tick when, const EventMeta &meta)
+{
+    if (when < now_) [[unlikely]]
+        panicScheduledPast(when);
+    if (!retryFn_) [[unlikely]]
+        ALEWIFE_PANIC("retry scheduled with no retry handler registered");
+    const Retry r{when, priorityFor(when), seq_++, meta};
+    if (dep_) [[unlikely]]
+        dep_->onSchedule(r.seq, curExec_, when, now_, meta);
+    // Retries fire a fixed delay after now(), so a new record almost
+    // always sorts last. It walks back only past a tie-break run of
+    // equal `when`, or past records queued before a warm-start delta
+    // lowered the retry delay.
+    std::size_t pos = retries_.size();
+    while (pos > retryHead_ && before(r, retries_[pos - 1]))
+        --pos;
+    retries_.insert(retries_.begin() + static_cast<std::ptrdiff_t>(pos),
+                    r);
+}
+
+inline void
+EventQueue::finishEvent()
+{
+    if (dep_) [[unlikely]]
+        curExec_ = DepListener::kNoParent;
+    if (hooks_)
+        hooks_->onEventExecuted(now_);
+}
+
+void
+EventQueue::fireRetry()
+{
+    const Retry r = retries_[retryHead_];
+    // Drop the consumed prefix once it outweighs the live records, so
+    // a FIFO that never drains stays bounded.
+    if (++retryHead_ == retries_.size()) {
+        retries_.clear();
+        retryHead_ = 0;
+    } else if (retryHead_ >= 4096 && 2 * retryHead_ >= retries_.size()) {
+        retries_.erase(retries_.begin(),
+                       retries_.begin()
+                           + static_cast<std::ptrdiff_t>(retryHead_));
+        retryHead_ = 0;
+    }
+    now_ = r.when;
+    ++executed_;
+    if (dep_) [[unlikely]] {
+        curExec_ = r.seq;
+        dep_->onExecute(r.seq, r.when);
+    }
+    retryFn_(retryCtx_, r.meta);
+    finishEvent();
+}
+
 bool
 EventQueue::step()
 {
     while (!heap_.empty()) {
         const Entry e = heap_.top();
-        heap_.pop();
         detail::EventPool::Slot &slot = pool_->slot(e.idx);
-        if (slot.gen != e.gen)
-            continue; // cancelled
+        if (slot.gen != e.gen) {
+            heap_.pop(); // cancelled
+            continue;
+        }
+        if (!retries_.empty() && before(retries_[retryHead_], e))
+            break;
+        heap_.pop();
         now_ = e.when;
         ++executed_;
         // Bump the generation before invoking: every outstanding handle
@@ -92,13 +152,13 @@ EventQueue::step()
         slot.fn.reset();
         slot.nextFree = pool_->freeHead;
         pool_->freeHead = e.idx;
-        if (dep_) [[unlikely]]
-            curExec_ = DepListener::kNoParent;
-        if (hooks_)
-            hooks_->onEventExecuted(now_);
+        finishEvent();
         return true;
     }
-    return false;
+    if (retries_.empty())
+        return false;
+    fireRetry();
+    return true;
 }
 
 Tick
@@ -112,13 +172,8 @@ EventQueue::run()
 bool
 EventQueue::runUntil(Tick limit)
 {
-    while (!heap_.empty()) {
-        // Skip over cancelled entries without advancing time.
-        if (!entryLive(heap_.top())) {
-            heap_.pop();
-            continue;
-        }
-        if (heap_.top().when > limit)
+    for (auto when = peekNextTick(); when; when = peekNextTick()) {
+        if (*when > limit)
             return false;
         step();
     }
@@ -128,21 +183,23 @@ EventQueue::runUntil(Tick limit)
 std::optional<Tick>
 EventQueue::peekNextTick()
 {
-    while (!heap_.empty()) {
-        if (!entryLive(heap_.top())) {
-            heap_.pop();
-            continue;
-        }
+    while (!heap_.empty() && !entryLive(heap_.top()))
+        heap_.pop(); // cancelled
+    if (retries_.empty()) {
+        if (heap_.empty())
+            return std::nullopt;
         return heap_.top().when;
     }
-    return std::nullopt;
+    const Tick retry = retries_[retryHead_].when;
+    return heap_.empty() ? retry : std::min(retry, heap_.top().when);
 }
 
 bool
 EventQueue::empty() const
 {
     // Only used by tests; a linear scan over queued entries is fine.
-    return !heap_.any([this](const Entry &e) { return entryLive(e); });
+    return retries_.empty()
+           && !heap_.any([this](const Entry &e) { return entryLive(e); });
 }
 
 } // namespace alewife

@@ -22,6 +22,21 @@
  * machine), so a handle may outlive its queue: it then reports
  * not-pending and cancel() is a no-op.
  *
+ * NI-full retries take a second, slot-free path (scheduleRetry). A
+ * packet parked behind a full network-interface queue is re-polled
+ * every niRetryCycles, and under irregular message-passing traffic
+ * those polls are the bulk of all events. Each one is a plain
+ * (when, pri, seq, EventMeta) record in a FIFO beside the radix
+ * queue, dispatched through the one handler net::Mesh registers —
+ * no pool slot, no closure, no radix redistribution. Every retry
+ * fires a fixed delay after now(), so records append in order and pop
+ * in O(1). The dispatch loop merges the FIFO head with the radix
+ * queue's live top under the same total (when, pri, seq) order, and a
+ * record is in every other respect a real event: it draws a seq and
+ * a tie-break priority, counts as executed, and is reported to the
+ * DepListener, the audit hooks and forEachPending like any other.
+ * Records cannot be cancelled (nothing ever cancels a retry).
+ *
  * Schedule perturbation (setTieBreak): for fuzzing, same-tick events
  * scheduled for the *future* can be ordered by a seeded random priority
  * instead of insertion order. Events scheduled at the current tick keep
@@ -368,6 +383,31 @@ class EventQueue
         return schedule(now_ + delay, meta, std::forward<F>(fn));
     }
 
+    /** Dispatch target of retry records; @p ctx is the registrant. */
+    using RetryHandler = void (*)(void *ctx, const EventMeta &meta);
+
+    /**
+     * Register the handler every retry record is dispatched to
+     * (net::Mesh does so when it is constructed; one per queue).
+     */
+    void
+    setRetryHandler(RetryHandler fn, void *ctx)
+    {
+        retryFn_ = fn;
+        retryCtx_ = ctx;
+    }
+
+    /**
+     * Schedule an NI-full redelivery at @p when as a slot-free retry
+     * record (see the file comment). It is ordered, counted and
+     * observed exactly like schedule(when, meta, fn) with a closure
+     * that calls the retry handler on @p meta, but it has no handle
+     * and cannot be cancelled.
+     *
+     * @pre when >= now() — enforced as for schedule().
+     */
+    void scheduleRetry(Tick when, const EventMeta &meta);
+
     /** Run until the queue is empty. Returns final time. */
     Tick run();
 
@@ -436,6 +476,10 @@ class EventQueue
             fn(PendingEvent{e.when, e.pri, e.seq, s.meta, s.siteFile,
                             s.siteLine});
         });
+        for (std::size_t i = retryHead_; i < retries_.size(); ++i) {
+            const Retry &r = retries_[i];
+            fn(PendingEvent{r.when, r.pri, r.seq, r.meta});
+        }
     }
 
     /**
@@ -460,8 +504,35 @@ class EventQueue
         std::uint32_t idx;
     };
 
+    /** A retry record: the radix Entry's key plus its typed record. */
+    struct Retry
+    {
+        Tick when;
+        std::uint64_t pri;
+        std::uint64_t seq;
+        EventMeta meta;
+    };
+
+    /** Total event order, shared by radix entries and retry records. */
+    template <typename A, typename B>
+    static bool
+    before(const A &a, const B &b)
+    {
+        if (a.when != b.when)
+            return a.when < b.when;
+        if (a.pri != b.pri)
+            return a.pri < b.pri;
+        return a.seq < b.seq;
+    }
+
     /** Pop and run the next live event; returns false if none. */
     bool step();
+
+    /** Pop and run the retry FIFO's head. */
+    void fireRetry();
+
+    /** Observer bookkeeping after either kind of event ran. */
+    void finishEvent();
 
     /** Past-scheduling precondition check + slot allocation. */
     std::uint32_t
@@ -476,20 +547,26 @@ class EventQueue
     EventHandle
     pushEntry(Tick when, std::uint32_t idx, std::uint64_t gen)
     {
-        // Same-tick events scheduled at now() keep FIFO order (they
-        // must run after already-queued same-tick events), so only
-        // future events get a random priority.
-        std::uint64_t pri = 0;
-        if (tieBreak_)
-            pri = (when == now_)
-                      ? std::numeric_limits<std::uint64_t>::max()
-                      : rng_.next();
+        const std::uint64_t pri = priorityFor(when);
         const std::uint64_t seq = seq_++;
         if (dep_) [[unlikely]]
             dep_->onSchedule(seq, curExec_, when, now_,
                              pool_->slot(idx).meta);
         heap_.push(Entry{when, pri, seq, gen, idx});
         return EventHandle(pool_, idx, gen);
+    }
+
+    /** Tie-break priority of an event firing at @p when. */
+    std::uint64_t
+    priorityFor(Tick when)
+    {
+        // Same-tick events scheduled at now() keep FIFO order (they
+        // must run after already-queued same-tick events), so only
+        // future events get a random priority.
+        if (!tieBreak_)
+            return 0;
+        return when == now_ ? std::numeric_limits<std::uint64_t>::max()
+                            : rng_.next();
     }
 
     [[noreturn]] void panicScheduledPast(Tick when) const;
@@ -514,6 +591,14 @@ class EventQueue
     std::uint64_t curExec_ = DepListener::kNoParent;
     detail::PoolRef pool_;
     sim::RadixQueue<Entry> heap_;
+    /** Pending retry records in (when, pri, seq) order from
+     *  retryHead_; the consumed prefix is dropped in batches, and the
+     *  vector is cleared whenever the last record pops, so empty()
+     *  means no record is pending. */
+    std::vector<Retry> retries_;
+    std::size_t retryHead_ = 0;
+    RetryHandler retryFn_ = nullptr;
+    void *retryCtx_ = nullptr;
 };
 
 } // namespace alewife

@@ -125,6 +125,26 @@ TEST(Mesh, RejectedDeliveryRetries)
     EXPECT_EQ(mesh.packetsDelivered(), 1u);
 }
 
+TEST(Mesh, ParkedPacketsNeverOverCountLinkBusyTime)
+{
+    // Two packets parked behind the same final link retry side by
+    // side. The link is held once, not once per packet, so no link
+    // can have been busy for longer than the run has lasted.
+    EventQueue eq;
+    MachineConfig c = testConfig();
+    Mesh mesh(eq, c);
+    const Tick openAt = cyclesToTicks(c.niRetryCycles * 20);
+    for (int i = 0; i < c.nodes(); ++i)
+        mesh.setSink(i, [&](Packet &) { return eq.now() >= openAt; });
+    mesh.send(makePkt(0, 2, 24));
+    mesh.send(makePkt(0, 2, 24));
+    eq.run();
+    EXPECT_EQ(mesh.packetsDelivered(), 2u);
+    EXPECT_GE(mesh.niRejects(), 2u * 15);
+    for (const Mesh::Link &l : mesh.linkStats())
+        EXPECT_LE(l.busyTicks, eq.now());
+}
+
 TEST(Mesh, IdealModeUsesUniformLatency)
 {
     EventQueue eq;
