@@ -9,8 +9,7 @@
  * sweeps mechanism x network latency x link bandwidth x graph family
  * for two traffic extremes of the family — BFS (sparse, frontier-
  * driven bursts) and push PageRank (dense, one message per cross edge
- * every round) — through the parallel sweep engine, with optional
- * crash tolerance (--ckpt-dir).
+ * every round) — through the parallel sweep engine.
  *
  * Each row also reports the analytic communication-cost prediction of
  * the per-edge max-rate/queue-aware model (src/apps/graph/cost_model,
@@ -19,11 +18,9 @@
  * config-independent, so one base run per (family, app, mechanism)
  * prices every latency/bandwidth variant.
  *
- * Usage: ext3_graph_sweep [--quick|--full] [--jobs N]
- *                         [--cache-dir D] [--ckpt-dir D]
+ * Usage: ext3_graph_sweep [--quick|--full] [--jobs N] [--cache-dir D]
  */
 
-#include <cstring>
 #include <iomanip>
 
 #include "bench_common.hh"
@@ -36,12 +33,6 @@ main(int argc, char **argv)
     using workload::GraphFamily;
     const auto scale = bench::parseScale(argc, argv);
     bench::BenchEngine engine(argc, argv, scale);
-
-    std::string ckptDir;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--ckpt-dir") == 0)
-            ckptDir = argv[i + 1];
-    }
 
     const std::vector<GraphFamily> families = {
         GraphFamily::Uniform, GraphFamily::RMat, GraphFamily::Grid2d};
@@ -87,7 +78,7 @@ main(int argc, char **argv)
             }
 
             // The full matrix goes through the sweep engine:
-            // parallel, cached, crash-tolerant.
+            // parallel and cached.
             std::vector<exp::Job> jobs;
             for (const NetPoint &n : net) {
                 for (const core::Mechanism m : mechs) {
@@ -100,11 +91,9 @@ main(int argc, char **argv)
                     jobs.push_back(std::move(j));
                 }
             }
-            auto opts = engine.options(
+            exp::SweepEngine eng(engine.options(
                 "ext3-" + name + "-"
-                + workload::graphFamilyName(fam));
-            opts.ckptDir = ckptDir;
-            exp::SweepEngine eng(opts);
+                + workload::graphFamilyName(fam)));
             const auto results = eng.run(jobs);
 
             std::size_t i = 0;

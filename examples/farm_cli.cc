@@ -16,13 +16,14 @@
  *   farm_cli status --farm-dir /tmp/farm
  *
  * `kill -9` any worker at any time: the coordinator reaps its lease,
- * re-queues the job with backoff, and another worker warm-resumes from
- * the dead worker's last per-job snapshot. Jobs that fail more than
- * the retry budget are quarantined to the poison list; the sweep
- * completes without them and the coordinator exits non-zero listing
- * them. Set FARM_FAULT=drop-lease|stall-heartbeat|corrupt-result|
- * kill-after-claim in a worker's environment to exercise one recovery
- * path deterministically.
+ * re-queues the job with backoff, and another worker re-runs it cold
+ * (or takes its result from the shared cache, if the dead worker had
+ * already stored it). Jobs that fail more than the retry budget are
+ * quarantined to the poison list; the sweep completes without them and
+ * the coordinator exits non-zero listing them. Set
+ * FARM_FAULT=drop-lease|stall-heartbeat|corrupt-result|kill-after-claim
+ * in a worker's environment to exercise one recovery path
+ * deterministically.
  *
  * The result set is bit-identical (cache key for key) to a local
  * `sweep_cli` run of the same sweep: both sides materialize the same
@@ -57,7 +58,6 @@ struct Options
     std::vector<double> points;
     int workers = 1; ///< in-process workers the coordinator adds
     int maxJobs = -1;
-    double ckptInterval = 2'000'000.0;
     exp::FarmTuning tuning;
     std::string out;
 };
@@ -92,7 +92,7 @@ usage()
            "                [--out file]\n"
            "                [--lease-ttl-ms n] [--heartbeat-ms n]\n"
            "                [--poll-ms n] [--backoff-ms n]\n"
-           "                [--retry-budget n] [--ckpt-interval cyc]\n"
+           "                [--retry-budget n]\n"
            "       farm_cli worker --farm-dir DIR [--max-jobs n]\n"
            "       farm_cli status --farm-dir DIR\n"
            "\n"
@@ -194,8 +194,6 @@ parse(int argc, char **argv)
         } else if (a == "--retry-budget") {
             o.tuning.retryBudget =
                 static_cast<int>(parseNum("--retry-budget", next()));
-        } else if (a == "--ckpt-interval") {
-            o.ckptInterval = parseNum("--ckpt-interval", next());
         } else if (a == "--help" || a == "-h") {
             usage();
         } else {
@@ -249,7 +247,6 @@ runCoordinator(const Options &o)
 
     exp::FarmOptions fo;
     fo.dir = o.farmDir;
-    fo.ckptIntervalCycles = o.ckptInterval;
     fo.tuning = o.tuning;
     fo.workers = o.workers;
     fo.onStatus = [](const exp::QueueCounts &c) {

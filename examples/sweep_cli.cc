@@ -19,7 +19,9 @@
  * --out FILE     also write structured results; .csv extension emits
  *                CSV, anything else schema-versioned JSON
  * --cache-dir D  persist results as JSON under D and skip any run
- *                already cached there
+ *                already cached there; a killed sweep rerun with the
+ *                same D re-simulates only the points it had not
+ *                finished
  * --progress     report jobs done / running and sim-events/sec
  *
  * Every run is verified against the application's sequential
@@ -66,8 +68,6 @@ struct Options
     std::string cacheDir; ///< on-disk result cache; "" = no cache
     bool progress = false;
     obs::RecorderOptions obs; ///< --trace-out/--metrics-out/--obs-interval
-    std::string ckptDir;      ///< crash tolerance: periodic snapshots
-    double ckptInterval = 2'000'000.0; ///< snapshot period (sim cycles)
     std::uint64_t warmStart = 0; ///< warm-start fork point (sim events)
     std::string farmDir; ///< distributed farm campaign directory
     bool predict = false; ///< overlay the analytic prediction
@@ -108,14 +108,6 @@ usage()
            "registry; sweep-merged)\n"
            "                 [--obs-interval cycles]   (interval "
            "profiling period)\n"
-           "                 [--ckpt-dir dir]      (crash tolerance: "
-           "periodic snapshots,\n"
-           "                                        resume killed jobs "
-           "from the last one)\n"
-           "                 [--ckpt-interval cyc] (snapshot period, "
-           "default 2000000;\n"
-           "                                        0 disables periodic "
-           "snapshots)\n"
            "                 [--farm-dir dir]      (share the batch "
            "with farm_cli\n"
            "                                        workers through a "
@@ -227,14 +219,6 @@ parse(int argc, char **argv)
             o.out = next();
         } else if (a == "--cache-dir") {
             o.cacheDir = next();
-        } else if (a == "--ckpt-dir") {
-            o.ckptDir = next();
-        } else if (a == "--ckpt-interval") {
-            const std::string v = next();
-            o.ckptInterval = parseNum("--ckpt-interval", v);
-            if (o.ckptInterval < 0)
-                badValue("--ckpt-interval value", v,
-                         "a cycle count (0 disables snapshots)");
         } else if (a == "--farm-dir") {
             o.farmDir = next();
         } else if (a == "--warm-start") {
@@ -509,8 +493,6 @@ main(int argc, char **argv)
     // for the graph-analytics apps).
     opts.appKey = workload.appKey();
     opts.obs = o.obs;
-    opts.ckptDir = o.ckptDir;
-    opts.ckptIntervalCycles = o.ckptInterval;
     opts.farmDir = o.farmDir;
     opts.workload = workload;
     exp::FarmReport farmReport;

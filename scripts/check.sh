@@ -6,8 +6,10 @@
 #      (sweep jobs and farm workers run simulations on threads)
 #   4. short check_fuzz corpus (schedule-perturbation + auditor)
 #   5. observability smoke: tiny EM3D sweep with trace + metrics out
-#   6. checkpoint smokes: warm-start sweep equals cold sweep, and a
-#      kill -9 mid-run resumes from the last periodic snapshot
+#   6. warm-start smoke: forked sweep equals cold sweep; crash
+#      smoke: a cached sweep killed -9 after its first finished point
+#      reruns with >= 1 point from the result cache and prints
+#      exactly what an uninterrupted, uncached run prints
 #   7. farm smokes: a multi-process campaign with one worker dying
 #      kill -9-style after its first claim and one with a stalled
 #      heartbeat still yields the full, bit-identical result set with
@@ -15,6 +17,8 @@
 #   8. predict smokes: the analytic sweep overlay prints a MAPE per
 #      mechanism, delay injection reports its propagation, and
 #      farm-dir + obs flags are rejected (farm runs are obs-detached)
+#   9. lint (runs first): no getenv in src/ outside the farm's
+#      FARM_FAULT hook
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the sanitizer builds (tier-1 + fuzz corpus only)
@@ -26,6 +30,19 @@ FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
 step() { printf '\n=== %s ===\n' "$*"; }
+
+step "lint: no environment knobs in src/"
+# ResultCache keys and farm job files cannot see the environment, so a
+# knob read from it could change a result that a cache hit or a farm
+# worker then returns for a run without it. Settings travel in
+# MachineConfig, RunSpec or CLI flags. src/exp/queue.cc is exempt: it
+# reads FARM_FAULT, which injects a queue fault and never changes a
+# result.
+if grep -rn getenv src | grep -v '^src/exp/queue\.cc:'; then
+    echo "lint: getenv in src/ (above); pass the setting in RunSpec,"
+    echo "      MachineConfig or a CLI flag instead"
+    exit 1
+fi
 
 step "tier-1: build + ctest"
 cmake -B build -S . >/dev/null
@@ -81,39 +98,45 @@ WARM="$(./build/examples/sweep_cli --app stream --mechs SM,MP-I \
     || { echo "warm-start smoke: forked sweep diverged from cold run"; \
          exit 1; }
 
-step "crash-tolerance smoke: kill sweep_cli, resume from snapshot"
-CKPT_DIR="$(mktemp -d)"
-./build/examples/sweep_cli --app moldyn --mechs SM --sweep none \
-    --scale 6 --ckpt-dir "$CKPT_DIR" --ckpt-interval 500000 \
-    >/dev/null 2>&1 &
-CKPT_PID=$!
-sleep 2
-kill -9 "$CKPT_PID" 2>/dev/null || true
-wait "$CKPT_PID" 2>/dev/null || true
-ls "$CKPT_DIR"/*-latest.ckpt.json >/dev/null 2>&1 \
-    || { echo "ckpt smoke: killed run left no snapshot"; exit 1; }
-# The restarted job must resume from the snapshot (audited bit-level
-# against the replay), finish verified, and remove its snapshot.
-./build/examples/sweep_cli --app moldyn --mechs SM --sweep none \
-    --scale 6 --ckpt-dir "$CKPT_DIR" --ckpt-interval 500000 \
-    | grep -q "yes" \
-    || { echo "ckpt smoke: resumed run did not verify"; exit 1; }
-if ls "$CKPT_DIR"/*-latest.ckpt.json >/dev/null 2>&1; then
-    echo "ckpt smoke: snapshot not removed after successful resume"
-    exit 1
-fi
-rm -rf "$CKPT_DIR"
+step "crash-tolerance smoke: kill -9 a cached sweep, rerun from cache"
+# Four MOLDYN points of >= 0.3 s each. A killed sweep keeps every point
+# it finished in the result cache; the rerun takes those from the cache,
+# re-runs the rest cold, and must print exactly what an uninterrupted
+# run without a cache prints.
+CRASH_ARGS=(--app moldyn --mechs SM,SM+PF --sweep bisection \
+    --points 18,9 --scale 2)
+CRASH_DIR="$(mktemp -d)"
+CRASH_REF="$(./build/examples/sweep_cli "${CRASH_ARGS[@]}")"
+./build/examples/sweep_cli "${CRASH_ARGS[@]}" \
+    --cache-dir "$CRASH_DIR/cache" --progress >/dev/null 2>&1 &
+CRASH_PID=$!
+cached_points() {
+    find "$CRASH_DIR/cache" -maxdepth 1 -name '*.json' 2>/dev/null \
+        | wc -l
+}
+# Kill as soon as the first point lands in the cache.
+while [[ "$(cached_points)" -lt 1 ]] && kill -0 "$CRASH_PID" 2>/dev/null
+do
+    sleep 0.05
+done
+kill -9 "$CRASH_PID" 2>/dev/null || true
+wait "$CRASH_PID" 2>/dev/null || true
+CRASH_KEPT="$(cached_points)"
+[[ "$CRASH_KEPT" -ge 1 && "$CRASH_KEPT" -lt 4 ]] \
+    || { echo "crash smoke: expected a sweep killed mid-way, found" \
+              "$CRASH_KEPT of 4 points cached"; exit 1; }
+CRASH_OUT="$(./build/examples/sweep_cli "${CRASH_ARGS[@]}" \
+    --cache-dir "$CRASH_DIR/cache" --progress 2>"$CRASH_DIR/progress")"
+grep -Eq '\] [0-9]+ running, [1-9][0-9]* cached' "$CRASH_DIR/progress" \
+    || { echo "crash smoke: rerun took no point from the cache"; \
+         exit 1; }
+[[ "$CRASH_OUT" == "$CRASH_REF" ]] \
+    || { echo "crash smoke: rerun output differs from a straight run"; \
+         exit 1; }
+rm -rf "$CRASH_DIR"
 
 step "graph sweep smoke: ext3 matrix through the sweep engine"
-GRAPH_CKPT="$(mktemp -d)"
-./build/bench/ext3_graph_sweep --quick --ckpt-dir "$GRAPH_CKPT" \
-    >/dev/null
-# Completed sweeps must clean up their crash-tolerance snapshots.
-if ls "$GRAPH_CKPT"/*-latest.ckpt.json >/dev/null 2>&1; then
-    echo "graph smoke: ext3 sweep left snapshots behind"
-    exit 1
-fi
-rm -rf "$GRAPH_CKPT"
+./build/bench/ext3_graph_sweep --quick >/dev/null
 # The catalog seam: a graph app runs through the generic sweep CLI
 # and self-verifies (bit-audited digest) like any paper workload.
 ./build/examples/sweep_cli --app bfs --graph rmat --mechs SM,MP-P \

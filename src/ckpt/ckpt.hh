@@ -1,6 +1,6 @@
 /**
  * @file
- * Public checkpoint API: capture, verify, and file IO.
+ * Public checkpoint API: capture and verify.
  *
  * capture() walks every component of a paused Machine through the
  * ckpt::Access friend and produces a Snapshot (see snapshot.hh for the

@@ -1,109 +1,8 @@
 #include "ckpt/driver.hh"
 
-#include <cstring>
-#include <filesystem>
-#include <unordered_set>
-
 #include "sim/logging.hh"
 
 namespace alewife::ckpt {
-
-std::uint64_t
-cleanOrphanSnapshots(const std::string &dir,
-                     const std::vector<std::string> &keepFiles)
-{
-    namespace fs = std::filesystem;
-    constexpr const char *kSuffix = "-latest.ckpt.json";
-    const std::unordered_set<std::string> keep(keepFiles.begin(),
-                                               keepFiles.end());
-    std::uint64_t removed = 0;
-    std::error_code ec;
-    fs::directory_iterator it(dir, ec);
-    if (ec)
-        return 0;
-    for (const auto &entry : it) {
-        const std::string name = entry.path().filename().string();
-        // Only files shaped like per-job snapshots are candidates —
-        // never temp files mid-rename or anything a user put there.
-        if (name.size() <= std::strlen(kSuffix)
-            || name.compare(name.size() - std::strlen(kSuffix),
-                            std::string::npos, kSuffix)
-                   != 0)
-            continue;
-        if (keep.count(name))
-            continue;
-        fs::remove(entry.path(), ec);
-        if (!ec)
-            ++removed;
-    }
-    if (removed > 0)
-        ALEWIFE_WARN("ckpt: removed ", removed,
-                     " orphaned per-job snapshot",
-                     removed == 1 ? "" : "s", " from ", dir,
-                     " (no pending job matches them)");
-    return removed;
-}
-
-Tick
-CheckpointDriver::drive(Machine &m, const Machine::ProgramFactory &f)
-{
-    resumed_ = false;
-    saved_ = 0;
-
-    if (!opts_.path.empty() && opts_.resume &&
-        std::filesystem::exists(opts_.path)) {
-        std::string err;
-        std::optional<Snapshot> snap = loadFile(opts_.path, &err);
-        if (!snap) {
-            // Unreadable or wrong-schema snapshot: start over rather
-            // than fail the job (the file is only an optimization).
-            ALEWIFE_WARN("ckpt: ignoring snapshot: ", err);
-        } else if (snap->configKey() != m.config().canonicalKey()) {
-            ALEWIFE_WARN("ckpt: ignoring snapshot '", opts_.path,
-                        "': config mismatch");
-        } else {
-            ResumeResult r = resume(m, f, *snap);
-            if (!r.ok) {
-                // A failed audit means the snapshot does not describe
-                // this (machine, program) — a bug, not a stale file.
-                ALEWIFE_FATAL(r.error);
-            }
-            resumed_ = true;
-        }
-    }
-    if (!resumed_)
-        m.start(f);
-
-    bool saving = !opts_.path.empty() && opts_.intervalCycles > 0.0;
-    const Tick interval =
-        saving ? cyclesToTicks(opts_.intervalCycles) : Tick{0};
-    Tick nextSave = saving ? m.eq().now() + interval : Tick{0};
-
-    while (m.stepOne()) {
-        if (saving && m.eq().now() >= nextSave) {
-            // Snapshots are an optimization: an unwritable directory
-            // or full disk degrades to an uncheckpointed (but still
-            // correct) run, reported once, instead of aborting it.
-            std::string err;
-            if (trySaveFile(save(m), opts_.path, &err)) {
-                ++saved_;
-            } else {
-                ALEWIFE_WARN("ckpt: ", err,
-                             "; continuing without snapshots for "
-                             "this run");
-                saving = false;
-            }
-            nextSave = m.eq().now() + interval;
-        }
-    }
-    const Tick finish = m.finishRun();
-
-    if (!opts_.path.empty() && opts_.deleteOnSuccess) {
-        std::error_code ec;
-        std::filesystem::remove(opts_.path, ec);
-    }
-    return finish;
-}
 
 Tick
 ForkPointDriver::drive(Machine &m, const Machine::ProgramFactory &f)

@@ -2,14 +2,6 @@
  * @file
  * core::RunDriver implementations backed by the checkpoint subsystem.
  *
- * CheckpointDriver gives a run crash tolerance: it saves a snapshot
- * file every N simulated cycles (atomically, so a kill mid-save never
- * corrupts the previous one) and, when started over an existing
- * snapshot, resumes from it instead of silently starting over. A sweep
- * worker killed at any point therefore re-enters at its last snapshot,
- * passes the restore audit, and finishes with results bit-identical to
- * an uninterrupted run.
- *
  * ForkPointDriver and WarmStartDriver are the two halves of a
  * warm-start sweep (exp/warm_start.hh): the first runs the base
  * configuration and captures an in-memory snapshot at a chosen event
@@ -22,59 +14,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "ckpt/restore.hh"
 #include "core/runner.hh"
 
 namespace alewife::ckpt {
-
-/**
- * Delete per-job snapshot files ("<hash>-latest.ckpt.json") in @p dir
- * whose file name is not in @p keepFiles, and return how many were
- * removed. Crash-looping campaigns re-key their jobs every restart
- * only when the batch changes; snapshots whose job no longer exists
- * would otherwise leak disk forever. Only snapshot-shaped names are
- * touched. Missing @p dir is a no-op.
- */
-std::uint64_t
-cleanOrphanSnapshots(const std::string &dir,
-                     const std::vector<std::string> &keepFiles);
-
-/**
- * Periodic-snapshot + resume-from-file driver.
- */
-class CheckpointDriver : public core::RunDriver
-{
-  public:
-    struct Options
-    {
-        /** Snapshot file; "" disables both saving and resuming. */
-        std::string path;
-        /** Save every this many simulated cycles; 0 disables saves. */
-        double intervalCycles = 0.0;
-        /** Resume from `path` when it holds a matching snapshot. */
-        bool resume = true;
-        /** Remove `path` once the run completes (job-done marker). */
-        bool deleteOnSuccess = true;
-    };
-
-    explicit CheckpointDriver(Options o) : opts_(std::move(o)) {}
-
-    Tick drive(Machine &m, const Machine::ProgramFactory &f) override;
-
-    /** True if drive() started from an existing snapshot. */
-    bool resumed() const { return resumed_; }
-
-    /** Snapshots written by the last drive(). */
-    std::uint64_t snapshotsSaved() const { return saved_; }
-
-  private:
-    Options opts_;
-    bool resumed_ = false;
-    std::uint64_t saved_ = 0;
-};
 
 /**
  * Runs the machine to completion, capturing one in-memory snapshot

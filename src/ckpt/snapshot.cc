@@ -1,11 +1,7 @@
 #include "ckpt/snapshot.hh"
 
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -61,94 +57,6 @@ std::uint64_t
 Snapshot::sectionDigest(const std::string &section) const
 {
     return parseHexU64(doc.at("digests").at(section).asString());
-}
-
-bool
-trySaveFile(const Snapshot &s, const std::string &path,
-            std::string *err)
-{
-    namespace fs = std::filesystem;
-    const fs::path p(path);
-    std::error_code ec;
-    if (p.has_parent_path())
-        fs::create_directories(p.parent_path(), ec);
-
-    auto fail = [&](const std::string &why) {
-        if (err)
-            *err = why;
-        return false;
-    };
-
-    // Write-temp-then-rename so a crashed or killed writer never leaves
-    // a torn snapshot where a resuming sweep worker would look for one.
-    static std::atomic<std::uint64_t> tmpSeq{0};
-    const std::string tmp =
-        path + ".tmp." + std::to_string(tmpSeq.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return fail("ckpt: cannot write '" + tmp + "'");
-        out << s.doc.dump(1) << '\n';
-        out.flush();
-        if (!out) {
-            fs::remove(tmp, ec);
-            return fail("ckpt: short write to '" + tmp + "'");
-        }
-    }
-    fs::rename(tmp, p, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return fail("ckpt: cannot rename snapshot into '" + path
-                    + "'");
-    }
-    return true;
-}
-
-void
-saveFile(const Snapshot &s, const std::string &path)
-{
-    std::string err;
-    if (!trySaveFile(s, path, &err))
-        ALEWIFE_FATAL(err);
-}
-
-std::optional<Snapshot>
-loadFile(const std::string &path, std::string *err)
-{
-    auto fail = [&](const std::string &why) -> std::optional<Snapshot> {
-        if (err)
-            *err = why;
-        return std::nullopt;
-    };
-
-    std::ifstream in(path);
-    if (!in)
-        return fail("ckpt: cannot open '" + path + "'");
-    std::stringstream ss;
-    ss << in.rdbuf();
-
-    std::string perr;
-    Snapshot s;
-    s.doc = exp::Json::parse(ss.str(), &perr);
-    if (s.doc.isNull())
-        return fail("ckpt: parse error in '" + path + "': " + perr);
-    if (!s.doc.isObject())
-        return fail("ckpt: '" + path + "' is not a snapshot object");
-
-    const exp::Json *schema = s.doc.find("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != kCkptSchemaName)
-        return fail("ckpt: '" + path + "' has wrong schema tag");
-    const exp::Json *version = s.doc.find("version");
-    if (!version || !version->isNumber() ||
-        static_cast<int>(version->asDouble()) != kCkptSchemaVersion)
-        return fail("ckpt: '" + path + "' has unsupported version");
-    for (const char *sec :
-         {"config", "kernel", "events", "digests"})
-        if (!s.doc.find(sec))
-            return fail(std::string("ckpt: '") + path +
-                        "' is missing section '" + sec + "'");
-    return s;
 }
 
 } // namespace alewife::ckpt

@@ -24,7 +24,6 @@
 #define ALEWIFE_CKPT_SNAPSHOT_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "exp/json.hh"
@@ -39,8 +38,8 @@ inline constexpr const char *kCkptSchemaName = "alewife-ckpt";
  * Snapshot format version. Bump whenever a section's layout or the
  * meaning of a captured value changes (2: `mesh.links[].busyTicks`
  * counts a parked packet's hold only where it extends the link's
- * horizon); the ResultCache key includes this value, so cached sweep
- * results are invalidated together with stale snapshots.
+ * horizon); the ResultCache key includes this value, so a bump also
+ * invalidates every cached sweep result.
  */
 inline constexpr int kCkptSchemaVersion = 2;
 
@@ -80,27 +79,6 @@ struct Snapshot
     /** Digest of one section's compact dump, from the digests table. */
     std::uint64_t sectionDigest(const std::string &section) const;
 };
-
-/**
- * Write @p s to @p path atomically (write temp + rename), creating
- * parent directories. Fatal on IO failure.
- */
-void saveFile(const Snapshot &s, const std::string &path);
-
-/**
- * saveFile that reports IO failure (false + @p err) instead of
- * aborting, for callers where snapshots are an optimization a full
- * disk or unwritable directory must not turn into a failed run.
- */
-bool trySaveFile(const Snapshot &s, const std::string &path,
-                 std::string *err = nullptr);
-
-/**
- * Read a snapshot. Returns nullopt (and sets @p err) on missing file,
- * parse failure, wrong schema tag, or version mismatch.
- */
-std::optional<Snapshot> loadFile(const std::string &path,
-                                 std::string *err = nullptr);
 
 } // namespace alewife::ckpt
 

@@ -104,8 +104,8 @@ struct RunSpec
  * Seam into runApp's machine-driving loop. Without a driver runApp
  * calls Machine::run(); with one it delegates the whole launch-step-
  * finish sequence, which is how the checkpoint subsystem pauses a run
- * at precise event counts (periodic snapshots) or starts it from a
- * snapshot instead of from scratch (resume, warm-start). A driver must
+ * at a precise event count (fork-point capture) or starts it from a
+ * snapshot instead of from scratch (warm start). A driver must
  * leave the machine fully finished (Machine::finishRun() called) and
  * return the finish tick, so every statistic runApp collects afterwards
  * means the same thing on every path.

@@ -13,7 +13,6 @@
 #include "apps/moldyn.hh"
 #include "apps/stream.hh"
 #include "apps/unstruc.hh"
-#include "ckpt/driver.hh"
 #include "exp/result_cache.hh"
 #include "sim/logging.hh"
 
@@ -136,8 +135,6 @@ writeFarmManifest(const std::string &dir, const FarmManifest &m,
     j.set("schema", kFarmManifestSchema);
     j.set("version", kFarmSchemaVersion);
     j.set("cacheDir", m.cacheDir);
-    j.set("ckptDir", m.ckptDir);
-    j.set("ckptIntervalCycles", m.ckptIntervalCycles);
     j.set("tuning", std::move(t));
     return writeFileAtomic(manifestPath(dir), j.dump(1) + "\n", err);
 }
@@ -170,10 +167,6 @@ readFarmManifest(const std::string &dir, std::string *err)
             out = v->asString();
     };
     str("cacheDir", m.cacheDir);
-    str("ckptDir", m.ckptDir);
-    if (const Json *v = j->find("ckptIntervalCycles");
-        v && v->isNumber())
-        m.ckptIntervalCycles = v->asDouble();
     if (const Json *t = j->find("tuning"); t && t->isObject()) {
         auto i64 = [&](const char *k, std::int64_t &out) {
             if (const Json *v = t->find(k); v && v->isNumber())
@@ -204,8 +197,6 @@ FarmWorker::optionsFromManifest(const std::string &farmDir,
     Options o;
     o.farmDir = farmDir;
     o.cacheDir = m->cacheDir;
-    o.ckptDir = m->ckptDir;
-    o.ckptIntervalCycles = m->ckptIntervalCycles;
     o.tuning = m->tuning;
     o.tuning.fault = farmFaultFromEnv();
     return o;
@@ -286,20 +277,8 @@ FarmWorker::runOne(WorkQueue &q, ResultCache &cache, const FarmJob &job)
         }
     });
 
-    core::RunResult result;
-    if (!opts_.ckptDir.empty()) {
-        // Shared snapshot path (jobSnapshotFile): a job reclaimed from
-        // a dead worker warm-resumes that worker's partial run here.
-        ckpt::CheckpointDriver driver(
-            {opts_.ckptDir + "/"
-                 + jobSnapshotFile(job.id, job.appKey, job.spec),
-             opts_.ckptIntervalCycles, /*resume=*/true,
-             /*deleteOnSuccess=*/true});
-        result = core::runApp(factory, job.spec, /*verify_fatal=*/false,
-                              nullptr, &driver);
-    } else {
-        result = core::runApp(factory, job.spec, /*verify_fatal=*/false);
-    }
+    const core::RunResult result =
+        core::runApp(factory, job.spec, /*verify_fatal=*/false);
     running.store(false);
     hb.join();
 
@@ -338,8 +317,6 @@ FarmCoordinator::FarmCoordinator(FarmOptions opts)
 {
     if (opts_.cacheDir.empty())
         opts_.cacheDir = opts_.dir + "/cache";
-    if (opts_.ckptDir.empty())
-        opts_.ckptDir = opts_.dir + "/ckpt";
     if (opts_.workers < 0)
         opts_.workers = 0;
 }
@@ -377,8 +354,6 @@ FarmCoordinator::materialize(const std::vector<FarmJob> &jobs)
     }
     FarmManifest m;
     m.cacheDir = opts_.cacheDir;
-    m.ckptDir = opts_.ckptDir;
-    m.ckptIntervalCycles = opts_.ckptIntervalCycles;
     m.tuning = opts_.tuning;
     std::string err;
     if (!writeFarmManifest(opts_.dir, m, &err)) {
@@ -386,15 +361,6 @@ FarmCoordinator::materialize(const std::vector<FarmJob> &jobs)
         return false;
     }
     seedCountersFromStatus();
-
-    // Snapshots whose job is not in this campaign belong to a dead
-    // one; reclaim the disk before workers start writing new ones.
-    std::vector<std::string> keep;
-    keep.reserve(jobs_.size());
-    for (const FarmJob &job : jobs_)
-        keep.push_back(jobSnapshotFile(job.id, job.appKey, job.spec));
-    report_.orphanSnapshotsDeleted +=
-        ckpt::cleanOrphanSnapshots(opts_.ckptDir, keep);
 
     // Re-entrancy: jobs already present in some state directory are a
     // previous incarnation's progress, not an error — skip them.
@@ -436,8 +402,6 @@ FarmCoordinator::runUntilDrained()
         wo.farmDir = opts_.dir;
         wo.workerId = queue_.workerId() + ":w" + std::to_string(w);
         wo.cacheDir = opts_.cacheDir;
-        wo.ckptDir = opts_.ckptDir;
-        wo.ckptIntervalCycles = opts_.ckptIntervalCycles;
         wo.tuning = opts_.tuning;
         // In-process workers share our address space: a fault like
         // kill-after-claim would take the coordinator down with it.
@@ -581,8 +545,6 @@ FarmCoordinator::statusJson() const
     counters.set("quarantines", c.poisoned);
     counters.set("recomputes", report_.recomputes);
     counters.set("rescued", report_.rescued);
-    counters.set("orphanSnapshotsDeleted",
-                 report_.orphanSnapshotsDeleted);
 
     Json quarantined = Json::array();
     for (int id : queue_.idsIn("poison")) {

@@ -8,13 +8,13 @@
  * queue entries, then loops reaping expired leases and publishing a
  * status JSON until the queue drains. Any number of FarmWorker
  * processes (or in-process worker threads spawned by the coordinator)
- * claim jobs, renew leases on a heartbeat, run the simulation with
- * per-job crash-tolerance snapshots (so a re-claimed job warm-resumes
- * another worker's partial run), and write results through the cache's
- * write-tmp-then-rename path. Collection reads every job's result back
- * from the cache by its deterministic key — which is why a farm run is
- * bit-identical, key for key, to a single-process SweepEngine run of
- * the same batch.
+ * claim jobs, renew leases on a heartbeat, run the simulation, and
+ * write results through the cache's write-tmp-then-rename path. A job
+ * re-claimed from a dead worker re-runs cold, or finishes at once if
+ * that worker already stored its result. Collection reads every job's
+ * result back from the cache by its deterministic key — which is why a
+ * farm run is bit-identical, key for key, to a single-process
+ * SweepEngine run of the same batch.
  *
  * Degradation ladder (robustness is the point):
  *   - worker killed / lease dropped: the coordinator reaps the lease
@@ -85,7 +85,6 @@ struct FarmReport
     std::uint64_t recomputes = 0;
     /** Poisoned jobs whose result a straggler still delivered. */
     std::uint64_t rescued = 0;
-    std::uint64_t orphanSnapshotsDeleted = 0;
 };
 
 /** Campaign configuration (coordinator side). */
@@ -95,11 +94,6 @@ struct FarmOptions
     std::string dir;
     /** Shared result store; "" = <dir>/cache. */
     std::string cacheDir;
-    /** Per-job crash-tolerance snapshots; "" = <dir>/ckpt. */
-    std::string ckptDir;
-    /** Snapshot period in simulated cycles; <= 0 disables saves
-     *  (resume from an existing snapshot still works). */
-    double ckptIntervalCycles = 2'000'000.0;
     FarmTuning tuning;
     /** In-process worker threads the coordinator contributes. */
     int workers = 1;
@@ -112,8 +106,6 @@ struct FarmOptions
 struct FarmManifest
 {
     std::string cacheDir;
-    std::string ckptDir;
-    double ckptIntervalCycles = 2'000'000.0;
     FarmTuning tuning;
 };
 
@@ -135,8 +127,6 @@ class FarmWorker
         /** "" = WorkQueue::defaultWorkerId(). */
         std::string workerId;
         std::string cacheDir;
-        std::string ckptDir;
-        double ckptIntervalCycles = 2'000'000.0;
         FarmTuning tuning;
         /** Stop after this many completed jobs; < 0 = until drained. */
         int maxJobs = -1;
@@ -178,9 +168,8 @@ class FarmCoordinator
     explicit FarmCoordinator(FarmOptions opts);
 
     /**
-     * Create the queue, persist the manifest, delete orphaned per-job
-     * snapshots left by dead campaigns, and enqueue every job not
-     * already present in some state directory (so a restarted
+     * Create the queue, persist the manifest, and enqueue every job
+     * not already present in some state directory (so a restarted
      * coordinator resumes a half-finished campaign instead of redoing
      * it). False on filesystem failure.
      */

@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "apps/graph/catalog.hh"
-#include "exp/result_cache.hh"
 #include "sim/logging.hh"
 
 namespace alewife::exp {
@@ -325,20 +324,6 @@ farmJobFromJson(const Json &j, std::string *err)
     if (const Json *v = j.find("lastError"))
         job.lastError = v->asString();
     return job;
-}
-
-std::string
-jobSnapshotFile(int id, const std::string &appKey,
-                const core::RunSpec &spec)
-{
-    const std::string jobKey =
-        std::to_string(id) + "|" + appKey + "|"
-        + core::mechanismShortName(spec.mechanism) + "|"
-        + spec.machine.canonicalKey();
-    char hash[20];
-    std::snprintf(hash, sizeof(hash), "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(jobKey)));
-    return std::string(hash) + "-latest.ckpt.json";
 }
 
 bool

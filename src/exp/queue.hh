@@ -157,15 +157,6 @@ Json farmJobToJson(const FarmJob &job);
 /** Returns nullopt and sets @p err on malformed/mismatched documents. */
 std::optional<FarmJob> farmJobFromJson(const Json &j, std::string *err);
 
-/**
- * Stable per-job snapshot file name, shared by the local SweepEngine
- * crash-tolerance path and the farm (so a job re-claimed by another
- * worker warm-resumes the previous worker's partial run):
- * fnv1a64(id|appKey|mechanism|canonicalKey) + "-latest.ckpt.json".
- */
-std::string jobSnapshotFile(int id, const std::string &appKey,
-                            const core::RunSpec &spec);
-
 /** Live state-directory census of a farm. */
 struct QueueCounts
 {

@@ -41,10 +41,10 @@ ResultCache::key(const core::RunSpec &spec, const std::string &appKey)
                   "crossBpc=%.17g;crossMsgBytes=%u;",
                   spec.crossTraffic.bytesPerCycle,
                   spec.crossTraffic.messageBytes);
-    // The key carries both serialization schema versions: results
-    // cached under an older result layout *or* an older checkpoint
-    // format (crash-tolerant sweeps may have produced them via
-    // resume) are invalidated together by either version bump.
+    // The key carries both serialization schema versions: a bump of
+    // the result layout *or* of the checkpoint format (which tracks
+    // what captured machine state means) invalidates every cached
+    // result.
     const std::string schemas =
         "rs" + std::to_string(kResultSchemaVersion) + ".cs" +
         std::to_string(ckpt::kCkptSchemaVersion);

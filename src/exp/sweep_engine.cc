@@ -7,7 +7,6 @@
 #include <sstream>
 #include <thread>
 
-#include "ckpt/driver.hh"
 #include "exp/farm.hh"
 #include "exp/json.hh"
 #include "exp/result_cache.hh"
@@ -109,8 +108,6 @@ SweepEngine::run(const std::vector<Job> &jobs)
             fo.dir = opts_.farmDir;
             if (opts_.cache && !opts_.cache->dir().empty())
                 fo.cacheDir = opts_.cache->dir();
-            fo.ckptDir = opts_.ckptDir; // "" -> farm default
-            fo.ckptIntervalCycles = opts_.ckptIntervalCycles;
             fo.tuning = opts_.farm;
             fo.workers = opts_.jobs;
             FarmCoordinator coord(std::move(fo));
@@ -192,22 +189,7 @@ SweepEngine::run(const std::vector<Job> &jobs)
                 spec.obs.flightOut =
                     obs::withPathTag(spec.obs.flightOut, tag);
         }
-        if (!opts_.ckptDir.empty()) {
-            // Stable per-job snapshot path (jobSnapshotFile: batch
-            // position + workload + spec identity), shared with farm
-            // workers, so a restarted process — local or remote —
-            // finds the same file for the same job and never another
-            // job's.
-            ckpt::CheckpointDriver driver(
-                {opts_.ckptDir + "/"
-                     + jobSnapshotFile(i, job.appKey, job.spec),
-                 opts_.ckptIntervalCycles, /*resume=*/true,
-                 /*deleteOnSuccess=*/true});
-            results[i] = core::runApp(job.app, spec, opts_.verifyFatal,
-                                      nullptr, &driver);
-        } else {
-            results[i] = core::runApp(job.app, spec, opts_.verifyFatal);
-        }
+        results[i] = core::runApp(job.app, spec, opts_.verifyFatal);
         if (opts_.cache) {
             const std::string key =
                 ResultCache::key(job.spec, job.appKey);

@@ -10,7 +10,9 @@
  *
  * Layered on top:
  *  - an optional ResultCache consulted before and filled after every
- *    job, making repeated sweeps near-free;
+ *    job, making repeated sweeps near-free — and a killed sweep
+ *    crash-tolerant: rerun it and finished points come back from the
+ *    cache while the interrupted ones re-run cold;
  *  - a progress/telemetry hook reporting jobs queued/running/done,
  *    cache hits, and the aggregate simulated-event throughput.
  *
@@ -101,18 +103,6 @@ struct EngineOptions
      * would skip writing the requested files) but still store.
      */
     obs::RecorderOptions obs;
-    /**
-     * Crash tolerance: when non-empty, every job periodically saves a
-     * snapshot to <ckptDir>/<job-hash>-latest.ckpt.json and, if such a
-     * file already exists when the job starts (a previous worker was
-     * killed), resumes from it — audited bit-level against the replay —
-     * instead of silently starting over. The file is removed when the
-     * job completes. Job hashes are stable across process restarts for
-     * identical batches.
-     */
-    std::string ckptDir;
-    /** Snapshot interval in simulated cycles (with ckptDir). */
-    double ckptIntervalCycles = 2'000'000.0;
     /**
      * Distributed execution: when non-empty, uncached jobs of the
      * batch are materialized as a farm campaign under this directory

@@ -1,15 +1,13 @@
 /**
  * @file
  * Checkpoint/restore coverage for the graph workload family: the
- * resume-equals-straight-run golden and the crash-tolerance path on
- * irregular point-to-point traffic, the warm-start early-fork
- * equivalence, and the untagged-schedule-site diagnostic raised from
- * inside a graph run.
+ * resume-equals-straight-run golden on irregular point-to-point
+ * traffic, the warm-start early-fork equivalence, and the
+ * untagged-schedule-site diagnostic raised from inside a graph run.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <functional>
 #include <type_traits>
 
@@ -23,12 +21,6 @@ namespace alewife::ckpt {
 namespace {
 
 using core::Mechanism;
-
-std::string
-tmpPath(const std::string &name)
-{
-    return (std::filesystem::temp_directory_path() / name).string();
-}
 
 /** Small instance on the default 32-node machine. */
 core::AppFactory
@@ -90,17 +82,12 @@ TEST_P(GraphResumeGolden, ResumeEqualsStraightRun)
     ASSERT_TRUE(fork.snapshot().has_value());
     expectIdentical(gold, forked);
 
-    const std::string path =
-        tmpPath(std::string("alewife-ckpt-graph-") + c.app + "-"
-                + std::to_string(static_cast<int>(c.mech)) + ".json");
-    saveFile(*fork.snapshot(), path);
-    CheckpointDriver resumeDriver({path, 0.0, /*resume=*/true,
-                                   /*deleteOnSuccess=*/true});
+    // Resume from the in-memory snapshot with the run's own config
+    // (resume() plus a config delta that changes nothing).
+    WarmStartDriver resumeDriver(*fork.snapshot(), spec.machine);
     const auto resumed =
         core::runApp(factory, spec, true, nullptr, &resumeDriver);
-    EXPECT_TRUE(resumeDriver.resumed());
     expectIdentical(gold, resumed);
-    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -121,29 +108,6 @@ INSTANTIATE_TEST_SUITE_P(
           default: return app + "_BULK";
         }
     });
-
-TEST(GraphCrashResume, PeriodicSnapshotResumesIdentically)
-{
-    const auto factory = graphFactory("sssp");
-    core::RunSpec spec;
-    spec.mechanism = Mechanism::MpPolling;
-    spec.audit = true;
-    const std::string path = tmpPath("alewife-ckpt-graph-crash.json");
-    std::filesystem::remove(path);
-
-    CheckpointDriver first({path, /*intervalCycles=*/2000.0,
-                            /*resume=*/false,
-                            /*deleteOnSuccess=*/false});
-    const auto a = core::runApp(factory, spec, true, nullptr, &first);
-    EXPECT_GT(first.snapshotsSaved(), 0u);
-    ASSERT_TRUE(std::filesystem::exists(path));
-
-    CheckpointDriver second({path, 2000.0, true, true});
-    const auto b = core::runApp(factory, spec, true, nullptr, &second);
-    EXPECT_TRUE(second.resumed());
-    expectIdentical(a, b);
-    EXPECT_FALSE(std::filesystem::exists(path));
-}
 
 TEST(GraphWarmStart, EarlyForkMatchesColdStartExactly)
 {

@@ -1,16 +1,17 @@
 /**
  * @file
- * Resume-equals-straight-run goldens: a run saved mid-flight and
- * resumed in a fresh process-worth of state must finish bit-identical
- * to the uninterrupted run — across workloads, mechanisms, schedule
- * perturbation (RNG streams), and the periodic crash-tolerance path.
- * All golden runs execute with the invariant auditor attached.
+ * Resume-equals-straight-run goldens: a run captured mid-flight and
+ * resumed from that in-memory snapshot in a fresh machine must finish
+ * bit-identical to the uninterrupted run — across workloads,
+ * mechanisms and schedule perturbation (RNG streams). The resume goes
+ * through WarmStartDriver with the run's own config, i.e. resume()
+ * plus a config delta that changes nothing, which is the path warm
+ * start takes for every variant. All golden runs execute with the
+ * invariant auditor attached.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <type_traits>
 
 #include "apps/em3d.hh"
@@ -23,12 +24,6 @@ namespace alewife::ckpt {
 namespace {
 
 using core::Mechanism;
-
-std::string
-tmpPath(const std::string &name)
-{
-    return (std::filesystem::temp_directory_path() / name).string();
-}
 
 core::AppFactory
 factoryFor(const std::string &app)
@@ -99,20 +94,12 @@ TEST_P(ResumeGolden, ResumeEqualsStraightRun)
     ASSERT_TRUE(fork.snapshot().has_value());
     expectIdentical(gold, forked);
 
-    // Resume from the file in a fresh machine: bit-identical finish.
-    const std::string path = tmpPath(std::string("alewife-ckpt-golden-")
-                                     + c.app + "-"
-                                     + core::mechanismShortName(c.mech)
-                                     + ".json");
-    saveFile(*fork.snapshot(), path);
-    CheckpointDriver resumeDriver({path, 0.0, /*resume=*/true,
-                                   /*deleteOnSuccess=*/true});
+    // Resume from the snapshot in a fresh machine: bit-identical
+    // finish.
+    WarmStartDriver resumeDriver(*fork.snapshot(), spec.machine);
     const auto resumed =
         core::runApp(factory, spec, true, nullptr, &resumeDriver);
-    EXPECT_TRUE(resumeDriver.resumed());
     expectIdentical(gold, resumed);
-    // Successful completion removes the job-done marker.
-    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -128,69 +115,6 @@ INSTANTIATE_TEST_SUITE_P(
                + (info.param.mech == Mechanism::SharedMemory ? "SM"
                                                              : "MPI");
     });
-
-TEST(CrashResume, PeriodicSnapshotResumesIdentically)
-{
-    const auto factory = factoryFor("stream");
-    core::RunSpec spec;
-    spec.audit = true;
-    const std::string path = tmpPath("alewife-ckpt-crash.json");
-    std::filesystem::remove(path);
-
-    // First run saves periodically and keeps the last snapshot around,
-    // standing in for a worker killed after its final save.
-    CheckpointDriver first({path, /*intervalCycles=*/500.0,
-                            /*resume=*/false, /*deleteOnSuccess=*/false});
-    const auto a = core::runApp(factory, spec, true, nullptr, &first);
-    EXPECT_GT(first.snapshotsSaved(), 0u);
-    ASSERT_TRUE(std::filesystem::exists(path));
-
-    // Second run resumes from that mid-run snapshot and must finish
-    // exactly like the uninterrupted run.
-    CheckpointDriver second({path, 500.0, true, true});
-    const auto b = core::runApp(factory, spec, true, nullptr, &second);
-    EXPECT_TRUE(second.resumed());
-    expectIdentical(a, b);
-    EXPECT_FALSE(std::filesystem::exists(path));
-}
-
-TEST(CrashResume, ConfigMismatchFallsBackToColdStart)
-{
-    const auto factory = factoryFor("stream");
-    const std::string path = tmpPath("alewife-ckpt-mismatch.json");
-
-    core::RunSpec spec;
-    ForkPointDriver fork(200);
-    core::runApp(factory, spec, true, nullptr, &fork);
-    ASSERT_TRUE(fork.snapshot().has_value());
-    saveFile(*fork.snapshot(), path);
-
-    // A different machine must ignore the snapshot (warn + cold
-    // start), not resume into a wrong configuration.
-    core::RunSpec other;
-    other.machine.cacheBytes *= 2;
-    CheckpointDriver driver({path, 0.0, true, true});
-    const auto r = core::runApp(factory, other, true, nullptr, &driver);
-    EXPECT_FALSE(driver.resumed());
-    EXPECT_TRUE(r.verified);
-    std::filesystem::remove(path);
-}
-
-TEST(CrashResume, UnreadableSnapshotFallsBackToColdStart)
-{
-    const auto factory = factoryFor("stream");
-    const std::string path = tmpPath("alewife-ckpt-garbage.json");
-    {
-        std::ofstream out(path);
-        out << "{ not a snapshot";
-    }
-    core::RunSpec spec;
-    CheckpointDriver driver({path, 0.0, true, true});
-    const auto r = core::runApp(factory, spec, true, nullptr, &driver);
-    EXPECT_FALSE(driver.resumed());
-    EXPECT_TRUE(r.verified);
-    std::filesystem::remove(path);
-}
 
 // --------------------------------------------------------------------
 // RNG stream capture (satellite): the kernel tie-break stream and the
@@ -220,14 +144,9 @@ TEST_P(ResumePerturbed, PerturbedRunResumesBitIdentical)
     ASSERT_TRUE(fork.snapshot().has_value());
     expectIdentical(gold, forked);
 
-    const std::string path =
-        tmpPath("alewife-ckpt-perturb-"
-                + std::to_string(GetParam()) + ".json");
-    saveFile(*fork.snapshot(), path);
-    CheckpointDriver resumeDriver({path, 0.0, true, true});
+    WarmStartDriver resumeDriver(*fork.snapshot(), spec.machine);
     const auto resumed =
         core::runApp(factory, spec, true, nullptr, &resumeDriver);
-    EXPECT_TRUE(resumeDriver.resumed());
     expectIdentical(gold, resumed);
 }
 

