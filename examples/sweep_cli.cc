@@ -23,6 +23,13 @@
  *                same D re-simulates only the points it had not
  *                finished
  * --progress     report jobs done / running and sim-events/sec
+ * --farm-dir D   start the batch as a farm campaign under D: the only
+ *                way to start one. `farm_cli worker --farm-dir D`
+ *                processes on any host sharing D join it; --jobs N
+ *                adds N in-process workers, and --jobs 0 (allowed
+ *                only here) leaves every job to external workers.
+ *                Output is byte-identical to a local run; a job the
+ *                farm gives up on makes the exit status 3
  *
  * Every run is verified against the application's sequential
  * reference; the driver exits non-zero on any mismatch. Unknown
@@ -98,7 +105,10 @@ usage()
            "ideal-latency]\n"
            "                 [--points x1,x2,...]\n"
            "                 [--scale f]   (workload size multiplier)\n"
-           "                 [--jobs n]    (parallel simulations)\n"
+           "                 [--jobs n]    (parallel simulations; "
+           "0 = farm\n"
+           "                                coordinator only, needs "
+           "--farm-dir)\n"
            "                 [--out file]  (.csv -> CSV, else JSON)\n"
            "                 [--cache-dir dir]\n"
            "                 [--progress]\n"
@@ -108,10 +118,10 @@ usage()
            "registry; sweep-merged)\n"
            "                 [--obs-interval cycles]   (interval "
            "profiling period)\n"
-           "                 [--farm-dir dir]      (share the batch "
-           "with farm_cli\n"
-           "                                        workers through a "
-           "work queue under dir)\n"
+           "                 [--farm-dir dir]      (start the batch as "
+           "a farm campaign;\n"
+           "                                        `farm_cli worker "
+           "--farm-dir dir` joins)\n"
            "                 [--warm-start events] (ideal-latency only: "
            "fork every\n"
            "                                        latency variant "
@@ -191,17 +201,12 @@ parse(int argc, char **argv)
                 badValue("--graph value", o.graph,
                          "uniform, rmat, grid");
         } else if (a == "--mechs") {
-            for (const auto &m : splitCommas(next())) {
-                // mechanismFromName() is fatal on bad names; pre-check
-                // so the error names the value and lists valid ones.
-                bool known = false;
-                for (core::Mechanism cand : core::allMechanisms())
-                    known |= m == core::mechanismShortName(cand)
-                             || m == core::mechanismName(cand);
-                if (!known)
-                    badValue("mechanism", m,
+            for (const auto &name : splitCommas(next())) {
+                const auto m = core::mechanismFromName(name);
+                if (!m)
+                    badValue("mechanism", name,
                              "SM, SM+PF, MP-I, MP-P, BULK");
-                o.mechs.push_back(core::mechanismFromName(m));
+                o.mechs.push_back(*m);
             }
         } else if (a == "--sweep") {
             o.sweep = next();
@@ -213,8 +218,9 @@ parse(int argc, char **argv)
         } else if (a == "--jobs") {
             const std::string v = next();
             o.jobs = static_cast<int>(parseNum("--jobs", v));
-            if (o.jobs < 1)
-                badValue("--jobs value", v, "a positive integer");
+            if (o.jobs < 0)
+                badValue("--jobs value", v,
+                         "a positive integer; 0 only with --farm-dir");
         } else if (a == "--out") {
             o.out = next();
         } else if (a == "--cache-dir") {
@@ -266,6 +272,9 @@ parse(int argc, char **argv)
             usage();
         }
     }
+    if (o.jobs == 0 && o.farmDir.empty())
+        badValue("--jobs value", "0",
+                 "a positive integer; 0 only with --farm-dir");
     if (o.mechs.empty()) {
         const auto all = core::allMechanisms();
         o.mechs.assign(all.begin(), all.end());

@@ -10,10 +10,13 @@
 #      smoke: a cached sweep killed -9 after its first finished point
 #      reruns with >= 1 point from the result cache and prints
 #      exactly what an uninterrupted, uncached run prints
-#   7. farm smokes: a multi-process campaign with one worker dying
-#      kill -9-style after its first claim and one with a stalled
-#      heartbeat still yields the full, bit-identical result set with
-#      the reclaimed lease visible in the status JSON
+#   7. farm smoke: a `sweep_cli --farm-dir --jobs 0` campaign whose
+#      farm.json appears only once all 6 jobs are queued, worked by
+#      three `farm_cli worker` processes — one dying kill -9-style
+#      after its first claim, one with a stalled heartbeat — yields
+#      the full result set, byte-identical to the local run and to
+#      `--farm-dir --jobs 2`, with the reclaimed lease in the status
+#      JSON (the reclaim waits out the default 10 s lease TTL)
 #   8. predict smokes: the analytic sweep overlay prints a MAPE per
 #      mechanism, delay injection reports its propagation, and
 #      farm-dir + obs flags are rejected (farm runs are obs-detached)
@@ -143,17 +146,25 @@ step "graph sweep smoke: ext3 matrix through the sweep engine"
     --sweep none | grep -q "yes" \
     || { echo "graph smoke: sweep_cli bfs did not verify"; exit 1; }
 
-step "farm smoke: coordinator + faulty workers, bit-identical results"
+step "farm smoke: sweep_cli coordinator + faulty workers, bit-identical"
 FARM_ROOT="$(mktemp -d)"
 FARM_DIR="$FARM_ROOT/farm"
-./build/examples/sweep_cli --app stream --mechs SM,MP-I,MP-P \
-    --sweep bisection --points 18,9 --out "$FARM_ROOT/local.json" \
-    >/dev/null
-./build/examples/farm_cli coordinator --farm-dir "$FARM_DIR" \
-    --app stream --mechs SM,MP-I,MP-P --sweep bisection \
-    --points 18,9 --workers 0 --lease-ttl-ms 500 --heartbeat-ms 100 \
-    --poll-ms 50 --backoff-ms 50 --out "$FARM_ROOT/farmed.json" \
-    >/dev/null 2>&1 &
+FARM_ARGS=(--app stream --mechs SM,MP-I,MP-P --sweep bisection \
+    --points 18,9)
+./build/examples/sweep_cli "${FARM_ARGS[@]}" \
+    --out "$FARM_ROOT/local.json" >/dev/null
+# In-process farm workers: same bytes as the local run.
+./build/examples/sweep_cli "${FARM_ARGS[@]}" \
+    --farm-dir "$FARM_ROOT/farm2" --jobs 2 \
+    --out "$FARM_ROOT/farmed2.json" >/dev/null 2>&1 \
+    || { echo "farm smoke: --farm-dir --jobs 2 exited non-zero"; exit 1; }
+diff "$FARM_ROOT/local.json" "$FARM_ROOT/farmed2.json" \
+    || { echo "farm smoke: --jobs 2 farm diverged from local run"; \
+         exit 1; }
+# --jobs 0: the coordinator runs no job itself; the external workers
+# below do them all.
+./build/examples/sweep_cli "${FARM_ARGS[@]}" --farm-dir "$FARM_DIR" \
+    --jobs 0 --out "$FARM_ROOT/farmed.json" >/dev/null 2>&1 &
 COORD_PID=$!
 for _ in $(seq 1 100); do
     [[ -f "$FARM_DIR/farm.json" ]] && break
@@ -161,6 +172,12 @@ for _ in $(seq 1 100); do
 done
 [[ -f "$FARM_DIR/farm.json" ]] \
     || { echo "farm smoke: coordinator wrote no manifest"; exit 1; }
+# farm.json is written last: every job is queued once it exists, so
+# a worker that starts now cannot mistake the campaign for drained.
+FARM_PENDING="$(find "$FARM_DIR/pending" -name '*.json' | wc -l)"
+[[ "$FARM_PENDING" -eq 6 ]] \
+    || { echo "farm smoke: $FARM_PENDING of 6 jobs queued at farm.json"; \
+         exit 1; }
 # Worker 1 dies kill -9-style (exit 9, lease held, no cleanup) right
 # after its first claim; the coordinator must reap the stale lease and
 # re-queue that job — the run-to-completion assertion below implies it.
@@ -193,14 +210,6 @@ grep -Eq '"reclaims": [1-9]' "$FARM_DIR/status.json" \
     | grep -q '"alewife-farm-status"' \
     || { echo "farm smoke: status subcommand failed"; exit 1; }
 rm -rf "$FARM_ROOT"
-
-step "farm smoke: sweep_cli --farm-dir shares its batch"
-FARM2="$(mktemp -d)"
-./build/examples/sweep_cli --app stream --mechs SM,MP-P --sweep none \
-    --farm-dir "$FARM2/farm" --jobs 2 | grep -q "yes" \
-    || { echo "farm smoke: sweep_cli --farm-dir did not verify"; \
-         exit 1; }
-rm -rf "$FARM2"
 
 step "predict smoke: analytic overlay + delay-injection report"
 # The clock-sweep overlay must print a predicted value and a MAPE for

@@ -25,22 +25,6 @@ runBatch(const AppFactory &app, const std::vector<RunSpec> &specs,
 
 } // namespace
 
-std::optional<SweepKind>
-sweepKindFromName(const std::string &s)
-{
-    if (s == "none")
-        return SweepKind::None;
-    if (s == "bisection")
-        return SweepKind::Bisection;
-    if (s == "msglen")
-        return SweepKind::MsgLen;
-    if (s == "clock")
-        return SweepKind::Clock;
-    if (s == "ideal-latency")
-        return SweepKind::IdealLatency;
-    return std::nullopt;
-}
-
 SweepPlan
 planSweep(const MachineConfig &base, const SweepRequest &req)
 {

@@ -20,7 +20,6 @@
 #define ALEWIFE_CORE_EXPERIMENTS_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,7 +42,7 @@ struct MechSeries
     std::vector<SweepPoint> points;
 };
 
-/** The parametric sweeps, by name (sweepKindFromName). */
+/** The parametric sweeps. */
 enum class SweepKind
 {
     None,         ///< every mechanism once at the base machine
@@ -52,10 +51,6 @@ enum class SweepKind
     Clock,        ///< Figure 9: processor clock vs fixed network
     IdealLatency, ///< Figure 10: ideal uniform-latency network
 };
-
-/** Parse "none|bisection|msglen|clock|ideal-latency"; nullopt on
- *  unknown names (callers report their own errors). */
-std::optional<SweepKind> sweepKindFromName(const std::string &s);
 
 /** What to sweep: everything needed to materialize the spec list. */
 struct SweepRequest
@@ -78,10 +73,11 @@ struct SweepRequest
 /**
  * A materialized sweep: the flat spec list in canonical submission
  * order plus the shape needed to fold flat results back into series.
- * Everyone who executes a sweep — the wrappers below, sweep_cli, and
- * farm_cli workers on other hosts — goes through the same plan, which
- * is what makes distributed results bit-identical (job index for job
- * index) to a local run.
+ * The wrappers below submit specs to SweepEngine in this order, and a
+ * farmed batch names each job by its index here, which is what makes
+ * results bit-identical (job index for job index) whether the engine
+ * runs a point in-process or a `farm_cli worker` on another host
+ * does.
  */
 struct SweepPlan
 {

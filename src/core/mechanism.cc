@@ -1,7 +1,5 @@
 #include "core/mechanism.hh"
 
-#include "sim/logging.hh"
-
 namespace alewife::core {
 
 const char *
@@ -59,14 +57,14 @@ recvMode(Mechanism m)
                                      : msg::RecvMode::Interrupt;
 }
 
-Mechanism
+std::optional<Mechanism>
 mechanismFromName(const std::string &s)
 {
     for (Mechanism m : allMechanisms()) {
         if (s == mechanismShortName(m) || s == mechanismName(m))
             return m;
     }
-    ALEWIFE_FATAL("unknown mechanism name: ", s);
+    return std::nullopt;
 }
 
 } // namespace alewife::core

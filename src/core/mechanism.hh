@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "msg/active_messages.hh"
@@ -56,8 +57,9 @@ proc::SyncStyle syncStyle(Mechanism m);
 /** NI receive mode the mechanism uses. */
 msg::RecvMode recvMode(Mechanism m);
 
-/** Parse a short or long name; throws via fatal() on unknown names. */
-Mechanism mechanismFromName(const std::string &s);
+/** Parse a short or long name; nullopt on unknown names (callers
+ *  report their own errors). */
+std::optional<Mechanism> mechanismFromName(const std::string &s);
 
 } // namespace alewife::core
 

@@ -229,8 +229,6 @@ FarmWorker::runLoop()
         if (job) {
             runOne(q, cache, *job);
             ++completed;
-            if (opts_.maxJobs >= 0 && completed >= opts_.maxJobs)
-                break;
             continue;
         }
         const QueueCounts c = q.counts();
@@ -352,15 +350,13 @@ FarmCoordinator::materialize(const std::vector<FarmJob> &jobs)
                      opts_.dir);
         return false;
     }
-    FarmManifest m;
-    m.cacheDir = opts_.cacheDir;
-    m.tuning = opts_.tuning;
-    std::string err;
-    if (!writeFarmManifest(opts_.dir, m, &err)) {
-        ALEWIFE_WARN("farm: cannot write manifest: ", err);
-        return false;
-    }
+    // farm.json goes last: its presence tells a starting worker that
+    // every job is queued. A manifest left by an earlier campaign in
+    // this directory would say so too early.
+    std::error_code ec;
+    fs::remove(manifestPath(opts_.dir), ec);
     seedCountersFromStatus();
+    std::string err;
 
     // Re-entrancy: jobs already present in some state directory are a
     // previous incarnation's progress, not an error — skip them.
@@ -385,8 +381,14 @@ FarmCoordinator::materialize(const std::vector<FarmJob> &jobs)
         ALEWIFE_WARN("farm: resuming campaign in ", opts_.dir, ": ",
                      skipped, " of ", jobs_.size(),
                      " jobs already materialized");
-    report_.farmed = true;
     writeStatus();
+    FarmManifest m;
+    m.cacheDir = opts_.cacheDir;
+    m.tuning = opts_.tuning;
+    if (!writeFarmManifest(opts_.dir, m, &err)) {
+        ALEWIFE_WARN("farm: cannot write manifest: ", err);
+        return false;
+    }
     return true;
 }
 
@@ -420,8 +422,6 @@ FarmCoordinator::runUntilDrained()
         report_.reclaims += stats.reclaims;
         writeStatus();
         const QueueCounts c = queue_.counts();
-        if (opts_.onStatus)
-            opts_.onStatus(c);
         if (c.done + c.poisoned >= total)
             break;
         if (!queue_.ready()) {
@@ -446,6 +446,20 @@ FarmCoordinator::collect()
     ResultCache cache(opts_.cacheDir);
     std::vector<core::RunResult> results;
     results.reserve(jobs_.size());
+    // A job the farm gave up on: report it, and hold its place with an
+    // unverified placeholder.
+    auto giveUp = [&](const FarmJob &job, int attempts,
+                      const std::string &error) {
+        report_.quarantined.push_back(
+            {job.id, job.appKey,
+             core::mechanismShortName(job.spec.mechanism), attempts,
+             error});
+        core::RunResult placeholder;
+        placeholder.app = job.workload.app;
+        placeholder.mechanism = job.spec.mechanism;
+        placeholder.verified = false;
+        results.push_back(std::move(placeholder));
+    };
     for (const FarmJob &job : jobs_) {
         const std::string key = ResultCache::key(job.spec, job.appKey);
         std::optional<core::RunResult> hit = cache.lookup(key);
@@ -464,15 +478,7 @@ FarmCoordinator::collect()
             continue;
         }
         if (poisoned) {
-            report_.quarantined.push_back(
-                {job.id, job.appKey,
-                 core::mechanismShortName(job.spec.mechanism),
-                 poisoned->attempts, poisoned->lastError});
-            core::RunResult placeholder;
-            placeholder.app = job.workload.app;
-            placeholder.mechanism = job.spec.mechanism;
-            placeholder.verified = false;
-            results.push_back(std::move(placeholder));
+            giveUp(job, poisoned->attempts, poisoned->lastError);
             continue;
         }
 
@@ -483,15 +489,7 @@ FarmCoordinator::collect()
         core::AppFactory factory =
             makeWorkloadFactory(job.workload, &err);
         if (!factory) {
-            report_.quarantined.push_back(
-                {job.id, job.appKey,
-                 core::mechanismShortName(job.spec.mechanism),
-                 job.attempts, err});
-            core::RunResult placeholder;
-            placeholder.app = job.workload.app;
-            placeholder.mechanism = job.spec.mechanism;
-            placeholder.verified = false;
-            results.push_back(std::move(placeholder));
+            giveUp(job, job.attempts, err);
             continue;
         }
         ALEWIFE_WARN("farm: job #", job.id,
@@ -508,17 +506,11 @@ FarmCoordinator::collect()
     return results;
 }
 
-std::vector<core::RunResult>
+std::optional<std::vector<core::RunResult>>
 FarmCoordinator::runCampaign(const std::vector<FarmJob> &jobs)
 {
-    if (!materialize(jobs)) {
-        // The farm directory is unusable; the batch still runs — just
-        // not distributed. collect() recomputes everything locally.
-        ALEWIFE_WARN("farm: cannot materialize the campaign under ",
-                     opts_.dir, "; running the batch locally instead");
-        report_.farmed = false;
-        return collect();
-    }
+    if (!materialize(jobs))
+        return std::nullopt;
     runUntilDrained();
     return collect();
 }

@@ -4,19 +4,23 @@
  * over the filesystem work queue (exp/queue.hh), with the
  * content-addressed ResultCache as the shared result store.
  *
- * Topology: one FarmCoordinator materializes the job set as durable
- * queue entries, then loops reaping expired leases and publishing a
- * status JSON until the queue drains. Any number of FarmWorker
- * processes (or in-process worker threads spawned by the coordinator)
- * claim jobs, renew leases on a heartbeat, run the simulation, and
- * write results through the cache's write-tmp-then-rename path. A job
- * re-claimed from a dead worker re-runs cold, or finishes at once if
- * that worker already stored its result. Collection reads every job's
+ * Topology: one FarmCoordinator — started by SweepEngine, i.e.
+ * `sweep_cli --farm-dir` — materializes the job set as durable queue
+ * entries, then loops reaping expired leases and publishing a status
+ * JSON until the queue drains. Any number of FarmWorker processes
+ * (`farm_cli worker`, or in-process worker threads spawned by the
+ * coordinator) claim jobs, renew leases on a heartbeat, run the
+ * simulation, and write results through the cache's
+ * write-tmp-then-rename path. A job re-claimed from a dead worker
+ * re-runs cold, or finishes at once if that worker already stored its
+ * result. Collection reads every job's
  * result back from the cache by its deterministic key — which is why a
  * farm run is bit-identical, key for key, to a single-process
  * SweepEngine run of the same batch.
  *
  * Degradation ladder (robustness is the point):
+ *   - farm directory cannot be created: runCampaign() reports it and
+ *     SweepEngine runs the batch on its own thread pool;
  *   - worker killed / lease dropped: the coordinator reaps the lease
  *     and re-queues the job with exponential backoff;
  *   - job fails more than the retry budget: quarantined to poison/
@@ -38,7 +42,6 @@
 #define ALEWIFE_EXP_FARM_HH
 
 #include <atomic>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,18 +72,16 @@ struct QuarantinedJob
     std::string error;
 };
 
-/** Everything a farm campaign did, for callers and status JSON. */
+/**
+ * What the coordinator itself did, for callers and status JSON. Claim
+ * and completion counts live in the workers' event logs
+ * (WorkQueue::countEvents), not here.
+ */
 struct FarmReport
 {
-    /** True when the batch actually went through the farm. */
-    bool farmed = false;
     std::vector<QuarantinedJob> quarantined;
-    std::uint64_t claims = 0;
-    std::uint64_t completions = 0;
-    std::uint64_t lateCompletions = 0;
     std::uint64_t leaseExpiries = 0;
     std::uint64_t reclaims = 0;
-    std::uint64_t quarantines = 0;
     /** Jobs recomputed at collection (corrupt/missing cache entry). */
     std::uint64_t recomputes = 0;
     /** Poisoned jobs whose result a straggler still delivered. */
@@ -95,10 +96,9 @@ struct FarmOptions
     /** Shared result store; "" = <dir>/cache. */
     std::string cacheDir;
     FarmTuning tuning;
-    /** In-process worker threads the coordinator contributes. */
+    /** In-process worker threads the coordinator contributes; 0 =
+     *  coordinate only, external workers do every job. */
     int workers = 1;
-    /** Called after every coordinator pass with the live census. */
-    std::function<void(const QueueCounts &)> onStatus;
 };
 
 /** Manifest persisted as <dir>/farm.json by the coordinator, so
@@ -116,7 +116,7 @@ std::optional<FarmManifest> readFarmManifest(const std::string &dir,
 
 /**
  * A worker process (or thread): claim-run-complete loop until the
- * queue drains, the job budget is reached, or the farm degrades.
+ * queue drains, it is asked to stop, or the farm degrades.
  */
 class FarmWorker
 {
@@ -128,8 +128,6 @@ class FarmWorker
         std::string workerId;
         std::string cacheDir;
         FarmTuning tuning;
-        /** Stop after this many completed jobs; < 0 = until drained. */
-        int maxJobs = -1;
     };
 
     /** Build worker options from the farm manifest (external worker
@@ -160,7 +158,8 @@ class FarmWorker
 
 /**
  * The coordinator: materialize -> run-until-drained -> collect.
- * runCampaign() is the one-call wrapper SweepEngine uses.
+ * runCampaign() is the one-call wrapper SweepEngine uses; the engine
+ * is the only front end that starts a campaign.
  */
 class FarmCoordinator
 {
@@ -168,10 +167,12 @@ class FarmCoordinator
     explicit FarmCoordinator(FarmOptions opts);
 
     /**
-     * Create the queue, persist the manifest, and enqueue every job
-     * not already present in some state directory (so a restarted
-     * coordinator resumes a half-finished campaign instead of redoing
-     * it). False on filesystem failure.
+     * Create the queue, enqueue every job not already present in some
+     * state directory (so a restarted coordinator resumes a
+     * half-finished campaign instead of redoing it), and persist the
+     * manifest last: once farm.json exists every job is queued, so a
+     * worker that finds it and an empty queue is right to exit. False
+     * on filesystem failure.
      */
     bool materialize(const std::vector<FarmJob> &jobs);
 
@@ -190,8 +191,12 @@ class FarmCoordinator
      */
     std::vector<core::RunResult> collect();
 
-    /** Convenience: materialize + runUntilDrained + collect. */
-    std::vector<core::RunResult>
+    /**
+     * materialize + runUntilDrained + collect. nullopt when the farm
+     * directory is unusable (materialize failed): nothing ran, and
+     * the caller runs the batch itself.
+     */
+    std::optional<std::vector<core::RunResult>>
     runCampaign(const std::vector<FarmJob> &jobs);
 
     const FarmReport &report() const { return report_; }

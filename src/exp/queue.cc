@@ -93,51 +93,13 @@ machineConfigToJson(const MachineConfig &c)
 {
     Json j = Json::object();
     j.set("name", c.name);
-    j.set("meshX", c.meshX);
-    j.set("meshY", c.meshY);
-    j.set("procMhz", c.procMhz);
-    j.set("linkMBps", c.linkMBps);
-    j.set("hopNs", c.hopNs);
-    j.set("netFixedNs", c.netFixedNs);
-    j.set("idealNet", c.idealNet);
-    j.set("idealNetLatencyCycles", c.idealNetLatencyCycles);
-    j.set("contextSwitchCycles", c.contextSwitchCycles);
-    j.set("cacheBytes", static_cast<std::uint64_t>(c.cacheBytes));
-    j.set("lineBytes", static_cast<std::uint64_t>(c.lineBytes));
-    j.set("cacheHitCycles", c.cacheHitCycles);
-    j.set("localMissCycles", c.localMissCycles);
-    j.set("dirHwPointers", c.dirHwPointers);
-    j.set("reqIssueCycles", c.reqIssueCycles);
-    j.set("homeOccupancyCycles", c.homeOccupancyCycles);
-    j.set("replyConsumeCycles", c.replyConsumeCycles);
-    j.set("invProcessCycles", c.invProcessCycles);
-    j.set("limitlessTrapCycles", c.limitlessTrapCycles);
-    j.set("limitlessPerSharerCycles", c.limitlessPerSharerCycles);
-    j.set("threeHopForwarding", c.threeHopForwarding);
-    j.set("protoCtrlBytes", static_cast<std::uint64_t>(c.protoCtrlBytes));
-    j.set("protoDataHdrBytes",
-          static_cast<std::uint64_t>(c.protoDataHdrBytes));
-    j.set("amSendCycles", c.amSendCycles);
-    j.set("amSendPerWordCycles", c.amSendPerWordCycles);
-    j.set("amInterruptCycles", c.amInterruptCycles);
-    j.set("amDispatchCycles", c.amDispatchCycles);
-    j.set("amRecvPerWordCycles", c.amRecvPerWordCycles);
-    j.set("pollEmptyCycles", c.pollEmptyCycles);
-    j.set("pollInsertionGap", c.pollInsertionGap);
-    j.set("amHeaderBytes", static_cast<std::uint64_t>(c.amHeaderBytes));
-    j.set("amMaxWords", c.amMaxWords);
-    j.set("niInputQueueSlots", c.niInputQueueSlots);
-    j.set("niRetryCycles", c.niRetryCycles);
-    j.set("dmaSetupCycles", c.dmaSetupCycles);
-    j.set("gatherScatterPerLineCycles", c.gatherScatterPerLineCycles);
-    j.set("dmaAlignBytes", static_cast<std::uint64_t>(c.dmaAlignBytes));
-    j.set("prefetchBufferEntries", c.prefetchBufferEntries);
-    j.set("prefetchMaxOutstanding", c.prefetchMaxOutstanding);
-    j.set("prefetchIssueCycles", c.prefetchIssueCycles);
-    j.set("prefetchBufferHitCycles", c.prefetchBufferHitCycles);
-    j.set("maxOutstandingWrites", c.maxOutstandingWrites);
-    j.set("cyclesPerFlop", c.cyclesPerFlop);
-    j.set("cyclesPerFlopSP", c.cyclesPerFlopSP);
+    forEachConfigField(c, [&](const char *k, const auto &v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::uint32_t>)
+            j.set(k, static_cast<std::uint64_t>(v));
+        else
+            j.set(k, v);
+    });
     return j;
 }
 
@@ -148,73 +110,18 @@ machineConfigFromJson(const Json &j)
     // Lenient field-by-field decode: absent or mistyped fields keep
     // their defaults (the canonical key embedded in cache lookups
     // catches any drift this tolerance lets through).
-    auto str = [&](const char *k, std::string &out) {
-        if (const Json *v = j.find(k); v && v->isString())
-            out = v->asString();
-    };
-    auto num = [&](const char *k, double &out) {
-        if (const Json *v = j.find(k); v && v->isNumber())
-            out = v->asDouble();
-    };
-    auto integer = [&](const char *k, int &out) {
-        if (const Json *v = j.find(k); v && v->isNumber())
-            out = static_cast<int>(v->asDouble());
-    };
-    auto u32 = [&](const char *k, std::uint32_t &out) {
-        if (const Json *v = j.find(k); v && v->isNumber())
-            out = static_cast<std::uint32_t>(v->asDouble());
-    };
-    auto flag = [&](const char *k, bool &out) {
-        if (const Json *v = j.find(k);
-            v && v->type() == Json::Type::Bool)
-            out = v->asBool();
-    };
-
-    str("name", c.name);
-    integer("meshX", c.meshX);
-    integer("meshY", c.meshY);
-    num("procMhz", c.procMhz);
-    num("linkMBps", c.linkMBps);
-    num("hopNs", c.hopNs);
-    num("netFixedNs", c.netFixedNs);
-    flag("idealNet", c.idealNet);
-    num("idealNetLatencyCycles", c.idealNetLatencyCycles);
-    num("contextSwitchCycles", c.contextSwitchCycles);
-    u32("cacheBytes", c.cacheBytes);
-    u32("lineBytes", c.lineBytes);
-    num("cacheHitCycles", c.cacheHitCycles);
-    num("localMissCycles", c.localMissCycles);
-    integer("dirHwPointers", c.dirHwPointers);
-    num("reqIssueCycles", c.reqIssueCycles);
-    num("homeOccupancyCycles", c.homeOccupancyCycles);
-    num("replyConsumeCycles", c.replyConsumeCycles);
-    num("invProcessCycles", c.invProcessCycles);
-    num("limitlessTrapCycles", c.limitlessTrapCycles);
-    num("limitlessPerSharerCycles", c.limitlessPerSharerCycles);
-    flag("threeHopForwarding", c.threeHopForwarding);
-    u32("protoCtrlBytes", c.protoCtrlBytes);
-    u32("protoDataHdrBytes", c.protoDataHdrBytes);
-    num("amSendCycles", c.amSendCycles);
-    num("amSendPerWordCycles", c.amSendPerWordCycles);
-    num("amInterruptCycles", c.amInterruptCycles);
-    num("amDispatchCycles", c.amDispatchCycles);
-    num("amRecvPerWordCycles", c.amRecvPerWordCycles);
-    num("pollEmptyCycles", c.pollEmptyCycles);
-    integer("pollInsertionGap", c.pollInsertionGap);
-    u32("amHeaderBytes", c.amHeaderBytes);
-    integer("amMaxWords", c.amMaxWords);
-    integer("niInputQueueSlots", c.niInputQueueSlots);
-    num("niRetryCycles", c.niRetryCycles);
-    num("dmaSetupCycles", c.dmaSetupCycles);
-    num("gatherScatterPerLineCycles", c.gatherScatterPerLineCycles);
-    u32("dmaAlignBytes", c.dmaAlignBytes);
-    integer("prefetchBufferEntries", c.prefetchBufferEntries);
-    integer("prefetchMaxOutstanding", c.prefetchMaxOutstanding);
-    num("prefetchIssueCycles", c.prefetchIssueCycles);
-    num("prefetchBufferHitCycles", c.prefetchBufferHitCycles);
-    integer("maxOutstandingWrites", c.maxOutstandingWrites);
-    num("cyclesPerFlop", c.cyclesPerFlop);
-    num("cyclesPerFlopSP", c.cyclesPerFlopSP);
+    if (const Json *v = j.find("name"); v && v->isString())
+        c.name = v->asString();
+    forEachConfigField(c, [&](const char *k, auto &field) {
+        using T = std::decay_t<decltype(field)>;
+        const Json *v = j.find(k);
+        if constexpr (std::is_same_v<T, bool>) {
+            if (v && v->type() == Json::Type::Bool)
+                field = v->asBool();
+        } else if (v && v->isNumber()) {
+            field = static_cast<T>(v->asDouble());
+        }
+    });
     return c;
 }
 
@@ -304,14 +211,10 @@ farmJobFromJson(const Json &j, std::string *err)
     job.workload.graph = w.at("graph").asString();
     job.workload.scale = w.at("scale").asDouble();
     const std::string mech = spec.at("mechanism").asString();
-    // mechanismFromName() is fatal on bad names; a corrupt entry must
-    // poison one job, never abort the worker holding it.
-    bool knownMech = false;
-    for (core::Mechanism cand : core::allMechanisms())
-        knownMech |= mech == core::mechanismShortName(cand);
-    if (!knownMech)
+    const std::optional<core::Mechanism> m = core::mechanismFromName(mech);
+    if (!m)
         return fail("farm job: unknown mechanism '" + mech + "'");
-    job.spec.mechanism = core::mechanismFromName(mech);
+    job.spec.mechanism = *m;
     job.spec.crossTraffic.bytesPerCycle =
         spec.at("crossBytesPerCycle").asDouble();
     job.spec.crossTraffic.messageBytes = static_cast<std::uint32_t>(

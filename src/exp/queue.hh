@@ -148,7 +148,8 @@ struct FarmJob
     std::string lastError;
 };
 
-/** MachineConfig <-> JSON, field by field (canonicalKey-faithful). */
+/** MachineConfig <-> JSON: the display name plus every
+ *  forEachConfigField knob, so a round trip keeps canonicalKey(). */
 Json machineConfigToJson(const MachineConfig &c);
 MachineConfig machineConfigFromJson(const Json &j);
 

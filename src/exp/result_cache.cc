@@ -138,9 +138,10 @@ ResultCache::loadFromDisk(const std::string &key)
     std::ostringstream buf;
     buf << in.rdbuf();
 
-    // A corrupted or truncated entry (torn disk, faulty worker) is
-    // quarantined — renamed to *.bad and reported once — so the sweep
-    // recomputes the result instead of failing on it.
+    // A corrupted, truncated or undecodable entry (torn disk, faulty
+    // worker, hand edit) is quarantined — renamed to *.bad and
+    // reported once — so the sweep recomputes the result instead of
+    // failing on it.
     std::string err;
     const Json j = Json::parse(buf.str(), &err);
     if (!err.empty() || !j.isObject()) {
@@ -164,7 +165,10 @@ ResultCache::loadFromDisk(const std::string &key)
         || stored->asString() != key) {
         return std::nullopt;
     }
-    return resultFromJson(j.at("result"));
+    std::optional<core::RunResult> r = resultFromJson(j.at("result"), &err);
+    if (!r)
+        quarantineBadEntry(path, err);
+    return r;
 }
 
 void

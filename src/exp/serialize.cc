@@ -17,17 +17,6 @@ schemaHeader()
     return j;
 }
 
-void
-checkSchema(const Json &j)
-{
-    if (j.at("schema").asString() != "alewife-results")
-        ALEWIFE_FATAL("json: not an alewife-results document");
-    const int v = static_cast<int>(j.at("version").asDouble());
-    if (v != kResultSchemaVersion)
-        ALEWIFE_FATAL("json: schema version ", v, ", expected ",
-                      kResultSchemaVersion);
-}
-
 } // namespace
 
 Json
@@ -65,35 +54,88 @@ resultToJson(const core::RunResult &r)
     return j;
 }
 
+std::optional<core::RunResult>
+resultFromJson(const Json &j, std::string *err)
+{
+    // The typed accessors are fatal on a mismatch, so every field is
+    // checked before it is read: a bad cache entry fails one decode,
+    // never the process that reads it. The first problem is reported.
+    std::string why;
+    auto get = [&](const Json *obj, const std::string &k,
+                   Json::Type t) -> const Json * {
+        const Json *v = obj ? obj->find(k) : nullptr;
+        if (v && v->type() == t)
+            return v;
+        if (why.empty())
+            why = "missing or mistyped key \"" + k + "\"";
+        return nullptr;
+    };
+    // @p v was found under @p k; asU64() is fatal on negatives too.
+    auto count = [&](const Json *v, const char *k) {
+        if (v && v->isNumber() && v->asDouble() >= 0.0)
+            return v->asU64();
+        if (why.empty())
+            why = std::string("missing or bad count \"") + k + "\"";
+        return std::uint64_t{0};
+    };
+
+    core::RunResult r;
+    if (const Json *v = get(&j, "app", Json::Type::String))
+        r.app = v->asString();
+    if (const Json *v = get(&j, "mechanism", Json::Type::String)) {
+        const auto m = core::mechanismFromName(v->asString());
+        if (m)
+            r.mechanism = *m;
+        else if (why.empty())
+            why = "unknown mechanism name: " + v->asString();
+    }
+    if (const Json *v = get(&j, "runtimeCycles", Json::Type::Number))
+        r.runtimeCycles = v->asDouble();
+
+    if (const Json *bd = get(&j, "breakdownTicks", Json::Type::Object)) {
+        for (std::size_t i = 0; i < r.breakdown.ticks.size(); ++i) {
+            const char *k = timeCatName(static_cast<TimeCat>(i));
+            r.breakdown.ticks[i] = count(bd->find(k), k);
+        }
+    }
+    if (const Json *vol = get(&j, "volumeBytes", Json::Type::Object)) {
+        for (std::size_t i = 0; i < r.volume.bytes.size(); ++i) {
+            const char *k = volCatName(static_cast<VolCat>(i));
+            r.volume.bytes[i] = count(vol->find(k), k);
+        }
+    }
+    // Absent counters decode to the natural zero.
+    if (const Json *ctr = get(&j, "counters", Json::Type::Object)) {
+        for (const auto &f : machineCounterFields()) {
+            if (const Json *v = ctr->find(f.name))
+                r.counters.*(f.member) = count(v, f.name);
+        }
+    }
+
+    if (const Json *v = get(&j, "checksum", Json::Type::Number))
+        r.checksum = v->asDouble();
+    if (const Json *v = get(&j, "reference", Json::Type::Number))
+        r.reference = v->asDouble();
+    if (const Json *v = get(&j, "verified", Json::Type::Bool))
+        r.verified = v->asBool();
+    r.simEvents = count(j.find("simEvents"), "simEvents");
+
+    if (!why.empty()) {
+        if (err)
+            *err = why;
+        return std::nullopt;
+    }
+    return r;
+}
+
 core::RunResult
 resultFromJson(const Json &j)
 {
-    core::RunResult r;
-    r.app = j.at("app").asString();
-    r.mechanism = core::mechanismFromName(j.at("mechanism").asString());
-    r.runtimeCycles = j.at("runtimeCycles").asDouble();
-
-    const Json &bd = j.at("breakdownTicks");
-    for (std::size_t i = 0; i < r.breakdown.ticks.size(); ++i)
-        r.breakdown.ticks[i] =
-            bd.at(timeCatName(static_cast<TimeCat>(i))).asU64();
-
-    const Json &vol = j.at("volumeBytes");
-    for (std::size_t i = 0; i < r.volume.bytes.size(); ++i)
-        r.volume.bytes[i] =
-            vol.at(volCatName(static_cast<VolCat>(i))).asU64();
-
-    const Json &ctr = j.at("counters");
-    for (const auto &f : machineCounterFields()) {
-        if (const Json *v = ctr.find(f.name))
-            r.counters.*(f.member) = v->asU64();
-    }
-
-    r.checksum = j.at("checksum").asDouble();
-    r.reference = j.at("reference").asDouble();
-    r.verified = j.at("verified").asBool();
-    r.simEvents = j.at("simEvents").asU64();
-    return r;
+    std::string err;
+    std::optional<core::RunResult> r = resultFromJson(j, &err);
+    if (!r)
+        ALEWIFE_FATAL("json: cannot decode a result: ", err);
+    return std::move(*r);
 }
 
 Json

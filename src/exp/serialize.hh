@@ -14,6 +14,7 @@
 #define ALEWIFE_EXP_SERIALIZE_HH
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,13 @@ Json resultToJson(const core::RunResult &r);
 /**
  * Inverse of resultToJson. Numeric fields round-trip bit-exactly
  * (ticks and counters are integers; doubles are emitted with %.17g).
- * Fatal on missing fields.
+ * Counters absent from @p j decode to zero. Returns nullopt and sets
+ * @p err to the first absent or mistyped field or unknown mechanism.
  */
+std::optional<core::RunResult> resultFromJson(const Json &j,
+                                              std::string *err);
+
+/** resultFromJson(j, err), fatal on a malformed document. */
 core::RunResult resultFromJson(const Json &j);
 
 /** A batch of per-mechanism results (Figure 4/5 style), with schema. */

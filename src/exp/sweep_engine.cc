@@ -28,8 +28,6 @@ secondsSince(Clock::time_point start)
 
 SweepEngine::SweepEngine(EngineOptions opts) : opts_(std::move(opts))
 {
-    if (opts_.jobs < 1)
-        opts_.jobs = 1;
 }
 
 std::vector<core::RunResult>
@@ -100,15 +98,11 @@ SweepEngine::run(const std::vector<Job> &jobs)
                 }
             }
         }
-        if (!why.empty()) {
-            ALEWIFE_WARN("sweep: farm-dir ignored: ", why,
-                         "; running in-process");
-        } else {
+        if (why.empty()) {
             FarmOptions fo;
             fo.dir = opts_.farmDir;
             if (opts_.cache && !opts_.cache->dir().empty())
                 fo.cacheDir = opts_.cache->dir();
-            fo.tuning = opts_.farm;
             fo.workers = opts_.jobs;
             FarmCoordinator coord(std::move(fo));
 
@@ -122,37 +116,39 @@ SweepEngine::run(const std::vector<Job> &jobs)
                 fj.spec = jobs[i].spec;
                 farmJobs.push_back(std::move(fj));
             }
-            const std::vector<core::RunResult> farmed =
-                coord.runCampaign(farmJobs);
-            for (std::size_t k = 0; k < todo.size(); ++k) {
-                results[todo[k]] = farmed[k];
-                ++progress_.done;
-            }
-            // Refill the in-memory cache so later batches of this
-            // process hit without re-reading the farm's disk store.
-            if (opts_.cache) {
+            if (auto farmed = coord.runCampaign(farmJobs)) {
                 for (std::size_t k = 0; k < todo.size(); ++k) {
-                    if (farmed[k].verified)
+                    const int i = todo[k];
+                    results[i] = std::move((*farmed)[k]);
+                    ++progress_.done;
+                    // Refill the in-memory cache so later batches of
+                    // this process hit without re-reading the farm's
+                    // disk store.
+                    if (opts_.cache && results[i].verified)
                         opts_.cache->store(
-                            ResultCache::key(jobs[todo[k]].spec,
-                                             jobs[todo[k]].appKey),
-                            farmed[k]);
+                            ResultCache::key(jobs[i].spec,
+                                             jobs[i].appKey),
+                            results[i]);
                 }
+                if (opts_.farmReport)
+                    *opts_.farmReport = coord.report();
+                for (const QuarantinedJob &q :
+                     coord.report().quarantined) {
+                    ALEWIFE_WARN("sweep: farm quarantined job #", q.id,
+                                 " (", q.appKey, ", ", q.mechanism,
+                                 ") after ", q.attempts,
+                                 " attempts: ", q.error);
+                }
+                progress_.elapsedSec = secondsSince(start);
+                if (opts_.onProgress)
+                    opts_.onProgress(progress_);
+                return results;
             }
-            if (opts_.farmReport)
-                *opts_.farmReport = coord.report();
-            for (const QuarantinedJob &q :
-                 coord.report().quarantined) {
-                ALEWIFE_WARN("sweep: farm quarantined job #", q.id,
-                             " (", q.appKey, ", ", q.mechanism,
-                             ") after ", q.attempts,
-                             " attempts: ", q.error);
-            }
-            progress_.elapsedSec = secondsSince(start);
-            if (opts_.onProgress)
-                opts_.onProgress(progress_);
-            return results;
+            why = "cannot materialize the campaign under "
+                  + opts_.farmDir;
         }
+        ALEWIFE_WARN("sweep: farm-dir ignored: ", why,
+                     "; running in-process");
     }
 
     std::mutex mu; // guards progress_ and the hook

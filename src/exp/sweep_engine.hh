@@ -69,7 +69,11 @@ struct Progress
 /** Engine configuration, shared by the core experiment sweeps. */
 struct EngineOptions
 {
-    /** Worker threads; <= 1 runs serially on the calling thread. */
+    /**
+     * Worker threads; <= 1 runs serially on the calling thread. With
+     * farmDir, the in-process farm workers instead, and 0 means
+     * coordinate only: external `farm_cli worker`s do every job.
+     */
     int jobs = 1;
     /** Optional cross-sweep result cache (not owned). */
     ResultCache *cache = nullptr;
@@ -104,14 +108,16 @@ struct EngineOptions
      */
     obs::RecorderOptions obs;
     /**
-     * Distributed execution: when non-empty, uncached jobs of the
-     * batch are materialized as a farm campaign under this directory
-     * (exp/farm.hh) instead of running on in-process threads — any
-     * number of external `farm_cli worker` processes can join, `jobs`
-     * in-process workers are contributed, and results come back
-     * bit-identical (same cache keys) to the local path. Batches the
-     * farm cannot serialize (audit, obs, empty workload, uncacheable
-     * jobs) fall back to in-process execution with one warning.
+     * Distributed execution, and the only way to start a farm
+     * campaign: when non-empty, uncached jobs of the batch are
+     * materialized as a campaign under this directory (exp/farm.hh,
+     * default FarmTuning) instead of running on in-process threads.
+     * Any number of external `farm_cli worker` processes can join,
+     * `jobs` in-process workers are contributed, and results come
+     * back bit-identical (same cache keys) to the local path. A batch
+     * the farm cannot serialize (audit, empty workload, uncacheable
+     * jobs) or a directory it cannot materialize under runs
+     * in-process with one warning; obs sinks are a fatal error.
      */
     std::string farmDir;
     /**
@@ -120,10 +126,8 @@ struct EngineOptions
      * makeWorkloadFactory). Empty = batch is not farmable.
      */
     FarmWorkload workload;
-    /** Queue-protocol tuning for the farm campaign. */
-    FarmTuning farm;
     /** When non-null, receives the campaign's FarmReport (not owned;
-     *  quarantined jobs, claims/reclaims/retries counters). */
+     *  quarantined jobs and the coordinator's counters). */
     FarmReport *farmReport = nullptr;
 };
 

@@ -49,64 +49,15 @@ MachineConfig::canonicalKey() const
 {
     std::string out;
     out.reserve(1024);
-    auto num = [&](const char *name, double v) {
+    forEachConfigField(*this, [&](const char *name, const auto &v) {
         char buf[64];
-        std::snprintf(buf, sizeof(buf), "%s=%.17g;", name, v);
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+            std::snprintf(buf, sizeof(buf), "%s=%.17g;", name, v);
+        else // ints, sizes, and flags as 0/1
+            std::snprintf(buf, sizeof(buf), "%s=%lld;", name,
+                          static_cast<long long>(v));
         out += buf;
-    };
-    auto integer = [&](const char *name, long long v) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%s=%lld;", name, v);
-        out += buf;
-    };
-    auto flag = [&](const char *name, bool v) {
-        integer(name, v ? 1 : 0);
-    };
-
-    integer("meshX", meshX);
-    integer("meshY", meshY);
-    num("procMhz", procMhz);
-    num("linkMBps", linkMBps);
-    num("hopNs", hopNs);
-    num("netFixedNs", netFixedNs);
-    flag("idealNet", idealNet);
-    num("idealNetLatencyCycles", idealNetLatencyCycles);
-    num("contextSwitchCycles", contextSwitchCycles);
-    integer("cacheBytes", cacheBytes);
-    integer("lineBytes", lineBytes);
-    num("cacheHitCycles", cacheHitCycles);
-    num("localMissCycles", localMissCycles);
-    integer("dirHwPointers", dirHwPointers);
-    num("reqIssueCycles", reqIssueCycles);
-    num("homeOccupancyCycles", homeOccupancyCycles);
-    num("replyConsumeCycles", replyConsumeCycles);
-    num("invProcessCycles", invProcessCycles);
-    num("limitlessTrapCycles", limitlessTrapCycles);
-    num("limitlessPerSharerCycles", limitlessPerSharerCycles);
-    flag("threeHopForwarding", threeHopForwarding);
-    integer("protoCtrlBytes", protoCtrlBytes);
-    integer("protoDataHdrBytes", protoDataHdrBytes);
-    num("amSendCycles", amSendCycles);
-    num("amSendPerWordCycles", amSendPerWordCycles);
-    num("amInterruptCycles", amInterruptCycles);
-    num("amDispatchCycles", amDispatchCycles);
-    num("amRecvPerWordCycles", amRecvPerWordCycles);
-    num("pollEmptyCycles", pollEmptyCycles);
-    integer("pollInsertionGap", pollInsertionGap);
-    integer("amHeaderBytes", amHeaderBytes);
-    integer("amMaxWords", amMaxWords);
-    integer("niInputQueueSlots", niInputQueueSlots);
-    num("niRetryCycles", niRetryCycles);
-    num("dmaSetupCycles", dmaSetupCycles);
-    num("gatherScatterPerLineCycles", gatherScatterPerLineCycles);
-    integer("dmaAlignBytes", dmaAlignBytes);
-    integer("prefetchBufferEntries", prefetchBufferEntries);
-    integer("prefetchMaxOutstanding", prefetchMaxOutstanding);
-    num("prefetchIssueCycles", prefetchIssueCycles);
-    num("prefetchBufferHitCycles", prefetchBufferHitCycles);
-    integer("maxOutstandingWrites", maxOutstandingWrites);
-    num("cyclesPerFlop", cyclesPerFlop);
-    num("cyclesPerFlopSP", cyclesPerFlopSP);
+    });
     return out;
 }
 

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "sim/types.hh"
 
@@ -231,6 +232,66 @@ struct MachineConfig
      */
     std::string canonicalKey() const;
 };
+
+/**
+ * Call visit(name, field) for every cost knob of @p c in the fixed
+ * canonical order: the one field list behind canonicalKey() and the
+ * farm's job-file JSON (exp/queue.cc). Fields are int, double, bool or
+ * std::uint32_t; @p c may be const. The display name is not a cost
+ * knob and is not visited. A new knob goes here, or the result cache
+ * and farm workers cannot see it.
+ */
+template <typename Config, typename Visitor>
+void
+forEachConfigField(Config &c, Visitor &&visit)
+{
+    static_assert(
+        std::is_same_v<std::remove_const_t<Config>, MachineConfig>);
+    visit("meshX", c.meshX);
+    visit("meshY", c.meshY);
+    visit("procMhz", c.procMhz);
+    visit("linkMBps", c.linkMBps);
+    visit("hopNs", c.hopNs);
+    visit("netFixedNs", c.netFixedNs);
+    visit("idealNet", c.idealNet);
+    visit("idealNetLatencyCycles", c.idealNetLatencyCycles);
+    visit("contextSwitchCycles", c.contextSwitchCycles);
+    visit("cacheBytes", c.cacheBytes);
+    visit("lineBytes", c.lineBytes);
+    visit("cacheHitCycles", c.cacheHitCycles);
+    visit("localMissCycles", c.localMissCycles);
+    visit("dirHwPointers", c.dirHwPointers);
+    visit("reqIssueCycles", c.reqIssueCycles);
+    visit("homeOccupancyCycles", c.homeOccupancyCycles);
+    visit("replyConsumeCycles", c.replyConsumeCycles);
+    visit("invProcessCycles", c.invProcessCycles);
+    visit("limitlessTrapCycles", c.limitlessTrapCycles);
+    visit("limitlessPerSharerCycles", c.limitlessPerSharerCycles);
+    visit("threeHopForwarding", c.threeHopForwarding);
+    visit("protoCtrlBytes", c.protoCtrlBytes);
+    visit("protoDataHdrBytes", c.protoDataHdrBytes);
+    visit("amSendCycles", c.amSendCycles);
+    visit("amSendPerWordCycles", c.amSendPerWordCycles);
+    visit("amInterruptCycles", c.amInterruptCycles);
+    visit("amDispatchCycles", c.amDispatchCycles);
+    visit("amRecvPerWordCycles", c.amRecvPerWordCycles);
+    visit("pollEmptyCycles", c.pollEmptyCycles);
+    visit("pollInsertionGap", c.pollInsertionGap);
+    visit("amHeaderBytes", c.amHeaderBytes);
+    visit("amMaxWords", c.amMaxWords);
+    visit("niInputQueueSlots", c.niInputQueueSlots);
+    visit("niRetryCycles", c.niRetryCycles);
+    visit("dmaSetupCycles", c.dmaSetupCycles);
+    visit("gatherScatterPerLineCycles", c.gatherScatterPerLineCycles);
+    visit("dmaAlignBytes", c.dmaAlignBytes);
+    visit("prefetchBufferEntries", c.prefetchBufferEntries);
+    visit("prefetchMaxOutstanding", c.prefetchMaxOutstanding);
+    visit("prefetchIssueCycles", c.prefetchIssueCycles);
+    visit("prefetchBufferHitCycles", c.prefetchBufferHitCycles);
+    visit("maxOutstandingWrites", c.maxOutstandingWrites);
+    visit("cyclesPerFlop", c.cyclesPerFlop);
+    visit("cyclesPerFlopSP", c.cyclesPerFlopSP);
+}
 
 } // namespace alewife
 

@@ -28,9 +28,11 @@ tinyStream()
 TEST(Mechanism, NamesRoundTrip)
 {
     for (Mechanism m : allMechanisms()) {
-        EXPECT_EQ(mechanismFromName(mechanismShortName(m)), m);
-        EXPECT_EQ(mechanismFromName(mechanismName(m)), m);
+        EXPECT_EQ(mechanismFromName(mechanismShortName(m)),
+                  std::optional(m));
+        EXPECT_EQ(mechanismFromName(mechanismName(m)), std::optional(m));
     }
+    EXPECT_EQ(mechanismFromName("SMX"), std::nullopt);
 }
 
 TEST(Mechanism, StyleAndModeAreConsistent)

@@ -205,5 +205,77 @@ TEST(CacheQuarantine, MissingResultFieldIsQuarantined)
     EXPECT_TRUE(fs::exists(entry + ".bad"));
 }
 
+/**
+ * Store the result of streamBatch(w), then rewrite the "result" object
+ * of its disk entry with @p edit: the entry stays valid JSON under the
+ * right key, but its result no longer decodes.
+ */
+template <typename Edit>
+std::string
+storeThenEditResult(const std::string &dir, const FarmWorkload &w,
+                    Edit edit)
+{
+    const std::string key =
+        ResultCache::key(streamBatch(w)[0].spec, w.appKey());
+    ResultCache writer(dir);
+    writer.store(key, referenceRun(w));
+    const std::string entry = writer.entryPath(key);
+    auto doc = readJsonFile(entry);
+    EXPECT_TRUE(doc.has_value());
+    Json result = doc->at("result");
+    edit(result);
+    doc->set("result", std::move(result));
+    EXPECT_TRUE(writeFileAtomic(entry, doc->dump(2)));
+    return entry;
+}
+
+/** A sweep over the edited entry quarantines it and recomputes. */
+void
+expectQuarantinedAndRecomputed(const std::string &dir,
+                               const std::string &entry,
+                               const FarmWorkload &w)
+{
+    ResultCache cache(dir);
+    EngineOptions opts;
+    opts.cache = &cache;
+    SweepEngine engine(opts);
+    const auto results = engine.run(streamBatch(w));
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.quarantined(), 1u);
+    EXPECT_TRUE(fs::exists(entry + ".bad"));
+    EXPECT_EQ(resultToJson(results[0]).dump(0),
+              resultToJson(referenceRun(w)).dump(0));
+    // The recomputed result took the slot back.
+    EXPECT_TRUE(ResultCache(dir).lookup(
+        ResultCache::key(streamBatch(w)[0].spec, w.appKey())));
+}
+
+TEST(CacheQuarantine, UnknownMechanismIsQuarantinedAndRecomputed)
+{
+    TempDir tmp;
+    const FarmWorkload w = streamWorkload();
+    const std::string entry =
+        storeThenEditResult(tmp.path.string(), w, [](Json &r) {
+            r.set("mechanism", "SMX");
+        });
+    expectQuarantinedAndRecomputed(tmp.path.string(), entry, w);
+}
+
+TEST(CacheQuarantine, MissingRuntimeIsQuarantinedAndRecomputed)
+{
+    TempDir tmp;
+    const FarmWorkload w = streamWorkload();
+    const std::string entry =
+        storeThenEditResult(tmp.path.string(), w, [](Json &r) {
+            Json trimmed = Json::object();
+            for (const auto &[k, v] : r.items())
+                if (k != "runtimeCycles")
+                    trimmed.set(k, v);
+            r = std::move(trimmed);
+        });
+    expectQuarantinedAndRecomputed(tmp.path.string(), entry, w);
+}
+
 } // namespace
 } // namespace alewife::exp

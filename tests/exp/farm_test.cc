@@ -2,13 +2,16 @@
  * @file
  * Tests for the distributed sweep farm: the work-queue protocol
  * (claim/heartbeat/complete/fail/reap), the farm manifest, every
- * FARM_FAULT recovery path, and the coordinator's
- * materialize/drain/collect cycle — including the bit-identity
- * guarantee against a local run.
+ * FARM_FAULT recovery path, the coordinator's
+ * materialize/drain/collect cycle, and SweepEngine as the campaign's
+ * front end — including the bit-identity guarantee against a local
+ * run.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -153,6 +156,44 @@ TEST(FarmJobJson, RoundTripPreservesCacheKey)
               ResultCache::key(job.spec, job.appKey));
     EXPECT_EQ(back->spec.machine.canonicalKey(),
               job.spec.machine.canonicalKey());
+}
+
+TEST(FarmJobJson, EveryConfigFieldChangesTheKeyAndRoundTrips)
+{
+    // Change one knob at a time, through the same field list the key
+    // and the job-file JSON walk: each change must move the cache key,
+    // and a job file must carry it across intact.
+    const MachineConfig defaults;
+    const std::string defaultKey = defaults.canonicalKey();
+    int fields = 0;
+    forEachConfigField(defaults,
+                       [&](const char *, const auto &) { ++fields; });
+    EXPECT_EQ(fields, 44);
+
+    for (int target = 0; target < fields; ++target) {
+        FarmJob job = makeJob(target, core::Mechanism::SharedMemory);
+        const char *changed = nullptr;
+        int i = 0;
+        forEachConfigField(job.spec.machine,
+                           [&](const char *name, auto &field) {
+            if (i++ != target)
+                return;
+            changed = name;
+            if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                         bool>)
+                field = !field;
+            else
+                field = field * 2 + 8; // differs from any default
+        });
+        ASSERT_NE(changed, nullptr);
+        const std::string key = job.spec.machine.canonicalKey();
+        EXPECT_NE(key, defaultKey) << changed;
+
+        std::string err;
+        const auto back = farmJobFromJson(farmJobToJson(job), &err);
+        ASSERT_TRUE(back.has_value()) << err;
+        EXPECT_EQ(back->spec.machine.canonicalKey(), key) << changed;
+    }
 }
 
 TEST(FarmJobJson, MalformedDocumentsAreRejectedNotFatal)
@@ -587,13 +628,16 @@ TEST(FarmCoordinatorTest, CampaignIsBitIdenticalToLocalRuns)
     jobs.push_back(makeJob(2, core::Mechanism::MpPolling));
 
     const auto farmed = coord.runCampaign(jobs);
-    ASSERT_EQ(farmed.size(), jobs.size());
-    EXPECT_TRUE(coord.report().farmed);
+    ASSERT_TRUE(farmed.has_value());
+    ASSERT_EQ(farmed->size(), jobs.size());
     EXPECT_TRUE(coord.report().quarantined.empty());
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(resultToJson(farmed[i]).dump(0),
+        EXPECT_EQ(resultToJson((*farmed)[i]).dump(0),
                   resultToJson(localRun(jobs[i])).dump(0))
             << "job " << i;
+    // Every job went through the queue.
+    const WorkQueue census(tmp.str(), "census", fastTuning());
+    EXPECT_EQ(census.idsIn("done"), (std::vector<int>{0, 1, 2}));
 
     // The status JSON accounts for every job.
     const Json status = readFarmStatus(tmp.str());
@@ -622,9 +666,10 @@ TEST(FarmCoordinatorTest, UnknownAppIsPoisonedAndReported)
     jobs.push_back(makeJob(1, core::Mechanism::SharedMemory, bad));
 
     const auto results = coord.runCampaign(jobs);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_TRUE(results[0].verified);
-    EXPECT_FALSE(results[1].verified); // placeholder
+    ASSERT_TRUE(results.has_value());
+    ASSERT_EQ(results->size(), 2u);
+    EXPECT_TRUE((*results)[0].verified);
+    EXPECT_FALSE((*results)[1].verified); // placeholder
 
     ASSERT_EQ(coord.report().quarantined.size(), 1u);
     const QuarantinedJob &q = coord.report().quarantined[0];
@@ -671,25 +716,35 @@ TEST(FarmCoordinatorTest, PoisonedJobWithCachedResultIsRescued)
               resultToJson(straggler).dump(0));
 }
 
-TEST(FarmCoordinatorTest, MaterializeFailureFallsBackToLocalRuns)
+TEST(FarmCoordinatorTest, ManifestAppearsOnlyOnceEveryJobIsQueued)
 {
-    // A farm directory that cannot be created (its parent is a regular
-    // file — even root cannot mkdir under it) must not lose the batch.
+    // A worker that finds farm.json and an empty queue exits: the
+    // campaign looks drained. So the manifest must not exist before
+    // the last job is in pending/.
     TempDir tmp;
-    std::ofstream(tmp.path / "blocker") << "not a directory";
     FarmOptions fo;
-    fo.dir = (tmp.path / "blocker" / "farm").string();
-    fo.tuning = fastTuning();
+    fo.dir = tmp.str();
+    fo.workers = 0;
     FarmCoordinator coord(fo);
+    std::vector<FarmJob> jobs;
+    for (int id = 0; id < 300; ++id)
+        jobs.push_back(makeJob(id, core::Mechanism::SharedMemory));
 
-    const std::vector<FarmJob> jobs = {
-        makeJob(0, core::Mechanism::SharedMemory)};
-    const auto results = coord.runCampaign(jobs);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(coord.report().farmed);
-    EXPECT_EQ(coord.report().recomputes, 1u);
-    EXPECT_EQ(resultToJson(results[0]).dump(0),
-              resultToJson(localRun(jobs[0])).dump(0));
+    std::atomic<int> pendingAtManifest{-1};
+    std::thread watcher([&] {
+        const WorkQueue census(tmp.str(), "census", fastTuning());
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (std::chrono::steady_clock::now() < deadline) {
+            if (fs::exists(manifestFile(tmp))) {
+                pendingAtManifest = census.counts().pending;
+                return;
+            }
+        }
+    });
+    EXPECT_TRUE(coord.materialize(jobs));
+    watcher.join();
+    EXPECT_EQ(pendingAtManifest.load(), 300);
 }
 
 TEST(FarmWorkerTest, VanishedQueueDirectoryDegradesCleanly)
@@ -726,7 +781,8 @@ TEST(FarmWorkerTest, RestartedCoordinatorSkipsMaterializedJobs)
     {
         FarmCoordinator first(fo);
         const auto results = first.runCampaign(jobs);
-        ASSERT_EQ(results.size(), 2u);
+        ASSERT_TRUE(results.has_value());
+        ASSERT_EQ(results->size(), 2u);
     }
 
     // A second coordinator over the same directory finds both jobs in
@@ -734,13 +790,14 @@ TEST(FarmWorkerTest, RestartedCoordinatorSkipsMaterializedJobs)
     // already-done entries are not re-enqueued.
     FarmCoordinator second(fo);
     const auto results = second.runCampaign(jobs);
-    ASSERT_EQ(results.size(), 2u);
+    ASSERT_TRUE(results.has_value());
+    ASSERT_EQ(results->size(), 2u);
     EXPECT_EQ(second.report().recomputes, 0u);
     WorkQueue census(tmp.str(), "census", fo.tuning);
     EXPECT_EQ(census.counts().done, 2);
     EXPECT_EQ(census.counts().pending, 0);
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(resultToJson(results[i]).dump(0),
+        EXPECT_EQ(resultToJson((*results)[i]).dump(0),
                   resultToJson(localRun(jobs[i])).dump(0));
 }
 
@@ -748,43 +805,124 @@ TEST(FarmWorkerTest, RestartedCoordinatorSkipsMaterializedJobs)
 // SweepEngine integration
 // ---------------------------------------------------------------------
 
-TEST(SweepEngineFarmTest, FarmedBatchMatchesInProcessBatch)
+/** One job per mechanism over the stream test workload. */
+std::vector<Job>
+streamBatch(std::initializer_list<core::Mechanism> mechs)
 {
-    TempDir tmp;
     const FarmWorkload w = streamWorkload();
-    auto factory = makeWorkloadFactory(w);
-    ASSERT_TRUE(factory);
-
     std::vector<Job> batch;
-    for (core::Mechanism m : {core::Mechanism::SharedMemory,
-                              core::Mechanism::MpInterrupt}) {
+    for (core::Mechanism m : mechs) {
         Job j;
-        j.app = factory;
+        j.app = makeWorkloadFactory(w);
         j.spec.mechanism = m;
         j.appKey = w.appKey();
         batch.push_back(std::move(j));
     }
+    return batch;
+}
+
+void
+expectSameResults(const std::vector<core::RunResult> &got,
+                  const std::vector<core::RunResult> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(resultToJson(got[i]).dump(0),
+                  resultToJson(want[i]).dump(0))
+            << "job " << i;
+}
+
+TEST(SweepEngineFarmTest, FarmedBatchMatchesInProcessBatch)
+{
+    TempDir tmp;
+    const std::vector<Job> batch = streamBatch(
+        {core::Mechanism::SharedMemory, core::Mechanism::MpInterrupt});
 
     SweepEngine local;
     const auto expected = local.run(batch);
 
     EngineOptions fo;
     fo.farmDir = (tmp.path / "farm").string();
-    fo.workload = w;
-    fo.farm = fastTuning();
+    fo.workload = streamWorkload();
     fo.jobs = 2;
     FarmReport report;
     fo.farmReport = &report;
     SweepEngine farmed(fo);
-    const auto got = farmed.run(batch);
-
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(resultToJson(got[i]).dump(0),
-                  resultToJson(expected[i]).dump(0))
-            << "job " << i;
-    EXPECT_TRUE(report.farmed);
+    expectSameResults(farmed.run(batch), expected);
     EXPECT_TRUE(report.quarantined.empty());
+    // Both jobs went through the queue.
+    const WorkQueue census(fo.farmDir, "census", FarmTuning{});
+    EXPECT_EQ(census.idsIn("done"), (std::vector<int>{0, 1}));
+}
+
+TEST(SweepEngineFarmTest, CoordinateOnlyLeavesEveryJobToExternalWorkers)
+{
+    // jobs = 0: the engine materializes, reaps and collects, and an
+    // external worker (here a thread, as `farm_cli worker` would be a
+    // process) runs every job.
+    TempDir tmp;
+    const std::vector<Job> batch = streamBatch(
+        {core::Mechanism::SharedMemory, core::Mechanism::MpInterrupt,
+         core::Mechanism::MpPolling});
+    SweepEngine local;
+    const auto expected = local.run(batch);
+
+    const std::string farmDir = (tmp.path / "farm").string();
+    const std::string external = "external-worker";
+    std::thread worker([&] {
+        // farm.json appears once every job is queued; join then.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!fs::exists(farmDir + "/farm.json")
+               && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        auto wo = FarmWorker::optionsFromManifest(farmDir);
+        ASSERT_TRUE(wo.has_value());
+        wo->workerId = external;
+        FarmWorker(*wo).runLoop();
+    });
+
+    EngineOptions fo;
+    fo.farmDir = farmDir;
+    fo.workload = streamWorkload();
+    fo.jobs = 0;
+    const auto got = SweepEngine(fo).run(batch);
+    worker.join();
+    expectSameResults(got, expected);
+
+    // Every claim in the campaign's event logs is the external one's.
+    int claims = 0;
+    for (const auto &log : fs::directory_iterator(farmDir + "/events")) {
+        std::ifstream in(log.path());
+        std::string line;
+        while (std::getline(in, line)) {
+            const Json ev = Json::parse(line);
+            if (ev.at("ev").asString() != "claim")
+                continue;
+            ++claims;
+            EXPECT_EQ(ev.at("worker").asString(), external);
+        }
+    }
+    EXPECT_EQ(claims, 3);
+}
+
+TEST(SweepEngineFarmTest, MaterializeFailureRunsTheBatchInProcess)
+{
+    // A farm directory that cannot be created (its parent is a regular
+    // file — even root cannot mkdir under it) must not lose the batch:
+    // the engine runs it on its own pool.
+    TempDir tmp;
+    std::ofstream(tmp.path / "blocker") << "not a directory";
+    const std::vector<Job> batch =
+        streamBatch({core::Mechanism::SharedMemory});
+
+    EngineOptions fo;
+    fo.farmDir = (tmp.path / "blocker" / "farm").string();
+    fo.workload = streamWorkload();
+    fo.jobs = 0; // even coordinate-only: the local pool runs serially
+    expectSameResults(SweepEngine(fo).run(batch),
+                      SweepEngine().run(batch));
+    EXPECT_FALSE(fs::exists(fo.farmDir));
 }
 
 TEST(SweepEngineFarmTest, ObservedBatchRejectsTheFarmDir)
@@ -794,20 +932,13 @@ TEST(SweepEngineFarmTest, ObservedBatchRejectsTheFarmDir)
     // silent in-process fallback (the per-run files the caller asked
     // for would otherwise just not exist on the workers).
     TempDir tmp;
-    const FarmWorkload w = streamWorkload();
-    auto factory = makeWorkloadFactory(w);
-
-    std::vector<Job> batch(1);
-    batch[0].app = factory;
-    batch[0].spec.mechanism = core::Mechanism::SharedMemory;
-    batch[0].appKey = w.appKey();
-
     EngineOptions fo;
     fo.farmDir = (tmp.path / "farm").string();
-    fo.workload = w;
+    fo.workload = streamWorkload();
     fo.obs.metricsOut = (tmp.path / "met.json").string();
     SweepEngine engine(fo);
-    EXPECT_DEATH(engine.run(batch), "obs-detached");
+    EXPECT_DEATH(engine.run(streamBatch({core::Mechanism::SharedMemory})),
+                 "obs-detached");
 }
 
 TEST(SweepEngineFarmTest, UnfarmableBatchFallsBackInProcess)
@@ -815,26 +946,16 @@ TEST(SweepEngineFarmTest, UnfarmableBatchFallsBackInProcess)
     // No FarmWorkload: the engine cannot serialize the jobs and must
     // run them in-process with a warning, not fail or misbehave.
     TempDir tmp;
-    const FarmWorkload w = streamWorkload();
-    auto factory = makeWorkloadFactory(w);
-
-    std::vector<Job> batch(1);
-    batch[0].app = factory;
-    batch[0].spec.mechanism = core::Mechanism::SharedMemory;
-    batch[0].appKey = w.appKey();
-
     EngineOptions fo;
     fo.farmDir = (tmp.path / "farm").string();
     // fo.workload left empty on purpose
-    FarmReport report;
-    fo.farmReport = &report;
     SweepEngine engine(fo);
-    const auto got = engine.run(batch);
+    const auto got =
+        engine.run(streamBatch({core::Mechanism::SharedMemory}));
     ASSERT_EQ(got.size(), 1u);
     EXPECT_TRUE(got[0].verified);
-    EXPECT_FALSE(report.farmed);
     // Nothing was materialized under the farm directory.
-    EXPECT_FALSE(fs::exists(tmp.path / "farm" / "pending"));
+    EXPECT_FALSE(fs::exists(fo.farmDir));
 }
 
 } // namespace

@@ -54,6 +54,34 @@ TEST(Serialize, ResultRoundTripsBitExactly)
               r.counters.niQueueFullStalls);
 }
 
+TEST(Serialize, CheckedDecodeNamesTheFirstBadField)
+{
+    // Every way a stored result can be malformed fails the decode with
+    // a reason; none may reach a fatal accessor.
+    const Json good = resultToJson(sampleResult());
+    std::string err;
+    ASSERT_TRUE(resultFromJson(good, &err).has_value()) << err;
+
+    auto decodeWith = [&](const std::string &key, Json value) {
+        Json j = good;
+        j.set(key, std::move(value));
+        err.clear();
+        EXPECT_FALSE(resultFromJson(j, &err).has_value()) << key;
+        return err;
+    };
+    EXPECT_NE(decodeWith("mechanism", "SMX").find("SMX"),
+              std::string::npos);
+    EXPECT_NE(decodeWith("verified", 1).find("verified"),
+              std::string::npos);
+    EXPECT_NE(decodeWith("simEvents", -1).find("simEvents"),
+              std::string::npos);
+    Json counters = good.at("counters");
+    counters.set("cacheHits", "many");
+    EXPECT_NE(decodeWith("counters", counters).find("cacheHits"),
+              std::string::npos);
+    EXPECT_FALSE(resultFromJson(Json(), &err).has_value());
+}
+
 TEST(Serialize, BatchCarriesSchemaHeader)
 {
     const Json j = batchToJson("stream", {sampleResult()});

@@ -129,5 +129,31 @@ TEST(Machine, VolumeReflectsProtocolTraffic)
     EXPECT_EQ(m.volume().get(VolCat::Data), 16u);
 }
 
+TEST(MachineConfigKey, DefaultKeyIsPinned)
+{
+    // Every ResultCache key and snapshot config key embeds this string:
+    // cache entries and job files written earlier hit and load only
+    // while it stays byte-identical.
+    EXPECT_EQ(
+        MachineConfig{}.canonicalKey(),
+        "meshX=8;meshY=4;procMhz=20;linkMBps=45;hopNs=40;"
+        "netFixedNs=100;idealNet=0;idealNetLatencyCycles=15;"
+        "contextSwitchCycles=14;cacheBytes=65536;lineBytes=16;"
+        "cacheHitCycles=1;localMissCycles=11;dirHwPointers=5;"
+        "reqIssueCycles=6;homeOccupancyCycles=6;"
+        "replyConsumeCycles=6;invProcessCycles=4;"
+        "limitlessTrapCycles=320;limitlessPerSharerCycles=12;"
+        "threeHopForwarding=0;protoCtrlBytes=16;"
+        "protoDataHdrBytes=8;amSendCycles=28;amSendPerWordCycles=6;"
+        "amInterruptCycles=42;amDispatchCycles=12;"
+        "amRecvPerWordCycles=5;pollEmptyCycles=4;"
+        "pollInsertionGap=4;amHeaderBytes=8;amMaxWords=14;"
+        "niInputQueueSlots=8;niRetryCycles=16;dmaSetupCycles=20;"
+        "gatherScatterPerLineCycles=60;dmaAlignBytes=8;"
+        "prefetchBufferEntries=16;prefetchMaxOutstanding=4;"
+        "prefetchIssueCycles=2;prefetchBufferHitCycles=3;"
+        "maxOutstandingWrites=4;cyclesPerFlop=5;cyclesPerFlopSP=3;");
+}
+
 } // namespace
 } // namespace alewife
