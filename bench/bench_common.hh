@@ -8,10 +8,9 @@
  * ratios that drive the results; pass --full for sizes closer to the
  * paper's, --quick for smoke-test sizes.
  *
- * All benches also accept --jobs N (or the ALEWIFE_JOBS environment
- * variable) to fan independent simulations out over worker threads,
- * and --cache-dir DIR to persist results between invocations — see
- * BenchEngine below.
+ * All benches also accept --jobs N to fan independent simulations out
+ * over worker threads, and --cache-dir DIR to persist results between
+ * invocations — see BenchEngine below.
  */
 
 #ifndef ALEWIFE_BENCH_COMMON_HH
@@ -275,8 +274,7 @@ printPredictedSeries(
 /**
  * Shared orchestration setup for benches. Parses
  *
- *   --jobs N        run up to N simulations concurrently (default: the
- *                   ALEWIFE_JOBS environment variable, else 1)
+ *   --jobs N        run up to N simulations concurrently (default 1)
  *   --cache-dir D   persist results as JSON under D; reruns at the
  *                   same scale skip simulations already cached
  *
@@ -300,9 +298,6 @@ class BenchEngine
     BenchEngine(int argc, char **argv, Scale scale)
         : cache_(cacheDirArg(argc, argv)), scale_(scale)
     {
-        jobs_ = 1;
-        if (const char *env = std::getenv("ALEWIFE_JOBS"))
-            jobs_ = std::max(1, std::atoi(env));
         for (int i = 1; i + 1 < argc; ++i) {
             if (std::strcmp(argv[i], "--jobs") == 0)
                 jobs_ = std::max(1, std::atoi(argv[i + 1]));

@@ -11,12 +11,11 @@
  * driven bursts) and push PageRank (dense, one message per cross edge
  * every round) — through the parallel sweep engine.
  *
- * Each row also reports the analytic communication-cost prediction of
- * the per-edge max-rate/queue-aware model (src/apps/graph/cost_model,
- * after arXiv:1806.02030) evaluated on the measured per-phase traffic
- * of a base-configuration run: traffic is deterministic and
- * config-independent, so one base run per (family, app, mechanism)
- * prices every latency/bandwidth variant.
+ * Each row also reports the runtime the critical-path predictor
+ * (src/obs/predict.hh) forecasts for that row's latency and bandwidth
+ * from one instrumented base-configuration run per (family, app,
+ * mechanism), and its ratio to the simulated runtime. The base row
+ * replays its own capture, so it reads exactly 1.00.
  *
  * Usage: ext3_graph_sweep [--quick|--full] [--jobs N] [--cache-dir D]
  */
@@ -62,19 +61,25 @@ main(int argc, char **argv)
             const auto p = bench::graphParams(scale, fam);
             const auto factory = apps::graph::makeApp(name, p);
 
-            // One base run per mechanism collects the deterministic
-            // per-phase traffic the analytic model prices.
-            std::vector<apps::graph::TrafficStats> traffic;
-            double valuesPerMsg = 1.0;
-            for (const core::Mechanism m : mechs) {
-                auto app = factory();
-                auto &gapp =
-                    dynamic_cast<apps::graph::GraphAppBase &>(*app);
+            // One instrumented base run per mechanism prices every
+            // latency/bandwidth variant. Each capture is dropped once
+            // priced, so only one dependency graph is alive at a time.
+            std::vector<std::vector<double>> pred(
+                net.size(), std::vector<double>(mechs.size()));
+            for (std::size_t mi = 0; mi < mechs.size(); ++mi) {
                 core::RunSpec spec;
-                spec.mechanism = m;
-                core::runApp(*app, spec, true);
-                traffic.push_back(gapp.traffic());
-                valuesPerMsg = gapp.costModel().valuesPerMsg;
+                spec.mechanism = mechs[mi];
+                obs::CritPathRecorder rec;
+                core::runApp(factory, spec, /*verify_fatal=*/true,
+                             /*auditor=*/nullptr, /*driver=*/nullptr,
+                             &rec);
+                const obs::Predictor predictor(rec.graph());
+                for (std::size_t ni = 0; ni < net.size(); ++ni) {
+                    obs::PredictTarget t = predictor.baseTarget();
+                    t.machine.hopNs = net[ni].hopNs;
+                    t.machine.linkMBps = net[ni].linkMBps;
+                    pred[ni][mi] = predictor.predictRuntimeCycles(t);
+                }
             }
 
             // The full matrix goes through the sweep engine:
@@ -97,16 +102,9 @@ main(int argc, char **argv)
             const auto results = eng.run(jobs);
 
             std::size_t i = 0;
-            for (const NetPoint &n : net) {
+            for (std::size_t ni = 0; ni < net.size(); ++ni) {
+                const NetPoint &n = net[ni];
                 for (std::size_t mi = 0; mi < mechs.size(); ++mi) {
-                    MachineConfig cfg;
-                    cfg.hopNs = n.hopNs;
-                    cfg.linkMBps = n.linkMBps;
-                    const auto model =
-                        apps::graph::CostModel::fromConfig(
-                            cfg, valuesPerMsg);
-                    const double pred =
-                        model.predictCommCycles(traffic[mi]);
                     const double cyc = results[i].runtimeCycles;
                     std::cout
                         << std::left << std::setw(9)
@@ -117,16 +115,16 @@ main(int argc, char **argv)
                         << std::setprecision(0) << std::setw(8)
                         << n.hopNs << std::setw(8) << n.linkMBps
                         << std::setw(12) << cyc << std::setw(12)
-                        << pred << std::setprecision(2)
-                        << std::setw(8) << pred / cyc << '\n';
+                        << pred[ni][mi] << std::setprecision(2)
+                        << std::setw(8) << pred[ni][mi] / cyc << '\n';
                     ++i;
                 }
             }
         }
         std::cout << '\n';
     }
-    std::cout << "(pred = analytic comm-cycle estimate from measured "
-                 "per-phase traffic;\n ratio < 1 expected — the model "
-                 "prices communication only.)\n";
+    std::cout << "(pred = runtime predicted from one critical-path "
+                 "capture per family/app/mech\n at the base row; ratio = "
+                 "pred / cycles, exactly 1.00 on the base row.)\n";
     return 0;
 }

@@ -19,9 +19,12 @@
 #      JSON (the reclaim waits out the default 10 s lease TTL)
 #   8. predict smokes: the analytic sweep overlay prints a MAPE per
 #      mechanism, delay injection reports its propagation, and
-#      farm-dir + obs flags are rejected (farm runs are obs-detached)
-#   9. lint (runs first): no getenv in src/ outside the farm's
-#      FARM_FAULT hook
+#      farm-dir + obs flags are rejected (farm runs are obs-detached);
+#      graph sweep smoke: every ext3 --quick base row (all 30 graph
+#      captures) prints a predicted runtime equal to the simulated one
+#   9. lint (runs first): no getenv in src/, bench/ or examples/
+#      outside the farm's FARM_FAULT hook and perf_kernel's
+#      ALEWIFE_GIT_SHA provenance stamp
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the sanitizer builds (tier-1 + fuzz corpus only)
@@ -34,15 +37,18 @@ FAST=0
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
-step "lint: no environment knobs in src/"
+step "lint: no environment knobs in src/, bench/ or examples/"
 # ResultCache keys and farm job files cannot see the environment, so a
 # knob read from it could change a result that a cache hit or a farm
 # worker then returns for a run without it. Settings travel in
-# MachineConfig, RunSpec or CLI flags. src/exp/queue.cc is exempt: it
-# reads FARM_FAULT, which injects a queue fault and never changes a
-# result.
-if grep -rn getenv src | grep -v '^src/exp/queue\.cc:'; then
-    echo "lint: getenv in src/ (above); pass the setting in RunSpec,"
+# MachineConfig, RunSpec or CLI flags. Two reads are exempt because
+# they never change a result: src/exp/queue.cc's FARM_FAULT injects a
+# queue fault, and bench/perf_kernel.cc's ALEWIFE_GIT_SHA is the
+# provenance stamp scripts/bench.sh sets.
+if grep -rn getenv src bench examples \
+    | grep -v -e '^src/exp/queue\.cc:.*"FARM_FAULT"' \
+              -e '^bench/perf_kernel\.cc:.*"ALEWIFE_GIT_SHA"'; then
+    echo "lint: getenv (above); pass the setting in RunSpec,"
     echo "      MachineConfig or a CLI flag instead"
     exit 1
 fi
@@ -139,7 +145,16 @@ grep -Eq '\] [0-9]+ running, [1-9][0-9]* cached' "$CRASH_DIR/progress" \
 rm -rf "$CRASH_DIR"
 
 step "graph sweep smoke: ext3 matrix through the sweep engine"
-./build/bench/ext3_graph_sweep --quick >/dev/null
+# Base rows (hop ns 40, MB/s 45) replay their own capture, so each of
+# the 30 (family, app, mechanism) captures must predict its measured
+# runtime exactly: pred == cycles, ratio 1.00.
+EXT3_BASE="$(./build/bench/ext3_graph_sweep --quick \
+    | awk 'NF == 8 && $4 == "40" && $5 == "45"')"
+[[ "$(wc -l <<<"$EXT3_BASE")" -eq 30 ]] \
+    || { echo "graph smoke: expected 30 ext3 base rows"; exit 1; }
+awk '$6 != $7 || $8 != "1.00" { print; bad = 1 } END { exit bad }' \
+    <<<"$EXT3_BASE" \
+    || { echo "graph smoke: ext3 base rows above mispredict"; exit 1; }
 # The catalog seam: a graph app runs through the generic sweep CLI
 # and self-verifies (bit-audited digest) like any paper workload.
 ./build/examples/sweep_cli --app bfs --graph rmat --mechs SM,MP-P \

@@ -58,9 +58,6 @@ Bfs::setup(Machine &m, Mechanism mech)
     machine_ = &m;
     checkMachine(m);
     const int np = p_.graph.nprocs;
-    trafficInit(np);
-    model_ = CostModel::fromConfig(m.config(),
-                                   static_cast<double>(kClaimBatch));
 
     if (core::isSharedMemory(mech)) {
         std::vector<std::int32_t> counts(np);
@@ -102,7 +99,6 @@ Bfs::setup(Machine &m, Mechanism mech)
             w = std::min(w, pack(level + 1, parent));
         }
         recv_[q][level] += static_cast<std::int64_t>(args.size() - 1);
-        noteRecv(q, args.size() - 1);
     });
 
     hClaimBulk_ = m.handlers().add([this](msg::HandlerEnv &env) {
@@ -119,7 +115,6 @@ Bfs::setup(Machine &m, Mechanism mech)
             w = std::min(w, pack(level + 1, parent));
         }
         recv_[q][level] += static_cast<std::int64_t>(body.size());
-        noteRecv(q, body.size());
     });
 }
 
@@ -173,10 +168,6 @@ Bfs::programSm(proc::Ctx &ctx, bool prefetch)
                     return std::min(w, cand);
                 });
                 co_await ctx.compute(2.0);
-                if (q != self) {
-                    noteSend(self, 1, 1);
-                    noteRecv(q, 1);
-                }
             }
         }
         co_await ctx.barrier();
@@ -194,7 +185,6 @@ Bfs::programSm(proc::Ctx &ctx, bool prefetch)
                 frontier.push_back(li);
             co_await ctx.compute(1.0);
         }
-        notePhaseEnd(self);
     }
     co_return;
 }
@@ -241,7 +231,6 @@ Bfs::programMp(proc::Ctx &ctx, bool bulk)
                                 out[q].end());
                     out[q].clear();
                     co_await ctx.send(q, hClaim_, std::move(args));
-                    noteSend(self, kClaimBatch, 1);
                 }
             }
         }
@@ -265,7 +254,6 @@ Bfs::programMp(proc::Ctx &ctx, bool bulk)
                 co_await ctx.send(q, hClaim_, std::move(args));
             }
             out[q].clear();
-            noteSend(self, n, 1);
         }
 
         // Per-level count: early claims from run-ahead senders land in
@@ -286,7 +274,6 @@ Bfs::programMp(proc::Ctx &ctx, bool bulk)
             if (static_cast<std::int32_t>(st[li] >> 32) == level + 1)
                 frontier.push_back(li);
         }
-        notePhaseEnd(self);
     }
     co_return;
 }

@@ -1,7 +1,6 @@
 #include "apps/graph/graph_app.hh"
 
 #include "machine/machine.hh"
-#include "obs/metrics.hh"
 #include "sim/logging.hh"
 
 namespace alewife::apps::graph {
@@ -25,67 +24,6 @@ GraphAppBase::checkMachine(const Machine &m) const
     }
     // A new run invalidates the previous run's harvested result.
     result_.clear();
-}
-
-void
-GraphAppBase::trafficInit(int nodes)
-{
-    traffic_.init(nodes);
-    curSent_.assign(nodes, 0);
-    curRecv_.assign(nodes, 0);
-    curMsgs_.assign(nodes, 0);
-}
-
-void
-GraphAppBase::noteSend(int node, std::uint64_t values,
-                       std::uint64_t msgs)
-{
-    curSent_[node] += values;
-    curMsgs_[node] += msgs;
-}
-
-void
-GraphAppBase::noteRecv(int node, std::uint64_t values)
-{
-    curRecv_[node] += values;
-}
-
-void
-GraphAppBase::notePhaseEnd(int node)
-{
-    traffic_.sentValues[node] += curSent_[node];
-    traffic_.recvValues[node] += curRecv_[node];
-    traffic_.sentMsgs[node] += curMsgs_[node];
-    traffic_.phaseSent[node].push_back(curSent_[node]);
-    traffic_.phaseRecv[node].push_back(curRecv_[node]);
-    curSent_[node] = 0;
-    curRecv_[node] = 0;
-    curMsgs_[node] = 0;
-}
-
-void
-GraphAppBase::exportMetrics(obs::MetricsRegistry &m) const
-{
-    const int cs = m.counterId("graph.sent_values");
-    const int cr = m.counterId("graph.recv_values");
-    const int cm = m.counterId("graph.sent_msgs");
-    for (int p = 0; p < traffic_.nodes; ++p) {
-        m.addCounter(cs, p, traffic_.sentValues[p]);
-        m.addCounter(cr, p, traffic_.recvValues[p]);
-        m.addCounter(cm, p, traffic_.sentMsgs[p]);
-    }
-    // Values shipped per (node, phase): the message-rate distribution.
-    const int h = m.histogramId(
-        "graph.phase_sent_values",
-        {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096});
-    for (int p = 0; p < traffic_.nodes; ++p)
-        for (std::uint64_t v : traffic_.phaseSent[p])
-            m.observe(h, p, static_cast<double>(v));
-    m.setGauge("graph.phases",
-               static_cast<double>(traffic_.phases()));
-    m.setGauge("graph.send_skew", traffic_.sendSkew());
-    m.setGauge("graph.model.predicted_comm_cycles",
-               model_.predictCommCycles(traffic_));
 }
 
 } // namespace alewife::apps::graph

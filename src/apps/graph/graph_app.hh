@@ -12,11 +12,10 @@
  *    per-vertex results whose digest must EQUAL the reference digest
  *    (tolerance() == 0), which only works because every accumulation
  *    the schedule can reorder is integer min-combining (BFS, SSSP) and
- *    every floating-point sum happens in a fixed CSR order (PageRank);
- *  - per-partition value traffic is accounted into a TrafficStats and
- *    exported through core::App::exportMetrics when a recorder is
- *    attached (message-rate histogram, per-node skew counters, and the
- *    arXiv 1806.02030 cost-model prediction).
+ *    every floating-point sum happens in a fixed CSR order (PageRank).
+ *
+ * How a graph run responds to latency and bandwidth is answered by the
+ * critical-path predictor (obs/predict.hh), as for every other app.
  */
 
 #ifndef ALEWIFE_APPS_GRAPH_GRAPH_APP_HH
@@ -25,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "apps/graph/cost_model.hh"
 #include "core/app.hh"
 #include "workload/graph.hh"
 
@@ -44,7 +42,7 @@ struct GraphAppParams
     std::int32_t delta = 4;
 };
 
-/** Base class: graph + reference digest + traffic accounting. */
+/** Base class: graph + reference digest. */
 class GraphAppBase : public core::App
 {
   public:
@@ -52,11 +50,7 @@ class GraphAppBase : public core::App
     /** Results are bit-audited: digests must match exactly. */
     double tolerance() const override { return 0.0; }
 
-    void exportMetrics(obs::MetricsRegistry &m) const override;
-
     const workload::PartitionedGraph &graph() const { return g_; }
-    const TrafficStats &traffic() const { return traffic_; }
-    const CostModel &costModel() const { return model_; }
 
   protected:
     explicit GraphAppBase(GraphAppParams p);
@@ -84,23 +78,12 @@ class GraphAppBase : public core::App
     /** Panic unless the machine matches the workload partitioning. */
     void checkMachine(const Machine &m) const;
 
-    // --- traffic accounting (model input, never simulator input) ---
-
-    void trafficInit(int nodes);
-    void noteSend(int node, std::uint64_t values, std::uint64_t msgs);
-    void noteRecv(int node, std::uint64_t values);
-    /** Close the current phase of @p node (at its sync point). */
-    void notePhaseEnd(int node);
-
     GraphAppParams p_;
     workload::PartitionedGraph g_;
     std::int32_t root_ = 0;
     double reference_ = 0.0;
     core::Mechanism mech_ = core::Mechanism::SharedMemory;
     Machine *machine_ = nullptr;
-
-    TrafficStats traffic_;
-    CostModel model_;
 
     /**
      * Per-vertex result words harvested by checksum() while the
@@ -111,9 +94,6 @@ class GraphAppBase : public core::App
      * the next setup.
      */
     mutable std::vector<std::uint64_t> result_;
-
-  private:
-    std::vector<std::uint64_t> curSent_, curRecv_, curMsgs_;
 };
 
 } // namespace alewife::apps::graph

@@ -124,9 +124,6 @@ Pagerank::setup(Machine &m, Mechanism mech)
     machine_ = &m;
     checkMachine(m);
     const int np = p_.graph.nprocs;
-    trafficInit(np);
-    model_ = CostModel::fromConfig(m.config(),
-                                   static_cast<double>(kValBatch));
 
     const bool push = variant_ == Variant::AsyncPush;
     if (push)
@@ -196,7 +193,6 @@ Pagerank::setup(Machine &m, Mechanism mech)
             recvPar_[q][par] += n;
         else
             received_[q] += n;
-        noteRecv(q, args.size() - 1);
     });
 
     hValBulk_ = m.handlers().add([this, push](msg::HandlerEnv &env) {
@@ -214,17 +210,12 @@ Pagerank::setup(Machine &m, Mechanism mech)
             recvPar_[q][par] += n;
         else
             received_[q] += n;
-        noteRecv(q, body.size());
     });
 
     hAck_ = m.handlers().add([this](msg::HandlerEnv &env) {
         const auto from =
             static_cast<int>(env.msg().args[0]);
         ackFrom_[env.self()][from] += 1;
-        // Flow control, not payload: acks are accounted as messages
-        // on the send side only (a final-round ack can still be in
-        // flight when the run finishes, so counting it here would
-        // make recvValues timing-dependent).
     });
 }
 
@@ -284,16 +275,11 @@ Pagerank::programSmPull(proc::Ctx &ctx, bool prefetch)
                 sum += val / g_.outDegree(u);
                 co_await ctx.compute(3);
                 co_await ctx.computeFlops(2);
-                if (g_.owner(u) != self) {
-                    noteSend(g_.owner(u), 1, 1);
-                    noteRecv(self, 1);
-                }
             }
             co_await ctx.computeFlops(2);
             co_await ctx.writeD(naddr, base + p_.damping * sum);
         }
         co_await ctx.barrier();
-        notePhaseEnd(self);
     }
     co_return;
 }
@@ -326,8 +312,6 @@ Pagerank::programSmPush(proc::Ctx &ctx, bool prefetch)
                 co_await ctx.writeD(
                     slotArr_[par].addr(q, items[i].dstSlot),
                     val / g_.outDegree(u));
-                noteSend(self, 1, 1);
-                noteRecv(q, 1);
             }
         }
         // One barrier per round: parity keeps round r+1 producer
@@ -364,7 +348,6 @@ Pagerank::programSmPush(proc::Ctx &ctx, bool prefetch)
             co_await ctx.writeD(rankArr_[par ^ 1].addr(self, li),
                                 base + p_.damping * sum);
         }
-        notePhaseEnd(self);
     }
     co_return;
 }
@@ -398,7 +381,6 @@ Pagerank::programMpPull(proc::Ctx &ctx, bool bulk)
                 std::vector<std::uint64_t> args;
                 args.push_back(
                     static_cast<std::uint64_t>(self) << 1);
-                noteSend(self, items.size(), 1);
                 co_await ctx.sendBulk(q, hValBulk_,
                                       std::move(args),
                                       std::move(body));
@@ -418,7 +400,6 @@ Pagerank::programMpPull(proc::Ctx &ctx, bool bulk)
                         cur[items[off + k].srcLocal]));
                 }
                 co_await ctx.send(q, hVal_, std::move(args));
-                noteSend(self, batch, 1);
                 off += batch;
             }
         }
@@ -449,7 +430,6 @@ Pagerank::programMpPull(proc::Ctx &ctx, bool bulk)
         // Bulk-synchronous: the barrier is what makes the single
         // ghost buffer safe for the next round's sends.
         co_await ctx.barrier();
-        notePhaseEnd(self);
     }
     co_return;
 }
@@ -503,7 +483,6 @@ Pagerank::programMpPush(proc::Ctx &ctx, bool bulk)
                 args.push_back(
                     static_cast<std::uint64_t>(par)
                     | (static_cast<std::uint64_t>(self) << 1));
-                noteSend(self, items.size(), 1);
                 co_await ctx.sendBulk(q, hValBulk_,
                                       std::move(args),
                                       std::move(body));
@@ -527,7 +506,6 @@ Pagerank::programMpPush(proc::Ctx &ctx, bool bulk)
                 }
                 co_await ctx.computeFlops(batch);
                 co_await ctx.send(q, hVal_, std::move(args));
-                noteSend(self, batch, 1);
                 off += batch;
             }
         }
@@ -576,9 +554,7 @@ Pagerank::programMpPush(proc::Ctx &ctx, bool bulk)
             std::vector<std::uint64_t> args(
                 1, static_cast<std::uint64_t>(self));
             co_await ctx.send(p, hAck_, std::move(args));
-            noteSend(self, 0, 1);
         }
-        notePhaseEnd(self);
     }
 
     // Drain: wait for every consumer's final-round acks before

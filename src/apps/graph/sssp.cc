@@ -138,9 +138,6 @@ Sssp::setup(Machine &m, Mechanism mech)
     machine_ = &m;
     checkMachine(m);
     const int np = p_.graph.nprocs;
-    trafficInit(np);
-    model_ = CostModel::fromConfig(m.config(),
-                                   static_cast<double>(kRelaxBatch));
 
     tent_.assign(np, {});
     lastProc_.assign(np, {});
@@ -188,7 +185,6 @@ Sssp::setup(Machine &m, Mechanism mech)
             inbox_[q].push_back({ph, v - first, cand});
         }
         recv_[q][ph] += static_cast<std::int64_t>(args.size() - 1);
-        noteRecv(q, args.size() - 1);
     });
 
     hRelaxBulk_ = m.handlers().add([this](msg::HandlerEnv &env) {
@@ -204,7 +200,6 @@ Sssp::setup(Machine &m, Mechanism mech)
             inbox_[q].push_back({ph, v - first, cand});
         }
         recv_[q][ph] += static_cast<std::int64_t>(body.size());
-        noteRecv(q, body.size());
     });
 }
 
@@ -284,11 +279,6 @@ Sssp::programSm(proc::Ctx &ctx, bool prefetch)
                                      return std::min(w, cand);
                                  });
                 co_await ctx.compute(2.0);
-                const int q = g_.owner(g_.outDst[k]);
-                if (q != self) {
-                    noteSend(self, 1, 1);
-                    noteRecv(q, 1);
-                }
             }
         }
         if (P.heavy) {
@@ -308,7 +298,6 @@ Sssp::programSm(proc::Ctx &ctx, bool prefetch)
             tent[li] = static_cast<std::int64_t>(w);
             co_await ctx.compute(1.0);
         }
-        notePhaseEnd(self);
     }
     co_return;
 }
@@ -380,7 +369,6 @@ Sssp::programMp(proc::Ctx &ctx, bool bulk)
                                 out[q].end());
                     out[q].clear();
                     co_await ctx.send(q, hRelax_, std::move(args));
-                    noteSend(self, kRelaxBatch, 1);
                 }
             }
         }
@@ -404,7 +392,6 @@ Sssp::programMp(proc::Ctx &ctx, bool bulk)
                 co_await ctx.send(q, hRelax_, std::move(args));
             }
             out[q].clear();
-            noteSend(self, n, 1);
         }
         if (P.heavy) {
             for (const std::int32_t li : act)
@@ -441,7 +428,6 @@ Sssp::programMp(proc::Ctx &ctx, bool bulk)
         }
         ib.resize(keep);
         co_await ctx.compute(1.0 + 2.0 * applied);
-        notePhaseEnd(self);
     }
     co_return;
 }

@@ -58,9 +58,6 @@ class Sssp : public GraphAppBase
     /** Distributed distances after a run (-1 = unreachable). */
     std::vector<std::int64_t> resultDist() const;
 
-    /** Number of planned phases (for the traffic-model tests). */
-    std::size_t numPhases() const { return phases_.size(); }
-
   private:
     static constexpr std::int64_t kInf =
         std::int64_t{0x7fffffffffffffff};

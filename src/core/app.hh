@@ -60,11 +60,9 @@ class App
     /**
      * Export application-level metrics into an attached recorder's
      * registry. Called by runApp after the run completes and before
-     * the recorder finalizes, only when observability is on — so apps
-     * may account workload-specific traffic (e.g. per-edge message
-     * counts) without ever perturbing the simulation. Must not touch
-     * machine or application state (results are bit-identical with
-     * observability attached or detached).
+     * the recorder finalizes, only when observability is on. Must not
+     * touch machine or application state (results are bit-identical
+     * with observability attached or detached).
      */
     virtual void exportMetrics(obs::MetricsRegistry &) const {}
 };

@@ -246,6 +246,8 @@ writeFileAtomic(const std::string &path, const std::string &body,
         out << body;
         out.flush();
         if (!out) {
+            std::error_code ec;
+            fs::remove(tmp, ec);
             if (err)
                 *err = "short write to " + tmp;
             return false;

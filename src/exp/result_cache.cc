@@ -1,12 +1,12 @@
 #include "exp/result_cache.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "ckpt/snapshot.hh"
+#include "exp/queue.hh"
 #include "exp/serialize.hh"
 #include "sim/logging.hh"
 
@@ -188,25 +188,12 @@ ResultCache::persist(const std::string &key, const core::RunResult &r)
     j.set("key", key);
     j.set("result", resultToJson(r));
 
-    // Write-then-rename so concurrent writers of the same key (or a
-    // killed process) never leave a torn file behind.
-    static std::atomic<std::uint64_t> tmpSeq{0};
-    const std::string path = filePath(key);
-    const std::string tmp =
-        path + ".tmp." + std::to_string(tmpSeq.fetch_add(1));
-    {
-        std::ofstream out(tmp);
-        if (!out) {
-            ALEWIFE_WARN("result cache: cannot write ", tmp);
-            return;
-        }
-        out << j.dump(2) << '\n';
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        ALEWIFE_WARN("result cache: rename failed: ", ec.message());
-        std::filesystem::remove(tmp, ec);
-    }
+    // Write-then-rename through a per-process temp, so concurrent
+    // writers of the same key, in this process or another, a short
+    // write or a killed process never leave a torn entry behind.
+    std::string err;
+    if (!writeFileAtomic(filePath(key), j.dump(2) + "\n", &err))
+        ALEWIFE_WARN("result cache: ", err);
 }
 
 std::uint64_t

@@ -231,6 +231,30 @@ TEST(ResultCache, StrayTmpFilesAreIgnored)
     EXPECT_EQ(hit->runtimeCycles, r.runtimeCycles);
 }
 
+TEST(ResultCache, StoreNeverWritesThroughAnotherWritersTmpFile)
+{
+    // Another process's in-flight write of the same key: store() must
+    // use a temp name of its own, not truncate and rename this one.
+    TempDir tmp;
+    std::filesystem::create_directories(tmp.path);
+    const std::string k = ResultCache::key(baseSpec(), "stream/s=1");
+    const core::RunResult r = sampleResult();
+    ResultCache writer(tmp.path.string());
+    const std::string foreign = writer.entryPath(k) + ".tmp.0";
+    std::ofstream(foreign) << "sentinel";
+
+    writer.store(k, r);
+
+    std::ifstream in(foreign);
+    std::string body((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(body, "sentinel");
+    ResultCache reader(tmp.path.string());
+    const auto hit = reader.lookup(k);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->runtimeCycles, r.runtimeCycles);
+}
+
 TEST(ResultCache, PerturbedSpecsAreNeverCached)
 {
     // Perturbed schedules are seed-dependent explorations; caching

@@ -9,11 +9,13 @@
  *    obs::Recorder attached alongside;
  *  - identity replay is exact: re-costing the graph under its own
  *    configuration reproduces the measured runtime bit-for-bit
- *    (Predictor::selfCheckExact);
+ *    (Predictor::selfCheckExact), including a graph app whose
+ *    message-passing runs stall on a full NI input queue;
  *  - prediction is useful: on mini fig08 (bisection) and fig09 (clock)
  *    sweeps the predicted curves track the measured ones within a
  *    MAPE tolerance, for both a shared-memory and a message-passing
- *    mechanism, from ONE instrumented run per mechanism.
+ *    mechanism, from ONE instrumented run per mechanism; and so do
+ *    R-MAT graph apps at ext3_graph_sweep's 10x hop latency.
  *
  * Plus the delay-injection knob: disabled is bit-identical to no knob
  * at all, enabled produces a propagation/decay report.
@@ -25,6 +27,7 @@
 #include <cmath>
 #include <vector>
 
+#include "apps/graph/catalog.hh"
 #include "apps/stream.hh"
 #include "core/runner.hh"
 #include "obs/critpath.hh"
@@ -42,11 +45,37 @@ tinyStream()
     return apps::Stream::factory(p);
 }
 
+/** R-MAT graph app @p name at test scale: 16 procs, 400 vertices. */
+core::AppFactory
+rmatGraph(const char *name)
+{
+    apps::graph::GraphAppParams p;
+    p.graph.family = workload::GraphFamily::RMat;
+    p.graph.vertices = 400;
+    p.graph.avgDegree = 5;
+    p.graph.nprocs = 16;
+    p.graph.seed = 11;
+    p.iters = 2;
+    return apps::graph::makeApp(name, p);
+}
+
+/** A 4x4 machine (rmatGraph's partitioning) running @p mech. */
+core::RunSpec
+graphSpec(core::Mechanism mech)
+{
+    core::RunSpec spec;
+    spec.machine.meshX = 4;
+    spec.machine.meshY = 4;
+    spec.mechanism = mech;
+    return spec;
+}
+
 /** One instrumented run; the graph lands in @p rec. */
 core::RunResult
-capture(CritPathRecorder &rec, const core::RunSpec &spec)
+capture(CritPathRecorder &rec, const core::RunSpec &spec,
+        const core::AppFactory &app = tinyStream())
 {
-    return core::runApp(tinyStream(), spec, /*verify_fatal=*/true,
+    return core::runApp(app, spec, /*verify_fatal=*/true,
                         /*auditor=*/nullptr, /*driver=*/nullptr, &rec);
 }
 
@@ -101,21 +130,30 @@ TEST(CritPath, GraphIsBitIdenticalRunToRunAndUnderObservation)
 
 TEST(CritPath, IdentityReplayReproducesTheMeasuredRunBitExactly)
 {
+    const auto check = [](const char *what, const core::AppFactory &app,
+                          const core::RunSpec &spec) {
+        CritPathRecorder rec;
+        const auto r = capture(rec, spec, app);
+
+        Predictor p(rec.graph());
+        EXPECT_TRUE(p.selfCheckExact())
+            << what << " " << core::mechanismName(spec.mechanism);
+        EXPECT_EQ(p.predictRuntimeCycles(p.baseTarget()),
+                  r.runtimeCycles)
+            << what << " " << core::mechanismName(spec.mechanism);
+    };
     for (const auto mech :
          {core::Mechanism::SharedMemory, core::Mechanism::MpInterrupt,
           core::Mechanism::BulkTransfer}) {
         core::RunSpec spec;
         spec.mechanism = mech;
-        CritPathRecorder rec;
-        const auto r = capture(rec, spec);
-
-        Predictor p(rec.graph());
-        EXPECT_TRUE(p.selfCheckExact())
-            << core::mechanismName(mech);
-        EXPECT_EQ(p.predictRuntimeCycles(p.baseTarget()),
-                  r.runtimeCycles)
-            << core::mechanismName(mech);
+        check("stream", tinyStream(), spec);
     }
+    // Under MP-P this run stalls on a full NI input queue about 200,000
+    // times; every retry must replay exactly.
+    for (const auto mech : core::allMechanisms())
+        check("pagerank-push", rmatGraph("pagerank-push"),
+              graphSpec(mech));
 }
 
 TEST(CritPath, BreakdownAndSlackCoverTheRun)
@@ -215,6 +253,34 @@ TEST(CritPath, PredictsTheClockSweepWithinTolerance)
             << core::mechanismName(mech) << " measured={"
             << measured[0] << "," << measured[1] << "} predicted={"
             << predicted[0] << "," << predicted[1] << "}";
+    }
+}
+
+TEST(CritPath, PredictsTenfoldHopLatencyOnGraphAppsWithinTolerance)
+{
+    // ext3_graph_sweep's latency variant: one capture per mechanism at
+    // the base configuration predicts the run at 10x hop latency.
+    for (const char *name : {"bfs", "pagerank-push"}) {
+        const auto app = rmatGraph(name);
+        std::vector<double> measured, predicted;
+        for (const auto mech : core::allMechanisms()) {
+            const core::RunSpec base = graphSpec(mech);
+            CritPathRecorder rec;
+            capture(rec, base, app);
+            Predictor p(rec.graph());
+
+            core::RunSpec at = base;
+            at.machine.hopNs *= 10.0;
+            measured.push_back(core::runApp(app, at).runtimeCycles);
+
+            PredictTarget t = p.baseTarget();
+            t.machine.hopNs = at.machine.hopNs;
+            predicted.push_back(p.predictRuntimeCycles(t));
+        }
+        const double err = mape(measured, predicted);
+        RecordProperty(std::string("mape_pct_") + name,
+                       std::to_string(err));
+        EXPECT_LT(err, 15.0) << name;
     }
 }
 
