@@ -285,7 +285,7 @@ Access::cachesSection(const Machine &m)
     for (const auto &n : m.nodes_) {
         const mem::Cache &c = n->cache;
         Json lines = Json::array();
-        for (std::size_t i = 0; i < c.lines_.size(); ++i) {
+        for (std::size_t i = 0; i < c.numSets_; ++i) {
             const auto &l = c.lines_[i];
             if (!l.valid)
                 continue;
@@ -293,7 +293,7 @@ Access::cachesSection(const Machine &m)
             lo.set("set", Json(static_cast<int>(i)));
             lo.set("line", hx(l.tag));
             lo.set("st", Json(static_cast<int>(l.st)));
-            lo.set("words", wordsJson(l.words));
+            lo.set("words", wordsJson(c.copyWords(l)));
             lines.push(std::move(lo));
         }
         nodes.push(std::move(lines));

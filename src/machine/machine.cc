@@ -26,7 +26,7 @@ Machine::Machine(MachineConfig cfg, proc::SyncStyle style,
     : cfg_(std::move(cfg))
 {
     cfg_.validate();
-    mesh_ = std::make_unique<net::Mesh>(eq_, cfg_);
+    mesh_ = std::make_unique<net::Mesh>(eq_, cfg_, &counters_);
     mem_ = std::make_unique<mem::AddressSpace>(cfg_.nodes(),
                                                cfg_.lineBytes);
     sync_ = std::make_unique<proc::SyncSystem>(cfg_.nodes(), style);
@@ -144,11 +144,11 @@ Machine::panicDeadlock() const
 }
 
 bool
-Machine::stepOne(Tick limit)
+Machine::step(Tick limit, bool single)
 {
     if (allDone())
         return false;
-    if (!eq_.processOne())
+    if (!(single ? eq_.processOne() : eq_.processStep(limit)))
         panicDeadlock();
     if (eq_.now() > limit)
         ALEWIFE_PANIC("simulation exceeded tick limit ", limit);
@@ -156,10 +156,16 @@ Machine::stepOne(Tick limit)
 }
 
 bool
+Machine::stepOne(Tick limit)
+{
+    return step(limit, false);
+}
+
+bool
 Machine::stepUntilEvents(std::uint64_t events, Tick limit)
 {
     while (eq_.eventsExecuted() < events) {
-        if (!stepOne(limit))
+        if (!step(limit, true))
             return false;
     }
     return eq_.eventsExecuted() == events;

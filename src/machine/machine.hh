@@ -97,7 +97,8 @@ class Machine
      * Launch one program per node and drive the simulation until all
      * programs complete. Equivalent to start(f); while (stepOne(limit))
      * {}; finishRun() — the stepping primitives exist so checkpoint
-     * drivers can pause the machine at a precise event count.
+     * drivers can pause the machine at a precise event count
+     * (stepUntilEvents).
      * @param f per-node program factory
      * @param limit panic if simulated time would exceed this
      * @return the finish tick (max completion time over nodes)
@@ -108,17 +109,25 @@ class Machine
     void start(const ProgramFactory &f);
 
     /**
-     * Execute one event. Panics on deadlock (no event while programs
-     * are unfinished) or when simulated time exceeds @p limit.
+     * Execute the next event and, if it was a rejected NI-full poll,
+     * the run of rejected polls that follows it up to @p limit
+     * (EventQueue::processStep), so one call may advance
+     * eq().eventsExecuted() by more than one. A rejected poll cannot
+     * complete a program, so a caller that loops until this returns
+     * false stops at the same event as a single-stepping one; use
+     * stepUntilEvents() to stop at an exact event count. Panics on
+     * deadlock (no event while programs are unfinished) or when
+     * simulated time exceeds @p limit.
      * @return false iff every program has completed (no event popped)
      */
     bool stepOne(Tick limit = kDefaultRunLimit);
 
     /**
-     * Drive the machine until @p events total events have executed
-     * (eq().eventsExecuted() == events) or all programs complete,
-     * whichever is first. Used by checkpoint capture/restore: the
-     * executed-event count is the canonical replay position.
+     * Drive the machine one event at a time until @p events total
+     * events have executed (eq().eventsExecuted() == events) or all
+     * programs complete, whichever is first. Used by checkpoint
+     * capture/restore: the executed-event count is the canonical
+     * replay position.
      * @return true if the machine paused exactly at @p events
      */
     bool stepUntilEvents(std::uint64_t events,
@@ -170,6 +179,10 @@ class Machine
     void wireHooks(check::Hooks *h);
 
     [[noreturn]] void panicDeadlock() const;
+
+    /** stepOne(), or exactly one event when @p single is set. */
+    bool step(Tick limit, bool single);
+
     struct Node
     {
         Node(NodeId id, Machine &m);

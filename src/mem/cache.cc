@@ -1,16 +1,21 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "check/hooks.hh"
 #include "sim/logging.hh"
 
 namespace alewife::mem {
 
 Cache::Cache(std::uint32_t capacity_bytes, std::uint32_t line_bytes)
-    : lineBytes_(line_bytes), numSets_(capacity_bytes / line_bytes)
+    : lineBytes_(line_bytes), numSets_(capacity_bytes / line_bytes),
+      wordsPerLine_(line_bytes / 8)
 {
     if (numSets_ == 0 || (numSets_ & (numSets_ - 1)) != 0)
         ALEWIFE_FATAL("cache must have a power-of-two number of sets");
-    lines_.resize(numSets_);
+    lines_ = std::make_unique<Line[]>(numSets_);
+    words_ = std::make_unique<std::uint64_t[]>(
+        static_cast<std::size_t>(numSets_) * wordsPerLine_);
 }
 
 Addr
@@ -64,7 +69,7 @@ Cache::readWord(Addr a) const
     const Line *l = find(a);
     if (!l)
         ALEWIFE_PANIC("readWord on absent line ", a);
-    const std::uint64_t v = l->words[(a - l->tag) / 8];
+    const std::uint64_t v = wordsOf(*l)[(a - l->tag) / 8];
     if (hooks_)
         hooks_->onCacheRead(node_, a, v);
     return v;
@@ -78,7 +83,7 @@ Cache::writeWord(Addr a, std::uint64_t v)
         ALEWIFE_PANIC("writeWord on absent line ", a);
     if (l->st != LineState::Modified)
         ALEWIFE_PANIC("writeWord on non-Modified line ", a);
-    l->words[(a - l->tag) / 8] = v;
+    wordsOf(*l)[(a - l->tag) / 8] = v;
     if (hooks_)
         hooks_->onCacheWrite(node_, a, v);
 }
@@ -89,6 +94,9 @@ Cache::fill(Addr line_addr, LineState st,
 {
     if (line_addr != lineBase(line_addr))
         ALEWIFE_PANIC("fill with unaligned line address");
+    if (words.size() != wordsPerLine_)
+        ALEWIFE_PANIC("fill with ", words.size(), " words into a ",
+                      wordsPerLine_, "-word line");
     Line &l = lines_[setOf(line_addr)];
     std::optional<Victim> victim;
     if (l.valid && l.tag != line_addr) {
@@ -96,14 +104,14 @@ Cache::fill(Addr line_addr, LineState st,
             hooks_->onCacheEvict(node_, l.tag,
                                  l.st == LineState::Modified);
         if (l.st == LineState::Modified)
-            victim = Victim{l.tag, true, std::move(l.words)};
+            victim = Victim{l.tag, true, copyWords(l)};
     }
     l.valid = true;
     l.tag = line_addr;
     l.st = st;
-    l.words = words;
+    std::copy(words.begin(), words.end(), wordsOf(l));
     if (hooks_)
-        hooks_->onCacheFill(node_, line_addr, st, l.words);
+        hooks_->onCacheFill(node_, line_addr, st, words);
     return victim;
 }
 
@@ -118,7 +126,7 @@ Cache::invalidate(Addr a)
         hooks_->onCacheInvalidate(node_, l->tag,
                                   l->st == LineState::Modified);
     if (l->st == LineState::Modified)
-        return std::move(l->words);
+        return copyWords(*l);
     return std::nullopt;
 }
 
@@ -131,7 +139,7 @@ Cache::downgrade(Addr a)
     l->st = LineState::Shared;
     if (hooks_)
         hooks_->onCacheDowngrade(node_, l->tag);
-    return l->words; // copy: the line stays resident
+    return copyWords(*l); // the line stays resident
 }
 
 void
@@ -151,14 +159,14 @@ Cache::lineWords(Addr a) const
     const Line *l = find(a);
     if (!l)
         ALEWIFE_PANIC("lineWords on absent line ", a);
-    return l->words;
+    return copyWords(*l);
 }
 
 void
 Cache::flushAll()
 {
-    for (Line &l : lines_)
-        l.valid = false;
+    for (std::uint32_t set = 0; set < numSets_; ++set)
+        lines_[set].valid = false;
 }
 
 } // namespace alewife::mem

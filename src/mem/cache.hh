@@ -6,12 +6,19 @@
  * data (loop indices, local buffers) is modelled as part of the compute
  * cost. Lines hold real data words; the coherence layer fills, recalls,
  * invalidates and downgrades them.
+ *
+ * Storage is flat: per-set metadata {tag, valid, state} plus one
+ * numSets x wordsPerLine word array, so building or dropping a cache is
+ * two allocations however many sets it has (a machine builds one per
+ * node per run, and message-passing runs barely touch them). Calls that
+ * hand words out still return vectors.
  */
 
 #ifndef ALEWIFE_MEM_CACHE_HH
 #define ALEWIFE_MEM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -63,8 +70,8 @@ class Cache
     void writeWord(Addr a, std::uint64_t v);
 
     /**
-     * Install a line. Returns the displaced dirty victim, if any (clean
-     * victims vanish silently).
+     * Install a line of exactly lineBytes()/8 @p words. Returns the
+     * displaced dirty victim, if any (clean victims vanish silently).
      */
     std::optional<Victim> fill(Addr line_addr, LineState st,
                                const std::vector<std::uint64_t> &words);
@@ -108,12 +115,16 @@ class Cache
     /** Checkpoint capture/verify reads private state. */
     friend class alewife::ckpt::Access;
 
+    /**
+     * Per-set metadata; the set's words live in words_. Trivial, so
+     * value-initializing the array zeroes it (every set invalid) in
+     * one pass.
+     */
     struct Line
     {
-        bool valid = false;
-        Addr tag = 0; ///< full line address, not just the tag bits
-        LineState st = LineState::Shared;
-        std::vector<std::uint64_t> words;
+        Addr tag; ///< full line address, not just the tag bits
+        bool valid;
+        LineState st;
     };
 
     std::uint32_t setOf(Addr a) const;
@@ -121,11 +132,35 @@ class Cache
     const Line *find(Addr a) const;
     Line *find(Addr a);
 
+    /** First of the words of the set whose metadata is @p l. */
+    const std::uint64_t *
+    wordsOf(const Line &l) const
+    {
+        return words_.get() + (&l - lines_.get()) * wordsPerLine_;
+    }
+
+    std::uint64_t *
+    wordsOf(const Line &l)
+    {
+        return words_.get() + (&l - lines_.get()) * wordsPerLine_;
+    }
+
+    /** The words of the set whose metadata is @p l, as a vector. */
+    std::vector<std::uint64_t>
+    copyWords(const Line &l) const
+    {
+        return {wordsOf(l), wordsOf(l) + wordsPerLine_};
+    }
+
     std::uint32_t lineBytes_;
     std::uint32_t numSets_;
+    std::uint32_t wordsPerLine_;
     check::Hooks *hooks_ = nullptr;
     NodeId node_ = -1;
-    std::vector<Line> lines_;
+    /** numSets_ entries. */
+    std::unique_ptr<Line[]> lines_;
+    /** numSets_ x wordsPerLine_ words, set-major. */
+    std::unique_ptr<std::uint64_t[]> words_;
 };
 
 } // namespace alewife::mem

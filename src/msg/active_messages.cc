@@ -93,18 +93,24 @@ NetIface::inject(NodeId dst, HandlerId h,
     return 0;
 }
 
+void
+NetIface::publishFull()
+{
+    mesh_.setRecvFull(self_, static_cast<int>(inq_.size())
+                                 >= cfg_.niInputQueueSlots);
+}
+
 bool
 NetIface::receive(net::Packet &pkt)
 {
-    if (static_cast<int>(inq_.size()) >= cfg_.niInputQueueSlots) {
-        ++counters_.niQueueFullStalls;
-        return false;
-    }
+    if (static_cast<int>(inq_.size()) >= cfg_.niInputQueueSlots)
+        return false; // the mesh counts the stall
     auto *am = dynamic_cast<AmMessage *>(pkt.payload.get());
     if (!am)
         ALEWIFE_PANIC("non-AM packet delivered to NI at node ", self_);
     pkt.payload.release();
     inq_.emplace_back(am);
+    publishFull();
 
     if (mode_ == RecvMode::Interrupt && !drainScheduled_) {
         drainScheduled_ = true;
@@ -165,6 +171,7 @@ NetIface::drainNext()
     }
     auto m = std::move(inq_.front());
     inq_.pop_front();
+    publishFull();
     lastHandlerDone_ = runHandler(*m);
     eq_.schedule(lastHandlerDone_,
                  EventMeta{EventTag::AmDrain,
@@ -181,6 +188,7 @@ NetIface::pollDrain()
     while (!inq_.empty()) {
         auto m = std::move(inq_.front());
         inq_.pop_front();
+        publishFull();
         runHandler(*m);
         ++n;
     }

@@ -162,7 +162,11 @@ class NetIface
                 std::span<const std::uint64_t> args,
                 std::span<const std::uint64_t> body, bool bulk, Tick when);
 
-    /** Network sink; false when the input queue is full. */
+    /**
+     * Network sink; false when the input queue is full. The mesh is
+     * told whenever the queue fills or drains (Mesh::setRecvFull), so
+     * it rejects redelivery polls without asking again.
+     */
     bool receive(net::Packet &pkt);
 
     /**
@@ -186,6 +190,9 @@ class NetIface
 
     /** Interrupt-mode drain chain. */
     void drainNext();
+
+    /** Tell the mesh whether the input queue is full now. */
+    void publishFull();
 
     NodeId self_;
     EventQueue &eq_;

@@ -8,19 +8,20 @@
 
 namespace alewife::net {
 
-Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg) : eq_(eq), cfg_(cfg)
+Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg,
+           MachineCounters *counters)
+    : eq_(eq), cfg_(cfg), counters_(counters)
 {
     sinks_.resize(cfg.nodes());
+    recvFull_.resize(cfg.nodes());
     // Four unidirectional links per node (E, W, N, S); links off the mesh
     // edge exist but are only used by cross-traffic draining off-edge.
     links_.resize(static_cast<std::size_t>(cfg.nodes()) * 4);
+    linkStep_ = {1, -1, cfg.meshX, -cfg.meshX};
     computeDerivedTiming();
     eq_.setRetryHandler(
         [](void *mesh, const EventMeta &meta) {
-            static_cast<Mesh *>(mesh)->deliver(
-                std::unique_ptr<Packet>(
-                    reinterpret_cast<Packet *>(meta.a)),
-                static_cast<int>(static_cast<std::int64_t>(meta.b)));
+            return static_cast<Mesh *>(mesh)->redeliver(meta);
         },
         this);
 }
@@ -235,39 +236,74 @@ Mesh::send(std::unique_ptr<Packet> pkt)
     return first_link_wait;
 }
 
+bool
+Mesh::offer(Packet &pkt)
+{
+    // dst was validated by route() at injection; plain indexing here.
+    Sink &sink = sinks_[static_cast<std::size_t>(pkt.dst)];
+    if (!sink)
+        ALEWIFE_PANIC("no sink registered for node ", pkt.dst);
+    if (!sink(pkt))
+        return false;
+    ++delivered_;
+    if (hooks_)
+        hooks_->onPacketDelivered(pkt);
+    return true;
+}
+
+Tick
+Mesh::reject(int finalLink)
+{
+    // Receiver full: the packet stays parked and keeps its final link
+    // busy until the retry. Busy time grows only by the ticks the hold
+    // adds past the link's current horizon, so several packets parked
+    // behind one link never count the same tick twice.
+    ++niRejects_;
+    if (counters_)
+        ++counters_->niQueueFullStalls;
+    const Tick now = eq_.now();
+    const Tick retryAt = now + retryTicks_;
+    if (finalLink >= 0) {
+        Link &link = links_[finalLink];
+        if (retryAt > link.freeAt) {
+            link.busyTicks += retryAt - std::max(link.freeAt, now);
+            link.freeAt = retryAt;
+        }
+    }
+    return retryAt;
+}
+
 void
 Mesh::deliver(std::unique_ptr<Packet> pkt, int finalLink)
 {
-    // dst was validated by route() at injection; plain indexing here.
-    Sink &sink = sinks_[static_cast<std::size_t>(pkt->dst)];
-    if (!sink)
-        ALEWIFE_PANIC("no sink registered for node ", pkt->dst);
-    if (sink(*pkt)) {
-        ++delivered_;
-        if (hooks_)
-            hooks_->onPacketDelivered(*pkt);
+    if (offer(*pkt))
         return;
-    }
-
-    // Receiver full: park the packet, keep the final link busy, retry.
-    // Busy time grows only by the ticks the hold adds past the link's
-    // current horizon, so several packets parked behind one link never
-    // count the same tick twice.
-    ++niRejects_;
-    if (finalLink >= 0) {
-        Link &link = links_[finalLink];
-        const Tick holdEnd = eq_.now() + retryTicks_;
-        if (holdEnd > link.freeAt) {
-            link.busyTicks += holdEnd - std::max(link.freeAt, eq_.now());
-            link.freeAt = holdEnd;
-        }
-    }
-    eq_.scheduleRetry(eq_.now() + retryTicks_,
+    const Tick retryAt = reject(finalLink);
+    eq_.scheduleRetry(retryAt,
                       EventMeta{EventTag::MeshRetry,
                                 reinterpret_cast<std::uintptr_t>(
                                     pkt.release()),
                                 static_cast<std::uint64_t>(
                                     static_cast<std::int64_t>(finalLink))});
+}
+
+Tick
+Mesh::redeliver(const EventMeta &meta)
+{
+    auto *pkt = reinterpret_cast<Packet *>(meta.a);
+    const int finalLink =
+        static_cast<int>(static_cast<std::int64_t>(meta.b));
+    // A routed packet's final link leads into its destination, so a
+    // rejection reads neither the packet nor its sink: with thousands
+    // parked, the packet is rarely in cache.
+    const NodeId dst = finalLink >= 0
+                           ? (finalLink >> 2) + linkStep_[finalLink & 3]
+                           : pkt->dst;
+    if (!recvFull_[static_cast<std::size_t>(dst)] && offer(*pkt)) {
+        delete pkt;
+        return EventQueue::kRetryDone;
+    }
+    return reject(finalLink);
 }
 
 double

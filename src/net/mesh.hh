@@ -18,7 +18,12 @@
  * the bulk of all events under irregular message passing, so each is
  * an EventQueue retry record (scheduleRetry) rather than a closure,
  * dispatched back to the mesh through the handler it registers when it
- * is constructed.
+ * is constructed. A receiver that publishes when it is full
+ * (setRecvFull; msg::NetIface does) lets that handler reject a poll
+ * with a few stores and no sink call, and the queue then re-arms the
+ * record and fires the next rejected poll in one loop. Rejections are
+ * counted here only: niRejects(), and the machine's niQueueFullStalls
+ * when the mesh belongs to a Machine.
  *
  * An ideal mode (MachineConfig::idealNet) replaces all of this with a
  * uniform one-way latency and infinite bandwidth, used by the Figure 10
@@ -28,6 +33,7 @@
 #ifndef ALEWIFE_NET_MESH_HH
 #define ALEWIFE_NET_MESH_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -62,13 +68,29 @@ class Mesh
      */
     using Sink = std::function<bool(Packet &)>;
 
-    /** Registers itself as @p eq's retry handler (see deliver()). */
-    Mesh(EventQueue &eq, const MachineConfig &cfg);
+    /**
+     * Registers itself as @p eq's retry handler (see redeliver()).
+     * Each rejection also bumps @p counters->niQueueFullStalls when
+     * @p counters is given.
+     */
+    Mesh(EventQueue &eq, const MachineConfig &cfg,
+         MachineCounters *counters = nullptr);
     Mesh(const Mesh &) = delete;
     Mesh &operator=(const Mesh &) = delete;
 
     /** Register the delivery callback for @p node. */
     void setSink(NodeId node, Sink sink);
+
+    /**
+     * Publish whether @p node's receiver is full, i.e. would reject
+     * every parked packet. While it is, a redelivery poll to @p node is
+     * rejected without calling the sink; a sink whose node never
+     * publishes is asked on every poll.
+     */
+    void setRecvFull(NodeId node, bool full)
+    {
+        recvFull_[static_cast<std::size_t>(node)] = full;
+    }
 
     /**
      * Inject @p pkt at time now. Ownership transfers to the mesh until
@@ -154,9 +176,26 @@ class Mesh
 
     /**
      * Hand an arrived packet to its sink; on reject, park it and queue
-     * an EventQueue retry record (dispatched back here).
+     * an EventQueue retry record (dispatched to redeliver()).
      */
     void deliver(std::unique_ptr<Packet> pkt, int finalLink);
+
+    /**
+     * The retry handler's body: poll a parked packet's receiver again.
+     * @return the tick to re-arm the record at if it is still full,
+     *         else EventQueue::kRetryDone (the packet was delivered)
+     */
+    Tick redeliver(const EventMeta &meta);
+
+    /** Offer @p pkt to its sink; true (and counted) if accepted. */
+    bool offer(Packet &pkt);
+
+    /**
+     * Bookkeeping of one rejection: count it and hold @p finalLink
+     * busy until the retry.
+     * @return the retry tick
+     */
+    Tick reject(int finalLink);
 
     /** The un-memoized serialization formula (table fill + fallback). */
     Tick serializationTicksExact(std::uint32_t bytes) const;
@@ -174,8 +213,14 @@ class Mesh
 
     EventQueue &eq_;
     const MachineConfig &cfg_;
+    MachineCounters *counters_;
     std::vector<Sink> sinks_;
+    /** Per node: the receiver published that it is full. */
+    std::vector<std::uint8_t> recvFull_;
     std::vector<Link> links_;
+    /** Node-id step along each link direction (E, W, N, S): link li
+     *  leads into node li / 4 + linkStep_[li % 4]. */
+    std::array<NodeId, 4> linkStep_{};
     VolumeBreakdown volume_;
     std::uint64_t injected_ = 0;
     std::uint64_t delivered_ = 0;

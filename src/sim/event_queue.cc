@@ -69,22 +69,44 @@ EventQueue::setTieBreak(std::uint64_t seed)
 void
 EventQueue::scheduleRetry(Tick when, const EventMeta &meta)
 {
-    if (when < now_) [[unlikely]]
-        panicScheduledPast(when);
     if (!retryFn_) [[unlikely]]
         ALEWIFE_PANIC("retry scheduled with no retry handler registered");
+    pushRetry(when, meta);
+}
+
+inline void
+EventQueue::pushRetry(Tick when, const EventMeta &meta)
+{
+    if (when < now_) [[unlikely]]
+        panicScheduledPast(when);
     const Retry r{when, priorityFor(when), seq_++, meta};
     if (dep_) [[unlikely]]
         dep_->onSchedule(r.seq, curExec_, when, now_, meta);
+    if (retryCount_ > retryMask_) [[unlikely]]
+        growRetries();
     // Retries fire a fixed delay after now(), so a new record almost
     // always sorts last. It walks back only past a tie-break run of
     // equal `when`, or past records queued before a warm-start delta
     // lowered the retry delay.
-    std::size_t pos = retries_.size();
-    while (pos > retryHead_ && before(r, retries_[pos - 1]))
+    std::size_t pos = retryHead_ + retryCount_;
+    while (pos != retryHead_
+           && before(r, retries_[(pos - 1) & retryMask_])) {
+        retries_[pos & retryMask_] = retries_[(pos - 1) & retryMask_];
         --pos;
-    retries_.insert(retries_.begin() + static_cast<std::ptrdiff_t>(pos),
-                    r);
+    }
+    retries_[pos & retryMask_] = r;
+    ++retryCount_;
+}
+
+void
+EventQueue::growRetries()
+{
+    std::vector<Retry> bigger(2 * retries_.size());
+    for (std::size_t i = 0; i < retryCount_; ++i)
+        bigger[i] = retries_[(retryHead_ + i) & retryMask_];
+    retries_ = std::move(bigger);
+    retryMask_ = retries_.size() - 1;
+    retryHead_ = 0;
 }
 
 inline void
@@ -97,32 +119,37 @@ EventQueue::finishEvent()
 }
 
 void
-EventQueue::fireRetry()
+EventQueue::fireRetries(const Entry *bound, Tick limit,
+                        std::uint64_t budget)
 {
-    const Retry r = retries_[retryHead_];
-    // Drop the consumed prefix once it outweighs the live records, so
-    // a FIFO that never drains stays bounded.
-    if (++retryHead_ == retries_.size()) {
-        retries_.clear();
-        retryHead_ = 0;
-    } else if (retryHead_ >= 4096 && 2 * retryHead_ >= retries_.size()) {
-        retries_.erase(retries_.begin(),
-                       retries_.begin()
-                           + static_cast<std::ptrdiff_t>(retryHead_));
-        retryHead_ = 0;
+    for (;;) {
+        const Retry r = retries_[retryHead_];
+        retryHead_ = (retryHead_ + 1) & retryMask_;
+        --retryCount_;
+        now_ = r.when;
+        ++executed_;
+        if (dep_) [[unlikely]] {
+            curExec_ = r.seq;
+            dep_->onExecute(r.seq, r.when);
+        }
+        const std::uint64_t seqBefore = seq_;
+        const Tick rearm = retryFn_(retryCtx_, r.meta);
+        if (rearm != kRetryDone)
+            pushRetry(rearm, r.meta);
+        finishEvent();
+        // Go on only while the poll was rejected and nothing but its
+        // re-arm was scheduled, so `bound` is still the radix queue's
+        // top (a cancellation can only make the real top later).
+        if (rearm == kRetryDone || seq_ != seqBefore + 1 || --budget == 0)
+            return;
+        const Retry &next = retries_[retryHead_];
+        if (next.when > limit || (bound && !before(next, *bound)))
+            return;
     }
-    now_ = r.when;
-    ++executed_;
-    if (dep_) [[unlikely]] {
-        curExec_ = r.seq;
-        dep_->onExecute(r.seq, r.when);
-    }
-    retryFn_(retryCtx_, r.meta);
-    finishEvent();
 }
 
 bool
-EventQueue::step()
+EventQueue::step(Tick limit, std::uint64_t budget)
 {
     while (!heap_.empty()) {
         const Entry e = heap_.top();
@@ -131,8 +158,10 @@ EventQueue::step()
             heap_.pop(); // cancelled
             continue;
         }
-        if (!retries_.empty() && before(retries_[retryHead_], e))
-            break;
+        if (retryCount_ != 0 && before(retries_[retryHead_], e)) {
+            fireRetries(&e, limit, budget);
+            return true;
+        }
         heap_.pop();
         now_ = e.when;
         ++executed_;
@@ -155,16 +184,16 @@ EventQueue::step()
         finishEvent();
         return true;
     }
-    if (retries_.empty())
+    if (retryCount_ == 0)
         return false;
-    fireRetry();
+    fireRetries(nullptr, limit, budget);
     return true;
 }
 
 Tick
 EventQueue::run()
 {
-    while (step()) {
+    while (step(kNoLimit, kNoBudget)) {
     }
     return now_;
 }
@@ -175,7 +204,7 @@ EventQueue::runUntil(Tick limit)
     for (auto when = peekNextTick(); when; when = peekNextTick()) {
         if (*when > limit)
             return false;
-        step();
+        step(limit, kNoBudget);
     }
     return true;
 }
@@ -185,7 +214,7 @@ EventQueue::peekNextTick()
 {
     while (!heap_.empty() && !entryLive(heap_.top()))
         heap_.pop(); // cancelled
-    if (retries_.empty()) {
+    if (retryCount_ == 0) {
         if (heap_.empty())
             return std::nullopt;
         return heap_.top().when;
@@ -198,7 +227,7 @@ bool
 EventQueue::empty() const
 {
     // Only used by tests; a linear scan over queued entries is fine.
-    return retries_.empty()
+    return retryCount_ == 0
            && !heap_.any([this](const Entry &e) { return entryLive(e); });
 }
 

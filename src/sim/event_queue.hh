@@ -26,16 +26,31 @@
  * packet parked behind a full network-interface queue is re-polled
  * every niRetryCycles, and under irregular message-passing traffic
  * those polls are the bulk of all events. Each one is a plain
- * (when, pri, seq, EventMeta) record in a FIFO beside the radix
+ * (when, pri, seq, EventMeta) record in a FIFO ring beside the radix
  * queue, dispatched through the one handler net::Mesh registers —
  * no pool slot, no closure, no radix redistribution. Every retry
  * fires a fixed delay after now(), so records append in order and pop
- * in O(1). The dispatch loop merges the FIFO head with the radix
+ * in O(1), and the ring holds no more records than there are parked
+ * packets. The dispatch loop merges the FIFO head with the radix
  * queue's live top under the same total (when, pri, seq) order, and a
  * record is in every other respect a real event: it draws a seq and
  * a tie-break priority, counts as executed, and is reported to the
  * DepListener, the audit hooks and forEachPending like any other.
  * Records cannot be cancelled (nothing ever cancels a retry).
+ *
+ * A poll that finds the NI still full is *rejected*: the handler
+ * returns the tick to re-arm at, and the queue re-arms the record
+ * itself, with the same tie-break draw, seq and DepListener report a
+ * scheduleRetry() from inside the handler would make. A rejected poll
+ * schedules nothing else (a handler that does ends the loop), so the
+ * radix queue's top cannot change under it. The queue therefore
+ * keeps firing FIFO records in one loop while each is rejected and
+ * the next still precedes that top, up to the caller's tick limit and
+ * event budget: processOne() has a budget of one event, processStep(),
+ * run() and runUntil() take a whole run of rejected polls per call.
+ * Each poll still executes as its own event, with its own seq, count
+ * and observer calls, so every result is the same as when each is
+ * dispatched on its own.
  *
  * Schedule perturbation (setTieBreak): for fuzzing, same-tick events
  * scheduled for the *future* can be ordered by a seeded random priority
@@ -383,8 +398,15 @@ class EventQueue
         return schedule(now_ + delay, meta, std::forward<F>(fn));
     }
 
-    /** Dispatch target of retry records; @p ctx is the registrant. */
-    using RetryHandler = void (*)(void *ctx, const EventMeta &meta);
+    /** Returned by a retry handler whose record is finished. */
+    static constexpr Tick kRetryDone = std::numeric_limits<Tick>::max();
+
+    /**
+     * Dispatch target of retry records; @p ctx is the registrant.
+     * Returns the tick at which the queue re-arms the record (the poll
+     * was rejected), or kRetryDone.
+     */
+    using RetryHandler = Tick (*)(void *ctx, const EventMeta &meta);
 
     /**
      * Register the handler every retry record is dispatched to
@@ -401,8 +423,9 @@ class EventQueue
      * Schedule an NI-full redelivery at @p when as a slot-free retry
      * record (see the file comment). It is ordered, counted and
      * observed exactly like schedule(when, meta, fn) with a closure
-     * that calls the retry handler on @p meta, but it has no handle
-     * and cannot be cancelled.
+     * that calls the retry handler on @p meta (and re-schedules
+     * itself while the handler returns a re-arm tick), but it has no
+     * handle and cannot be cancelled.
      *
      * @pre when >= now() — enforced as for schedule().
      */
@@ -412,7 +435,7 @@ class EventQueue
     Tick run();
 
     /**
-     * Run until the queue is empty or time would exceed @p limit.
+     * Run every event due at or before @p limit, and no other.
      * @return true if the queue drained, false if the limit was hit.
      */
     bool runUntil(Tick limit);
@@ -424,10 +447,21 @@ class EventQueue
     bool empty() const;
 
     /**
-     * Pop and run the next live event.
+     * Pop and run the next live event, and only that one.
      * @return false if no live event remained
      */
-    bool processOne() { return step(); }
+    bool processOne() { return step(kNoLimit, 1); }
+
+    /**
+     * Pop and run the next live event; if it was a rejected NI poll,
+     * go on with the run of rejected polls that follows it while they
+     * are due at or before @p limit (see the file comment). A rejected
+     * poll changes nothing but the mesh's link hold and reject counts,
+     * so a caller that stops on simulation state stops at the same
+     * event as with processOne().
+     * @return false if no live event remained
+     */
+    bool processStep(Tick limit) { return step(limit, kNoBudget); }
 
     /**
      * Enable seeded random ordering among same-tick *future* events
@@ -476,8 +510,8 @@ class EventQueue
             fn(PendingEvent{e.when, e.pri, e.seq, s.meta, s.siteFile,
                             s.siteLine});
         });
-        for (std::size_t i = retryHead_; i < retries_.size(); ++i) {
-            const Retry &r = retries_[i];
+        for (std::size_t i = 0; i < retryCount_; ++i) {
+            const Retry &r = retries_[(retryHead_ + i) & retryMask_];
             fn(PendingEvent{r.when, r.pri, r.seq, r.meta});
         }
     }
@@ -525,11 +559,29 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    /** Pop and run the next live event; returns false if none. */
-    bool step();
+    static constexpr Tick kNoLimit = std::numeric_limits<Tick>::max();
+    static constexpr std::uint64_t kNoBudget =
+        std::numeric_limits<std::uint64_t>::max();
 
-    /** Pop and run the retry FIFO's head. */
-    void fireRetry();
+    /**
+     * Pop and run the next live event; if it was a rejected poll, run
+     * up to @p budget - 1 further rejected polls due by @p limit.
+     * Returns false if no live event remained.
+     */
+    bool step(Tick limit, std::uint64_t budget);
+
+    /**
+     * Fire FIFO records from the head for step(); @p bound is a copy
+     * of the radix queue's live top, or null when it is empty.
+     */
+    void fireRetries(const Entry *bound, Tick limit, std::uint64_t budget);
+
+    /** Insert a retry record: scheduleRetry() minus the handler check,
+     *  also the re-arm of a rejected poll. */
+    void pushRetry(Tick when, const EventMeta &meta);
+
+    /** Double the retry ring, unwrapping it to start at slot 0. */
+    void growRetries();
 
     /** Observer bookkeeping after either kind of event ran. */
     void finishEvent();
@@ -591,12 +643,13 @@ class EventQueue
     std::uint64_t curExec_ = DepListener::kNoParent;
     detail::PoolRef pool_;
     sim::RadixQueue<Entry> heap_;
-    /** Pending retry records in (when, pri, seq) order from
-     *  retryHead_; the consumed prefix is dropped in batches, and the
-     *  vector is cleared whenever the last record pops, so empty()
-     *  means no record is pending. */
-    std::vector<Retry> retries_;
+    /** Ring of the retryCount_ pending retry records, in (when, pri,
+     *  seq) order from slot retryHead_. Its size is a power of two and
+     *  doubles only when every slot holds a parked packet. */
+    std::vector<Retry> retries_ = std::vector<Retry>(16);
+    std::size_t retryMask_ = 15; ///< retries_.size() - 1
     std::size_t retryHead_ = 0;
+    std::size_t retryCount_ = 0;
     RetryHandler retryFn_ = nullptr;
     void *retryCtx_ = nullptr;
 };

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <utility>
 
 #include "apps/graph/catalog.hh"
 #include "core/runner.hh"
@@ -90,16 +92,41 @@ INSTANTIATE_TEST_SUITE_P(
         }
     });
 
+/** Runs the machine to completion and keeps its mesh's reject count. */
+struct MeshRejects : core::RunDriver
+{
+    std::uint64_t rejects = 0;
+
+    Tick
+    drive(Machine &m, const Machine::ProgramFactory &f) override
+    {
+        const Tick t = m.run(f);
+        rejects = m.mesh().niRejects();
+        return t;
+    }
+};
+
 TEST(GraphApps, AttachedAndDetachedRunsAreBitIdentical)
 {
     const auto p = smallParams(workload::GraphFamily::RMat, 16);
-    const auto factory = makeApp("bfs", p);
-    for (const Mechanism mech :
-         {Mechanism::SharedMemory, Mechanism::MpInterrupt}) {
+    // bfs exercises coherence and light messaging; pagerank-push on
+    // R-MAT is an NI-full poll storm, so the auditor and the interval
+    // recorder observe every rejected poll of the queue's retry loop.
+    const std::pair<const char *, Mechanism> runs[] = {
+        {"bfs", Mechanism::SharedMemory},
+        {"bfs", Mechanism::MpInterrupt},
+        {"pagerank-push", Mechanism::MpInterrupt},
+        {"pagerank-push", Mechanism::MpPolling},
+    };
+    for (const auto &[app, mech] : runs) {
+        SCOPED_TRACE(app);
+        const auto factory = makeApp(app, p);
         core::RunSpec plain;
         plain.machine = meshFor(16);
         plain.mechanism = mech;
-        const auto bare = core::runApp(factory, plain);
+        MeshRejects bareMesh;
+        const auto bare = core::runApp(factory, plain, true, nullptr,
+                                       &bareMesh);
 
         const std::string out =
             (std::filesystem::temp_directory_path()
@@ -109,12 +136,21 @@ TEST(GraphApps, AttachedAndDetachedRunsAreBitIdentical)
         attached.audit = true;
         attached.obs.metricsOut = out;
         attached.obs.intervalCycles = 5000;
-        const auto obs = core::runApp(factory, attached);
+        MeshRejects obsMesh;
+        const auto obs = core::runApp(factory, attached, true, nullptr,
+                                      &obsMesh);
 
         EXPECT_EQ(bare.checksum, obs.checksum);
         EXPECT_EQ(bare.runtimeCycles, obs.runtimeCycles);
         EXPECT_EQ(bare.simEvents, obs.simEvents);
         EXPECT_EQ(bare.volume.total(), obs.volume.total());
+        EXPECT_EQ(bare.counters.niQueueFullStalls,
+                  obs.counters.niQueueFullStalls);
+        // The mesh's reject path is the one place both counts grow.
+        EXPECT_EQ(bare.counters.niQueueFullStalls, bareMesh.rejects);
+        EXPECT_EQ(obs.counters.niQueueFullStalls, obsMesh.rejects);
+        if (std::string(app) == "pagerank-push")
+            EXPECT_GT(bare.counters.niQueueFullStalls, bare.simEvents / 2);
         std::remove(out.c_str());
     }
 }

@@ -2,8 +2,9 @@
  * @file
  * Tests for the allocation-free kernel hot path: the slab/free-list
  * event pool, generation-counted handles, the InlineFn small-buffer
- * callback type, and a determinism regression pinning full-machine
- * statistics to pre-refactor golden values.
+ * callback type, a determinism regression pinning full-machine
+ * statistics to pre-refactor golden values, and a machine paused in
+ * the middle of an NI-full poll storm.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +12,14 @@
 #include <bit>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "apps/em3d.hh"
 #include "apps/graph/catalog.hh"
+#include "check/hooks.hh"
+#include "ckpt/ckpt.hh"
 #include "core/runner.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_fn.hh"
@@ -274,7 +278,7 @@ bits(double d)
 }
 
 core::RunResult
-runGolden(const Golden &g)
+runGolden(const Golden &g, core::RunDriver *driver = nullptr)
 {
     core::RunSpec spec;
     spec.mechanism = g.mech;
@@ -288,7 +292,7 @@ runGolden(const Golden &g)
         p.graph.degree = 5;
         p.iters = 2;
         apps::Em3d app(p);
-        return core::runApp(app, spec);
+        return core::runApp(app, spec, true, nullptr, driver);
     }
     // The sweep CLIs' default graph scale on the 20 MHz machine: under
     // MP-I about 98% of the events are NI-full redeliveries.
@@ -298,7 +302,19 @@ runGolden(const Golden &g)
     p.graph.avgDegree = 8;
     p.graph.nprocs = 32;
     p.iters = 3;
-    return core::runApp(apps::graph::makeApp("pagerank-push", p), spec);
+    return core::runApp(apps::graph::makeApp("pagerank-push", p), spec, true,
+                        nullptr, driver);
+}
+
+void
+expectGolden(const core::RunResult &r, const Golden &g)
+{
+    EXPECT_EQ(r.simEvents, g.simEvents);
+    EXPECT_EQ(r.runtimeCycles, std::bit_cast<double>(g.runtimeBits));
+    EXPECT_EQ(r.checksum, std::bit_cast<double>(g.checksumBits));
+    EXPECT_EQ(r.volume.total(), g.volume);
+    EXPECT_EQ(r.counters.cacheHits, g.cacheHits);
+    EXPECT_EQ(r.counters.niQueueFullStalls, g.niQueueFullStalls);
 }
 
 class KernelGolden : public ::testing::TestWithParam<Golden>
@@ -308,99 +324,95 @@ class KernelGolden : public ::testing::TestWithParam<Golden>
 TEST_P(KernelGolden, StatsBitIdenticalToPreRefactorKernel)
 {
     const Golden &g = GetParam();
-    const auto r = runGolden(g);
-    EXPECT_EQ(r.simEvents, g.simEvents);
-    EXPECT_EQ(r.runtimeCycles, std::bit_cast<double>(g.runtimeBits));
-    EXPECT_EQ(r.checksum, std::bit_cast<double>(g.checksumBits));
-    EXPECT_EQ(r.volume.total(), g.volume);
-    EXPECT_EQ(r.counters.cacheHits, g.cacheHits);
-    EXPECT_EQ(r.counters.niQueueFullStalls, g.niQueueFullStalls);
+    expectGolden(runGolden(g), g);
 }
 
+const Golden kGoldens[] = {
+    Golden{.app = GoldenApp::Em3d,
+           .mech = core::Mechanism::SharedMemory,
+           .perturb = false,
+           .volume = 84960,
+           .simEvents = 18925,
+           .runtimeBits = bits(11599.190000000001),
+           .checksumBits = bits(390.53411890422058),
+           .cacheHits = 7118,
+           .niQueueFullStalls = 0},
+    Golden{.app = GoldenApp::Em3d,
+           .mech = core::Mechanism::SharedMemory,
+           .perturb = true,
+           .volume = 84960,
+           .simEvents = 18925,
+           .runtimeBits = bits(11587.620000000001),
+           .checksumBits = bits(390.53411890422058),
+           .cacheHits = 7118,
+           .niQueueFullStalls = 0},
+    Golden{.app = GoldenApp::Em3d,
+           .mech = core::Mechanism::MpInterrupt,
+           .perturb = false,
+           .volume = 19056,
+           .simEvents = 2992,
+           .runtimeBits = bits(5662.79),
+           .checksumBits = bits(390.53411890422069),
+           .cacheHits = 0,
+           .niQueueFullStalls = 0},
+    Golden{.app = GoldenApp::Em3d,
+           .mech = core::Mechanism::MpInterrupt,
+           .perturb = true,
+           .volume = 19056,
+           .simEvents = 3009,
+           .runtimeBits = bits(5726.79),
+           .checksumBits = bits(390.53411890422069),
+           .cacheHits = 0,
+           .niQueueFullStalls = 0},
+    Golden{.app = GoldenApp::Em3d,
+           .mech = core::Mechanism::BulkTransfer,
+           .perturb = false,
+           .volume = 24096,
+           .simEvents = 3413,
+           .runtimeBits = bits(7016.3800000000001),
+           .checksumBits = bits(390.53411890422069),
+           .cacheHits = 0,
+           .niQueueFullStalls = 0},
+    Golden{.app = GoldenApp::PageRankPushRmat,
+           .mech = core::Mechanism::MpInterrupt,
+           .perturb = false,
+           .volume = 299472,
+           .simEvents = 1357566,
+           .runtimeBits = bits(234894.98000000001),
+           .checksumBits = bits(184387656686106.0),
+           .cacheHits = 0,
+           .niQueueFullStalls = 1328983},
+    Golden{.app = GoldenApp::PageRankPushRmat,
+           .mech = core::Mechanism::MpInterrupt,
+           .perturb = true,
+           .volume = 299472,
+           .simEvents = 590319,
+           .runtimeBits = bits(234916.59),
+           .checksumBits = bits(184387656686106.0),
+           .cacheHits = 0,
+           .niQueueFullStalls = 561522},
+    Golden{.app = GoldenApp::PageRankPushRmat,
+           .mech = core::Mechanism::MpPolling,
+           .perturb = false,
+           .volume = 299472,
+           .simEvents = 2691301,
+           .runtimeBits = bits(189759.67999999999),
+           .checksumBits = bits(184387656686106.0),
+           .cacheHits = 0,
+           .niQueueFullStalls = 2665703},
+    Golden{.app = GoldenApp::PageRankPushRmat,
+           .mech = core::Mechanism::MpPolling,
+           .perturb = true,
+           .volume = 299472,
+           .simEvents = 2689122,
+           .runtimeBits = bits(189762.07000000001),
+           .checksumBits = bits(184387656686106.0),
+           .cacheHits = 0,
+           .niQueueFullStalls = 2663490},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    PreRefactorGoldens, KernelGolden,
-    ::testing::Values(
-        Golden{.app = GoldenApp::Em3d,
-               .mech = core::Mechanism::SharedMemory,
-               .perturb = false,
-               .volume = 84960,
-               .simEvents = 18925,
-               .runtimeBits = bits(11599.190000000001),
-               .checksumBits = bits(390.53411890422058),
-               .cacheHits = 7118,
-               .niQueueFullStalls = 0},
-        Golden{.app = GoldenApp::Em3d,
-               .mech = core::Mechanism::SharedMemory,
-               .perturb = true,
-               .volume = 84960,
-               .simEvents = 18925,
-               .runtimeBits = bits(11587.620000000001),
-               .checksumBits = bits(390.53411890422058),
-               .cacheHits = 7118,
-               .niQueueFullStalls = 0},
-        Golden{.app = GoldenApp::Em3d,
-               .mech = core::Mechanism::MpInterrupt,
-               .perturb = false,
-               .volume = 19056,
-               .simEvents = 2992,
-               .runtimeBits = bits(5662.79),
-               .checksumBits = bits(390.53411890422069),
-               .cacheHits = 0,
-               .niQueueFullStalls = 0},
-        Golden{.app = GoldenApp::Em3d,
-               .mech = core::Mechanism::MpInterrupt,
-               .perturb = true,
-               .volume = 19056,
-               .simEvents = 3009,
-               .runtimeBits = bits(5726.79),
-               .checksumBits = bits(390.53411890422069),
-               .cacheHits = 0,
-               .niQueueFullStalls = 0},
-        Golden{.app = GoldenApp::Em3d,
-               .mech = core::Mechanism::BulkTransfer,
-               .perturb = false,
-               .volume = 24096,
-               .simEvents = 3413,
-               .runtimeBits = bits(7016.3800000000001),
-               .checksumBits = bits(390.53411890422069),
-               .cacheHits = 0,
-               .niQueueFullStalls = 0},
-        Golden{.app = GoldenApp::PageRankPushRmat,
-               .mech = core::Mechanism::MpInterrupt,
-               .perturb = false,
-               .volume = 299472,
-               .simEvents = 1357566,
-               .runtimeBits = bits(234894.98000000001),
-               .checksumBits = bits(184387656686106.0),
-               .cacheHits = 0,
-               .niQueueFullStalls = 1328983},
-        Golden{.app = GoldenApp::PageRankPushRmat,
-               .mech = core::Mechanism::MpInterrupt,
-               .perturb = true,
-               .volume = 299472,
-               .simEvents = 590319,
-               .runtimeBits = bits(234916.59),
-               .checksumBits = bits(184387656686106.0),
-               .cacheHits = 0,
-               .niQueueFullStalls = 561522},
-        Golden{.app = GoldenApp::PageRankPushRmat,
-               .mech = core::Mechanism::MpPolling,
-               .perturb = false,
-               .volume = 299472,
-               .simEvents = 2691301,
-               .runtimeBits = bits(189759.67999999999),
-               .checksumBits = bits(184387656686106.0),
-               .cacheHits = 0,
-               .niQueueFullStalls = 2665703},
-        Golden{.app = GoldenApp::PageRankPushRmat,
-               .mech = core::Mechanism::MpPolling,
-               .perturb = true,
-               .volume = 299472,
-               .simEvents = 2689122,
-               .runtimeBits = bits(189762.07000000001),
-               .checksumBits = bits(184387656686106.0),
-               .cacheHits = 0,
-               .niQueueFullStalls = 2663490}),
+    PreRefactorGoldens, KernelGolden, ::testing::ValuesIn(kGoldens),
     [](const auto &info) {
         const Golden &g = info.param;
         std::string n =
@@ -412,6 +424,66 @@ INSTANTIATE_TEST_SUITE_P(
             n = "prpush_" + n;
         return n + (g.perturb ? "_perturbed" : "_plain");
     });
+
+// ---------------------------------------------------------------------
+// Stepping through a poll storm. Machine::stepOne may run a whole run
+// of rejected NI-full polls per call; stepUntilEvents must still pause
+// on the exact event, observed or not, and the run must still finish
+// on the golden.
+// ---------------------------------------------------------------------
+
+/** Pauses at event `at` and snapshots there, then finishes the run. */
+struct PauseAt : core::RunDriver
+{
+    std::uint64_t at = 0;
+    check::Hooks *hooks = nullptr;
+    bool paused = false;
+    std::uint64_t executedAtPause = 0;
+    int parkedAtPause = 0;
+    std::string snapshot;
+
+    Tick
+    drive(Machine &m, const Machine::ProgramFactory &f) override
+    {
+        if (hooks)
+            m.attachHooks(hooks);
+        m.start(f);
+        paused = m.stepUntilEvents(at);
+        executedAtPause = m.eq().eventsExecuted();
+        m.eq().forEachPending([this](const EventQueue::PendingEvent &e) {
+            parkedAtPause += e.meta.tag == EventTag::MeshRetry;
+        });
+        snapshot = ckpt::save(m).doc.dump();
+        while (m.stepOne()) {
+        }
+        return m.finishRun();
+    }
+};
+
+TEST(PollStormStepping, StepUntilEventsPausesExactlyMidStorm)
+{
+    const Golden &g = kGoldens[5]; // pagerank-push R-MAT, MP-I, plain
+    ASSERT_EQ(g.app, GoldenApp::PageRankPushRmat);
+    ASSERT_EQ(g.mech, core::Mechanism::MpInterrupt);
+    ASSERT_FALSE(g.perturb);
+
+    PauseAt detached;
+    detached.at = g.simEvents / 2;
+    const auto r = runGolden(g, &detached);
+    EXPECT_TRUE(detached.paused);
+    EXPECT_EQ(detached.executedAtPause, detached.at);
+    EXPECT_GT(detached.parkedAtPause, 0); // the pause is inside a storm
+    expectGolden(r, g);
+
+    check::Hooks noop;
+    PauseAt observed;
+    observed.at = detached.at;
+    observed.hooks = &noop;
+    expectGolden(runGolden(g, &observed), g);
+    EXPECT_TRUE(observed.paused);
+    EXPECT_EQ(observed.executedAtPause, observed.at);
+    EXPECT_EQ(detached.snapshot, observed.snapshot);
+}
 
 } // namespace
 } // namespace alewife

@@ -3,13 +3,18 @@
  * Property test: the EventQueue against a naive reference model.
  * Random schedules, nested schedules, cancellations and retry records
  * must fire in exactly the order a (when, seq) reference predicts; the
- * EventQueueRetry cases pin the rest of the retry-record contract.
+ * EventQueueRetry cases pin the rest of the retry-record contract, and
+ * the EventQueueStorm cases the loop that re-arms rejected records:
+ * its order, its observers and the stepping contract (processOne runs
+ * one event; runUntil and processStep never pass their limit).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "check/hooks.hh"
@@ -136,6 +141,7 @@ TEST_P(EventQueueProperty, MatchesReferenceModel)
     eq.setRetryHandler(
         [](void *a, const EventMeta &m) {
             static_cast<Actor *>(a)->act(static_cast<int>(m.a));
+            return EventQueue::kRetryDone;
         },
         &actor);
     std::vector<EventHandle> handles;
@@ -187,10 +193,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueProperty,
 // ---------------------------------------------------------------------
 
 /** Retry handler that logs the id carried in EventMeta::a. */
-void
+Tick
 logRetry(void *log, const EventMeta &m)
 {
     static_cast<std::vector<int> *>(log)->push_back(static_cast<int>(m.a));
+    return EventQueue::kRetryDone;
 }
 
 EventMeta
@@ -368,6 +375,7 @@ TEST(EventQueueRetry, ObserversSeeRecordsAsEvents)
             auto &x = *static_cast<Ctx *>(c);
             ++x.records;
             x.eq.schedule(x.eq.now() + 4, []() {});
+            return EventQueue::kRetryDone;
         },
         &ctx);
     eq.schedule(10, [&]() { eq.scheduleRetry(eq.now() + 16, retryMeta(0)); });
@@ -385,6 +393,202 @@ TEST(EventQueueRetry, ObserversSeeRecordsAsEvents)
     EXPECT_EQ(hooks.ticks, (std::vector<Tick>{10, 26, 30}));
     EXPECT_EQ(ctx.records, 1);
     EXPECT_EQ(eq.eventsExecuted(), 3u);
+}
+
+// ---------------------------------------------------------------------
+// Poll storms: rejected records re-armed by the queue itself
+// ---------------------------------------------------------------------
+
+/**
+ * A poll storm: each of kRecords records is rejected kRejects times
+ * (its handler returns a re-arm tick kDelay ahead) before the handler
+ * finishes it, among closures on a coarser grid that tie with some of
+ * the polls. Every firing is logged as (id, tick); closure c logs -1-c.
+ */
+struct Storm
+{
+    static constexpr int kRecords = 5;
+    static constexpr int kRejects = 40;
+    static constexpr Tick kDelay = 4;
+    static constexpr int kClosures = 30;
+
+    using Log = std::vector<std::pair<int, Tick>>;
+
+    EventQueue eq;
+    std::vector<int> rejectsLeft = std::vector<int>(kRecords, kRejects);
+    Log log;
+
+    static Tick closureTick(int c) { return 6 * static_cast<Tick>(c) + 2; }
+    static Tick recordTick(int id) { return 2 * static_cast<Tick>(id); }
+
+    Storm()
+    {
+        eq.setRetryHandler(
+            [](void *s, const EventMeta &m) {
+                auto &st = *static_cast<Storm *>(s);
+                const int id = static_cast<int>(m.a);
+                st.log.emplace_back(id, st.eq.now());
+                if (st.rejectsLeft[id]-- > 0)
+                    return st.eq.now() + kDelay;
+                return EventQueue::kRetryDone;
+            },
+            this);
+        for (int c = 0; c < kClosures; ++c)
+            eq.schedule(closureTick(c),
+                        [this, c]() { log.emplace_back(-1 - c, eq.now()); });
+        for (int id = 0; id < kRecords; ++id)
+            eq.scheduleRetry(recordTick(id), retryMeta(id));
+    }
+
+    /** The (when, seq) reference order of every firing. */
+    static Log
+    expected()
+    {
+        std::vector<RefEvent> pending;
+        std::uint64_t seq = 0;
+        for (int c = 0; c < kClosures; ++c)
+            pending.push_back({closureTick(c), seq++, -1 - c});
+        for (int id = 0; id < kRecords; ++id)
+            pending.push_back({recordTick(id), seq++, id});
+        std::vector<int> left(kRecords, kRejects);
+        Log out;
+        while (!pending.empty()) {
+            const auto it = std::min_element(
+                pending.begin(), pending.end(),
+                [](const RefEvent &a, const RefEvent &b) {
+                    return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
+                });
+            const RefEvent e = *it;
+            pending.erase(it);
+            out.emplace_back(e.id, e.when);
+            if (e.id >= 0 && left[e.id]-- > 0)
+                pending.push_back({e.when + kDelay, seq++, e.id});
+        }
+        return out;
+    }
+};
+
+TEST(EventQueueStorm, RunFiresEveryPollInReferenceOrder)
+{
+    Storm s;
+    const Storm::Log want = Storm::expected();
+    ASSERT_EQ(want.size(),
+              static_cast<std::size_t>(Storm::kClosures
+                                       + Storm::kRecords
+                                             * (Storm::kRejects + 1)));
+    s.eq.run();
+    EXPECT_EQ(s.log, want);
+    EXPECT_EQ(s.eq.eventsExecuted(), want.size());
+    EXPECT_TRUE(s.eq.empty());
+}
+
+TEST(EventQueueStorm, ProcessOneRunsExactlyOneEvent)
+{
+    Storm s;
+    for (std::uint64_t n = 1;; ++n) {
+        if (!s.eq.processOne())
+            break;
+        ASSERT_EQ(s.eq.eventsExecuted(), n);
+        ASSERT_EQ(s.log.size(), n);
+    }
+    EXPECT_EQ(s.log, Storm::expected());
+}
+
+TEST(EventQueueStorm, RunUntilAndProcessStepStopAtTheirLimit)
+{
+    const Storm::Log want = Storm::expected();
+    const auto dueBy = [&](Tick limit) {
+        return static_cast<std::size_t>(std::count_if(
+            want.begin(), want.end(),
+            [limit](const auto &f) { return f.second <= limit; }));
+    };
+    Storm viaRunUntil;
+    Storm viaStep;
+    for (Tick limit = 0; limit < want.back().second + 3; limit += 3) {
+        viaRunUntil.eq.runUntil(limit);
+        while (viaStep.eq.peekNextTick()
+               && *viaStep.eq.peekNextTick() <= limit)
+            viaStep.eq.processStep(limit);
+        for (Storm *s : {&viaRunUntil, &viaStep}) {
+            ASSERT_EQ(s->log.size(), dueBy(limit)) << "limit " << limit;
+            ASSERT_EQ(s->eq.eventsExecuted(), s->log.size());
+            ASSERT_TRUE(std::equal(s->log.begin(), s->log.end(),
+                                   want.begin()));
+            const auto next = s->eq.peekNextTick();
+            ASSERT_TRUE(!next || *next > limit) << "limit " << limit;
+        }
+    }
+    EXPECT_EQ(viaRunUntil.log, want);
+    EXPECT_EQ(viaStep.log, want);
+}
+
+TEST(EventQueueStorm, ObserversSeeEveryPollAndReArm)
+{
+    Storm s;
+    DepLog dep;
+    ExecLog hooks;
+    s.eq.setDepListener(&dep);
+    s.eq.setAuditHooks(&hooks);
+    s.eq.run();
+
+    const Storm::Log want = Storm::expected();
+    ASSERT_EQ(dep.executed.size(), want.size());
+    ASSERT_EQ(hooks.ticks.size(), want.size());
+    std::map<std::uint64_t, Tick> firedAt;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(dep.executed[i].second, want[i].second);
+        EXPECT_EQ(hooks.ticks[i], want[i].second);
+        firedAt[dep.executed[i].first] = dep.executed[i].second;
+    }
+    EXPECT_EQ(firedAt.size(), want.size()); // one onExecute per seq
+    // Every re-arm is a child of the poll that was rejected.
+    int rearms = 0;
+    for (const auto &[seq, parent, when, now, tag] : dep.scheduled) {
+        if (parent == DepListener::kNoParent)
+            continue;
+        ++rearms;
+        EXPECT_EQ(tag, EventTag::MeshRetry);
+        ASSERT_TRUE(firedAt.count(parent));
+        EXPECT_EQ(firedAt[parent], now);
+        EXPECT_EQ(when, now + Storm::kDelay);
+    }
+    EXPECT_EQ(rearms, Storm::kRecords * Storm::kRejects);
+}
+
+TEST(EventQueueStorm, RejectionThatSchedulesEndsTheRun)
+{
+    // A handler may schedule while it rejects (a mesh sink that never
+    // publishes "full" is asked on every poll). What it schedules can
+    // precede the next record, so the run of polls must stop there.
+    EventQueue eq;
+    struct Ctx
+    {
+        EventQueue &eq;
+        Storm::Log log;
+        int rejectsLeft = 3;
+    } ctx{eq, {}};
+    eq.setRetryHandler(
+        [](void *c, const EventMeta &) {
+            auto &x = *static_cast<Ctx *>(c);
+            x.log.emplace_back(0, x.eq.now());
+            x.eq.schedule(x.eq.now() + 1,
+                          [&x]() { x.log.emplace_back(-1, x.eq.now()); });
+            if (x.rejectsLeft-- > 0)
+                return x.eq.now() + 4;
+            return EventQueue::kRetryDone;
+        },
+        &ctx);
+    eq.schedule(1000, []() {});
+    eq.scheduleRetry(0, retryMeta(0));
+    eq.run();
+    EXPECT_EQ(ctx.log, (Storm::Log{{0, 0},
+                                   {-1, 1},
+                                   {0, 4},
+                                   {-1, 5},
+                                   {0, 8},
+                                   {-1, 9},
+                                   {0, 12},
+                                   {-1, 13}}));
 }
 
 } // namespace
