@@ -14,7 +14,10 @@
  *   --quick     smoke-test sizes (used by the `bench` ctest label; no
  *               timing assertions, just "completes and emits valid JSON")
  *   --repeat N  repeat each microbench N times, keep the best (default 3)
- *   --out FILE  where to write the JSON (default BENCH_kernel.json)
+ *   --out FILE  write the JSON to FILE (without it, nothing is written)
+ *
+ * Any other argument (--help included) prints this usage to stderr and
+ * exits 2 before anything runs.
  *
  * Timing numbers are only comparable between Release builds; the build
  * type is recorded in the JSON, and bench/CMakeLists.txt warns when
@@ -384,16 +387,25 @@ isoTimestamp()
 int
 main(int argc, char **argv)
 {
-    const auto scale = bench::parseScale(argc, argv);
-    const bool quick = scale == bench::Scale::Quick;
-    std::string out = "BENCH_kernel.json";
+    bool quick = false;
+    std::string out;
     int repeat = 3;
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--out" && i + 1 < argc)
-            out = argv[i + 1];
-        if (std::string(argv[i]) == "--repeat" && i + 1 < argc)
-            repeat = std::max(1, std::atoi(argv[i + 1]));
+        const std::string a = argv[i];
+        if (a == "--quick") {
+            quick = true;
+        } else if (a == "--out" && i + 1 < argc) {
+            out = argv[++i];
+        } else if (a == "--repeat" && i + 1 < argc) {
+            repeat = std::max(1, std::atoi(argv[++i]));
+        } else {
+            std::fprintf(stderr,
+                         "usage: perf_kernel [--quick] [--repeat N] "
+                         "[--out FILE]\n");
+            return 2;
+        }
     }
+    const auto scale = quick ? bench::Scale::Quick : bench::Scale::Default;
 
     const std::uint64_t microEvents = quick ? 200'000 : 4'000'000;
     std::vector<Row> rows;
@@ -587,6 +599,8 @@ main(int argc, char **argv)
     }
     doc.set("results", std::move(arr));
 
+    if (out.empty())
+        return 0;
     std::ofstream f(out);
     f << doc.dump(2) << '\n';
     if (!f) {

@@ -14,41 +14,52 @@ namespace {
 constexpr std::size_t kClaimBatch = 6;
 } // namespace
 
-Bfs::Bfs(GraphAppParams p) : GraphAppBase(std::move(p))
+Bfs::Input::Input(const GraphAppParams &p) : GraphInput(p)
 {
-    ref_ = workload::bfsReference(g_, root_);
-    maxDepth_ = ref_.maxDepth;
+    ref = workload::bfsReference(g, root);
+    maxDepth = ref.maxDepth;
 
     // Expected cross-claim counts: processing level l sends one claim
     // per out-edge of a depth-l vertex whose target lives elsewhere.
-    const int np = p_.graph.nprocs;
-    exp_.assign(static_cast<std::size_t>(std::max(maxDepth_, 0)),
-                std::vector<std::int64_t>(np, 0));
-    for (std::int32_t u = 0; u < g_.n; ++u) {
-        const std::int32_t d = ref_.depth[u];
-        if (d < 0 || d >= maxDepth_)
+    const int np = p.graph.nprocs;
+    exp.assign(static_cast<std::size_t>(std::max(maxDepth, 0)),
+               std::vector<std::int64_t>(np, 0));
+    for (std::int32_t u = 0; u < g.n; ++u) {
+        const std::int32_t d = ref.depth[u];
+        if (d < 0 || d >= maxDepth)
             continue;
-        const int pu = g_.owner(u);
-        for (std::int32_t k = g_.outRow[u]; k < g_.outRow[u + 1]; ++k) {
-            const int pv = g_.owner(g_.outDst[k]);
+        const int pu = g.owner(u);
+        for (std::int32_t k = g.outRow[u]; k < g.outRow[u + 1]; ++k) {
+            const int pv = g.owner(g.outDst[k]);
             if (pv != pu)
-                ++exp_[d][pv];
+                ++exp[d][pv];
         }
     }
 
     std::uint64_t h = kFnvBasis;
-    for (std::int32_t v = 0; v < g_.n; ++v) {
-        h = fnv(h, ref_.depth[v] < 0
-                       ? kUnset
-                       : pack(ref_.depth[v], ref_.parent[v]));
+    for (std::int32_t v = 0; v < g.n; ++v) {
+        h = fnv(h, ref.depth[v] < 0 ? kUnset
+                                    : pack(ref.depth[v], ref.parent[v]));
     }
-    reference_ = digestChecksum(h);
+    reference = digestChecksum(h);
+}
+
+Bfs::Bfs(GraphAppParams p, std::shared_ptr<const Input> in)
+    : GraphAppBase(std::move(p), in), ref_(in->ref),
+      maxDepth_(in->maxDepth), exp_(in->exp)
+{
+}
+
+Bfs::Bfs(GraphAppParams p)
+    : Bfs(p, std::make_shared<const Input>(p))
+{
 }
 
 core::AppFactory
 Bfs::factory(GraphAppParams p)
 {
-    return [p]() { return std::make_unique<Bfs>(p); };
+    auto in = std::make_shared<const Input>(p);
+    return [p, in]() { return std::make_unique<Bfs>(p, in); };
 }
 
 void

@@ -37,7 +37,22 @@ namespace alewife::apps::graph {
 class Bfs : public GraphAppBase
 {
   public:
+    /** The graph, the reference tree and the expected claim counts. */
+    struct Input : GraphInput
+    {
+        explicit Input(const GraphAppParams &p);
+
+        workload::BfsRef ref;
+        std::int32_t maxDepth = 0;
+        /** Expected cross-claim values per (level, node). Per-level
+         *  (not cumulative): a fast sender may run a level ahead, and
+         *  its early claims must not satisfy the current level's
+         *  wait. */
+        std::vector<std::vector<std::int64_t>> exp;
+    };
+
     explicit Bfs(GraphAppParams p);
+    Bfs(GraphAppParams p, std::shared_ptr<const Input> in);
 
     std::string name() const override { return "graph-bfs"; }
     void setup(Machine &m, core::Mechanism mech) override;
@@ -70,13 +85,9 @@ class Bfs : public GraphAppBase
     sim::Thread programSm(proc::Ctx &ctx, bool prefetch);
     sim::Thread programMp(proc::Ctx &ctx, bool bulk);
 
-    workload::BfsRef ref_;
-    std::int32_t maxDepth_ = 0;
-
-    /** Expected cross-claim values per (level, node). Per-level (not
-     *  cumulative): a fast sender may run a level ahead, and its
-     *  early claims must not satisfy the current level's wait. */
-    std::vector<std::vector<std::int64_t>> exp_;
+    const workload::BfsRef &ref_;
+    const std::int32_t maxDepth_;
+    const std::vector<std::vector<std::int64_t>> &exp_;
 
     /** MP state: packed (depth, parent) per local vertex. */
     std::vector<std::vector<std::uint64_t>> state_;

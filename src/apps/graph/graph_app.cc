@@ -5,13 +5,18 @@
 
 namespace alewife::apps::graph {
 
-GraphAppBase::GraphAppBase(GraphAppParams p) : p_(std::move(p))
+GraphInput::GraphInput(const GraphAppParams &p)
+    : g(workload::makeGraph(p.graph)),
+      root(p.root >= 0 ? p.root : g.defaultRoot())
 {
-    g_ = workload::makeGraph(p_.graph);
-    root_ = p_.root >= 0 ? p_.root : g_.defaultRoot();
-    if (root_ >= g_.n)
-        ALEWIFE_PANIC("graph root ", root_, " out of range (n=", g_.n,
-                      ")");
+    if (root >= g.n)
+        ALEWIFE_PANIC("graph root ", root, " out of range (n=", g.n, ")");
+}
+
+GraphAppBase::GraphAppBase(GraphAppParams p,
+                           std::shared_ptr<const GraphInput> in)
+    : p_(std::move(p)), in_(std::move(in)), g_(in_->g), root_(in_->root)
+{
 }
 
 void

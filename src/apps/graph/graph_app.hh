@@ -22,6 +22,7 @@
 #define ALEWIFE_APPS_GRAPH_GRAPH_APP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/app.hh"
@@ -43,17 +44,34 @@ struct GraphAppParams
 };
 
 /** Base class: graph + reference digest. */
+/**
+ * The read-only input every App of one factory shares: the partitioned
+ * graph, the traversal root, and (in each app's subclass) the
+ * sequential reference. Built once per factory; SweepEngine workers
+ * build Apps concurrently and only read it.
+ */
+struct GraphInput
+{
+    explicit GraphInput(const GraphAppParams &p);
+    virtual ~GraphInput() = default;
+
+    workload::PartitionedGraph g;
+    std::int32_t root = 0;
+    /** Digest of the sequential reference, as a checksum. */
+    double reference = 0.0;
+};
+
 class GraphAppBase : public core::App
 {
   public:
-    double reference() const override { return reference_; }
+    double reference() const override { return in_->reference; }
     /** Results are bit-audited: digests must match exactly. */
     double tolerance() const override { return 0.0; }
 
     const workload::PartitionedGraph &graph() const { return g_; }
 
   protected:
-    explicit GraphAppBase(GraphAppParams p);
+    GraphAppBase(GraphAppParams p, std::shared_ptr<const GraphInput> in);
 
     /** 64-bit FNV-1a step. */
     static std::uint64_t
@@ -79,9 +97,9 @@ class GraphAppBase : public core::App
     void checkMachine(const Machine &m) const;
 
     GraphAppParams p_;
-    workload::PartitionedGraph g_;
-    std::int32_t root_ = 0;
-    double reference_ = 0.0;
+    std::shared_ptr<const GraphInput> in_;
+    const workload::PartitionedGraph &g_;
+    const std::int32_t root_;
     core::Mechanism mech_ = core::Mechanism::SharedMemory;
     Machine *machine_ = nullptr;
 

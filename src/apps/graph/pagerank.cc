@@ -15,22 +15,33 @@ namespace {
 constexpr std::size_t kValBatch = 5;
 } // namespace
 
-Pagerank::Pagerank(GraphAppParams p, Variant variant)
-    : GraphAppBase(std::move(p)), variant_(variant)
+Pagerank::Input::Input(const GraphAppParams &p) : GraphInput(p)
 {
-    refRanks_ =
-        workload::pagerankReference(g_, p_.iters, p_.damping);
+    refRanks = workload::pagerankReference(g, p.iters, p.damping);
     std::uint64_t h = kFnvBasis;
-    for (std::int32_t v = 0; v < g_.n; ++v)
-        h = fnv(h, std::bit_cast<std::uint64_t>(refRanks_[v]));
-    reference_ = digestChecksum(h);
+    for (std::int32_t v = 0; v < g.n; ++v)
+        h = fnv(h, std::bit_cast<std::uint64_t>(refRanks[v]));
+    reference = digestChecksum(h);
+}
+
+Pagerank::Pagerank(GraphAppParams p, Variant variant,
+                   std::shared_ptr<const Input> in)
+    : GraphAppBase(std::move(p), in), variant_(variant),
+      refRanks_(in->refRanks)
+{
+}
+
+Pagerank::Pagerank(GraphAppParams p, Variant variant)
+    : Pagerank(p, variant, std::make_shared<const Input>(p))
+{
 }
 
 core::AppFactory
 Pagerank::factory(GraphAppParams p, Variant variant)
 {
-    return [p, variant]() {
-        return std::make_unique<Pagerank>(p, variant);
+    auto in = std::make_shared<const Input>(p);
+    return [p, variant, in]() {
+        return std::make_unique<Pagerank>(p, variant, in);
     };
 }
 

@@ -41,7 +41,17 @@ class Pagerank : public GraphAppBase
         AsyncPush,
     };
 
+    /** The graph and the reference ranks. */
+    struct Input : GraphInput
+    {
+        explicit Input(const GraphAppParams &p);
+
+        std::vector<double> refRanks;
+    };
+
     Pagerank(GraphAppParams p, Variant variant);
+    Pagerank(GraphAppParams p, Variant variant,
+             std::shared_ptr<const Input> in);
 
     std::string
     name() const override
@@ -86,7 +96,7 @@ class Pagerank : public GraphAppBase
     double finalRank(std::int32_t v) const;
 
     Variant variant_;
-    std::vector<double> refRanks_;
+    const std::vector<double> &refRanks_;
 
     /** Pull: ghost slots per distinct remote source. */
     std::vector<std::vector<double>> ghost_;

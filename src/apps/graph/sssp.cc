@@ -14,42 +14,52 @@ namespace {
 constexpr std::size_t kRelaxBatch = 6;
 } // namespace
 
-Sssp::Sssp(GraphAppParams p) : GraphAppBase(std::move(p))
+Sssp::Input::Input(const GraphAppParams &p) : GraphInput(p)
 {
-    if (p_.delta < 1)
-        ALEWIFE_FATAL("sssp delta must be >= 1, got ", p_.delta);
+    if (p.delta < 1)
+        ALEWIFE_FATAL("sssp delta must be >= 1, got ", p.delta);
     // Candidates ride in the low 32 bits of a relax word.
-    if (static_cast<std::int64_t>(g_.n) * p_.graph.maxWeight
+    if (static_cast<std::int64_t>(g.n) * p.graph.maxWeight
         >= (std::int64_t{1} << 31)) {
         ALEWIFE_FATAL("sssp distances would not fit 32 bits");
     }
 
-    dist_ = workload::dijkstraReference(g_, root_);
-    buildPlan();
+    dist = workload::dijkstraReference(g, root);
+    buildPlan(p);
 
     std::uint64_t h = kFnvBasis;
-    for (std::int32_t v = 0; v < g_.n; ++v) {
-        h = fnv(h, dist_[v] < 0
-                       ? static_cast<std::uint64_t>(kInf)
-                       : static_cast<std::uint64_t>(dist_[v]));
+    for (std::int32_t v = 0; v < g.n; ++v) {
+        h = fnv(h, dist[v] < 0 ? static_cast<std::uint64_t>(kInf)
+                               : static_cast<std::uint64_t>(dist[v]));
     }
-    reference_ = digestChecksum(h);
+    reference = digestChecksum(h);
+}
+
+Sssp::Sssp(GraphAppParams p, std::shared_ptr<const Input> in)
+    : GraphAppBase(std::move(p), in), dist_(in->dist),
+      phases_(in->phases), exp_(in->exp)
+{
+}
+
+Sssp::Sssp(GraphAppParams p) : Sssp(p, std::make_shared<const Input>(p))
+{
 }
 
 core::AppFactory
 Sssp::factory(GraphAppParams p)
 {
-    return [p]() { return std::make_unique<Sssp>(p); };
+    auto in = std::make_shared<const Input>(p);
+    return [p, in]() { return std::make_unique<Sssp>(p, in); };
 }
 
 void
-Sssp::buildPlan()
+Sssp::Input::buildPlan(const GraphAppParams &p)
 {
-    const int np = p_.graph.nprocs;
-    const std::int64_t delta = p_.delta;
-    std::vector<std::int64_t> tent(g_.n, kInf), last(g_.n, -1);
-    std::vector<char> flag(g_.n, 0);
-    tent[root_] = 0;
+    const int np = p.graph.nprocs;
+    const std::int64_t delta = p.delta;
+    std::vector<std::int64_t> tent(g.n, kInf), last(g.n, -1);
+    std::vector<char> flag(g.n, 0);
+    tent[root] = 0;
 
     struct Relax
     {
@@ -61,17 +71,17 @@ Sssp::buildPlan()
     auto applyPhase = [&](const std::vector<Relax> &rs) {
         std::vector<std::int64_t> row(np, 0);
         for (const Relax &r : rs) {
-            const int q = g_.owner(r.target);
+            const int q = g.owner(r.target);
             if (q != r.srcProc)
                 ++row[q];
             tent[r.target] = std::min(tent[r.target], r.cand);
         }
-        exp_.push_back(std::move(row));
+        exp.push_back(std::move(row));
     };
 
     while (true) {
         std::int64_t b = -1;
-        for (std::int32_t v = 0; v < g_.n; ++v) {
+        for (std::int32_t v = 0; v < g.n; ++v) {
             if (tent[v] == kInf || last[v] == tent[v])
                 continue;
             const std::int64_t bv = tent[v] / delta;
@@ -85,7 +95,7 @@ Sssp::buildPlan()
         while (true) {
             std::vector<Relax> rs;
             bool any = false;
-            for (std::int32_t v = 0; v < g_.n; ++v) {
+            for (std::int32_t v = 0; v < g.n; ++v) {
                 if (tent[v] == kInf || tent[v] / delta != b
                     || last[v] == tent[v])
                     continue;
@@ -93,18 +103,18 @@ Sssp::buildPlan()
                 const std::int64_t snap = tent[v];
                 last[v] = snap;
                 flag[v] = 1;
-                const int pu = g_.owner(v);
-                for (std::int32_t k = g_.outRow[v];
-                     k < g_.outRow[v + 1]; ++k) {
-                    if (g_.outW[k] > delta)
+                const int pu = g.owner(v);
+                for (std::int32_t k = g.outRow[v];
+                     k < g.outRow[v + 1]; ++k) {
+                    if (g.outW[k] > delta)
                         continue;
                     rs.push_back(
-                        {g_.outDst[k], snap + g_.outW[k], pu});
+                        {g.outDst[k], snap + g.outW[k], pu});
                 }
             }
             if (!any)
                 break;
-            phases_.push_back({b, false});
+            phases.push_back({b, false});
             applyPhase(rs);
         }
 
@@ -112,20 +122,20 @@ Sssp::buildPlan()
         // bucket relaxes its heavy edges from its final distance.
         {
             std::vector<Relax> rs;
-            for (std::int32_t v = 0; v < g_.n; ++v) {
+            for (std::int32_t v = 0; v < g.n; ++v) {
                 if (!flag[v])
                     continue;
                 flag[v] = 0;
-                const int pu = g_.owner(v);
-                for (std::int32_t k = g_.outRow[v];
-                     k < g_.outRow[v + 1]; ++k) {
-                    if (g_.outW[k] <= delta)
+                const int pu = g.owner(v);
+                for (std::int32_t k = g.outRow[v];
+                     k < g.outRow[v + 1]; ++k) {
+                    if (g.outW[k] <= delta)
                         continue;
                     rs.push_back(
-                        {g_.outDst[k], tent[v] + g_.outW[k], pu});
+                        {g.outDst[k], tent[v] + g.outW[k], pu});
                 }
             }
-            phases_.push_back({b, true});
+            phases.push_back({b, true});
             applyPhase(rs);
         }
     }

@@ -43,7 +43,10 @@ namespace alewife::apps::graph {
 class Sssp : public GraphAppBase
 {
   public:
+    struct Input;
+
     explicit Sssp(GraphAppParams p);
+    Sssp(GraphAppParams p, std::shared_ptr<const Input> in);
 
     std::string name() const override { return "graph-sssp"; }
     void setup(Machine &m, core::Mechanism mech) override;
@@ -75,18 +78,32 @@ class Sssp : public GraphAppBase
         std::int64_t cand;
     };
 
-    void buildPlan();
     std::uint64_t tentWord(std::int32_t v) const;
 
     sim::Thread programSm(proc::Ctx &ctx, bool prefetch);
     sim::Thread programMp(proc::Ctx &ctx, bool bulk);
 
-    std::vector<std::int64_t> dist_;
+  public:
+    /** The graph, Dijkstra's distances and the planned phases. */
+    struct Input : GraphInput
+    {
+        explicit Input(const GraphAppParams &p);
 
-    /** The planned phase schedule (identical on every node). */
-    std::vector<Phase> phases_;
-    /** Expected cross relaxations per (phase, node). */
-    std::vector<std::vector<std::int64_t>> exp_;
+        std::vector<std::int64_t> dist;
+        /** The planned phase schedule (identical on every node). */
+        std::vector<Phase> phases;
+        /** Expected cross relaxations per (phase, node). */
+        std::vector<std::vector<std::int64_t>> exp;
+
+      private:
+        /** Simulate delta-stepping sequentially to plan the phases. */
+        void buildPlan(const GraphAppParams &p);
+    };
+
+  private:
+    const std::vector<std::int64_t> &dist_;
+    const std::vector<Phase> &phases_;
+    const std::vector<std::vector<std::int64_t>> &exp_;
 
     /** Per-node tentative state (the SM shadow / the MP state). */
     std::vector<std::vector<std::int64_t>> tent_;

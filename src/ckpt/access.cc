@@ -169,7 +169,7 @@ Access::kernelSection(const Machine &m)
     Json o = Json::object();
     o.set("now", hx(eq.now_));
     o.set("seq", hx(eq.seq_));
-    o.set("executed", hx(eq.executed_));
+    o.set("executed", hx(eq.eventsExecuted()));
     o.set("tieBreak", Json(eq.tieBreak_));
     o.set("rng", rngJson(eq.rng_.state()));
     o.set("finishTick", hx(m.finishTick_));
@@ -228,7 +228,7 @@ Access::meshSection(const Machine &m)
     Json o = Json::object();
 
     Json links = Json::array();
-    for (const net::Mesh::Link &l : mesh.links_) {
+    for (const net::Mesh::Link &l : mesh.linkStats()) {
         Json lo = Json::object();
         lo.set("freeAt", hx(l.freeAt));
         lo.set("busyTicks", hx(l.busyTicks));
@@ -244,11 +244,33 @@ Access::meshSection(const Machine &m)
 
     o.set("injected", hx(mesh.injected_));
     o.set("delivered", hx(mesh.delivered_));
-    o.set("niRejects", hx(mesh.niRejects_));
+    o.set("niRejects", hx(mesh.niRejects()));
     o.set("bisectionBytes", hx(mesh.bisectionBytes_));
     o.set("nextId", hx(mesh.nextId_));
     o.set("jitterFrac", hxd(mesh.jitterFrac_));
     o.set("jitterRng", rngJson(mesh.jitterRng_.state()));
+    return o;
+}
+
+Json
+Access::parkedSection(const Machine &m)
+{
+    const EventQueue &eq = m.eq_;
+    Json o = Json::object();
+    o.set("period", hx(eq.pollPeriod()));
+    Json arr = Json::array();
+    eq.forEachParked([&](const EventQueue::ParkedPoller &p) {
+        Json po = Json::object();
+        po.set("origin", hx(p.origin));
+        po.set("base", hx(p.base));
+        po.set("key", hx(p.key));
+        po.set("armed", Json(p.armed));
+        po.set("packet", packetJson(*reinterpret_cast<const net::Packet *>(
+                             p.meta.a)));
+        po.set("b", hx(p.meta.b));
+        arr.push(std::move(po));
+    });
+    o.set("pollers", std::move(arr));
     return o;
 }
 
@@ -508,8 +530,10 @@ Json
 Access::countersSection(const Machine &m)
 {
     Json o = Json::object();
+    MachineCounters c = m.counters_;
+    c.niQueueFullStalls = m.mesh_->niRejects();
     for (const CounterField &f : machineCounterFields())
-        o.set(f.name, hx(m.counters_.*(f.member)));
+        o.set(f.name, hx(c.*(f.member)));
     return o;
 }
 
@@ -517,8 +541,8 @@ namespace {
 
 /** Section names in document order; verify() walks the same list. */
 constexpr const char *kSections[] = {
-    "config", "kernel", "events",  "mesh", "memory", "caches", "pfb",
-    "coh",    "procs",  "sync",    "ni",   "cross",  "counters",
+    "config", "kernel", "events", "parked", "mesh",  "memory",   "caches",
+    "pfb",    "coh",    "procs",  "sync",   "ni",    "cross",    "counters",
 };
 
 } // namespace
@@ -534,6 +558,7 @@ Access::capture(const Machine &m)
     doc.set("config", configSection(m));
     doc.set("kernel", kernelSection(m));
     doc.set("events", eventsSection(m, errors));
+    doc.set("parked", parkedSection(m));
     doc.set("mesh", meshSection(m));
     doc.set("memory", memorySection(m));
     doc.set("caches", cachesSection(m));

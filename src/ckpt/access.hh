@@ -52,6 +52,8 @@ class Access
     /** Appends one error line per pending untagged event. */
     static exp::Json eventsSection(const Machine &m,
                                    std::vector<std::string> &errors);
+    /** Parked NI-full pollers, in poll order. */
+    static exp::Json parkedSection(const Machine &m);
     static exp::Json meshSection(const Machine &m);
     static exp::Json memorySection(const Machine &m);
     static exp::Json cachesSection(const Machine &m);

@@ -38,10 +38,12 @@ inline constexpr const char *kCkptSchemaName = "alewife-ckpt";
  * Snapshot format version. Bump whenever a section's layout or the
  * meaning of a captured value changes (2: `mesh.links[].busyTicks`
  * counts a parked packet's hold only where it extends the link's
- * horizon); the ResultCache key includes this value, so a bump also
- * invalidates every cached sweep result.
+ * horizon; 3: parked packets move from "events" to "parked", and
+ * `kernel.seq` numbers real schedules only); the ResultCache key
+ * includes this value, so a bump also invalidates every cached sweep
+ * result.
  */
-inline constexpr int kCkptSchemaVersion = 2;
+inline constexpr int kCkptSchemaVersion = 3;
 
 /** Encode a 64-bit word as a fixed-width hex string ("0x...."). */
 std::string hexU64(std::uint64_t v);
@@ -52,10 +54,11 @@ std::uint64_t parseHexU64(const std::string &s);
 /**
  * A captured machine state. The document layout:
  *
- *   { "schema": "alewife-ckpt", "version": 2,
+ *   { "schema": "alewife-ckpt", "version": 3,
  *     "config":  { "key": <canonicalKey>, "nodes": N, ... },
  *     "kernel":  { "now", "seq", "executed", tie-break RNG },
  *     "events":  [ typed pending-event records, ascending seq ],
+ *     "parked":  { poll period, NI-full pollers in poll order },
  *     "mesh":    { links, volume, counters, packet-id sequence },
  *     "memory":  { regions, backing store },
  *     "caches" / "pfb" / "coh" / "procs" / "ni": per-node arrays,

@@ -26,7 +26,7 @@ Machine::Machine(MachineConfig cfg, proc::SyncStyle style,
     : cfg_(std::move(cfg))
 {
     cfg_.validate();
-    mesh_ = std::make_unique<net::Mesh>(eq_, cfg_, &counters_);
+    mesh_ = std::make_unique<net::Mesh>(eq_, cfg_);
     mem_ = std::make_unique<mem::AddressSpace>(cfg_.nodes(),
                                                cfg_.lineBytes);
     sync_ = std::make_unique<proc::SyncSystem>(cfg_.nodes(), style);
@@ -144,11 +144,11 @@ Machine::panicDeadlock() const
 }
 
 bool
-Machine::step(Tick limit, bool single)
+Machine::stepOne(Tick limit)
 {
     if (allDone())
         return false;
-    if (!(single ? eq_.processOne() : eq_.processStep(limit)))
+    if (!eq_.step())
         panicDeadlock();
     if (eq_.now() > limit)
         ALEWIFE_PANIC("simulation exceeded tick limit ", limit);
@@ -156,17 +156,16 @@ Machine::step(Tick limit, bool single)
 }
 
 bool
-Machine::stepOne(Tick limit)
-{
-    return step(limit, false);
-}
-
-bool
 Machine::stepUntilEvents(std::uint64_t events, Tick limit)
 {
-    while (eq_.eventsExecuted() < events) {
-        if (!step(limit, true))
+    for (std::uint64_t done = eq_.eventsExecuted(); done < events;
+         done = eq_.eventsExecuted()) {
+        if (allDone())
             return false;
+        if (!eq_.stepWithin(events - done))
+            panicDeadlock();
+        if (eq_.now() > limit)
+            ALEWIFE_PANIC("simulation exceeded tick limit ", limit);
     }
     return eq_.eventsExecuted() == events;
 }
@@ -178,8 +177,9 @@ Machine::finishRun()
         cross_->stop();
 
     // Quiesce: let in-flight protocol traffic (victim writebacks, final
-    // acks) land so post-run verification sees settled state. Bounded in
-    // case stray NI retries linger in polling mode.
+    // acks) land so post-run verification sees settled state. Bounded:
+    // in polling mode packets may still be parked behind an NI no
+    // program drains, and their virtual polls up to the bound count.
     eq_.runUntil(eq_.now() + cyclesToTicks(std::uint64_t(200'000)));
 
     finishTick_ = 0;

@@ -67,9 +67,17 @@ class Machine
     mem::AddressSpace &mem() { return *mem_; }
     msg::HandlerRegistry &handlers() { return handlers_; }
 
-    /** Machine-wide counters; every node's components increment these
-     *  directly. */
-    MachineCounters &counters() { return counters_; }
+    /**
+     * Machine-wide counters; every node's components increment these
+     * directly. niQueueFullStalls is brought up to date with the
+     * mesh's rejections (virtual polls included) on each call.
+     */
+    MachineCounters &
+    counters()
+    {
+        counters_.niQueueFullStalls = mesh_->niRejects();
+        return counters_;
+    }
 
     proc::SyncSystem &sync() { return *sync_; }
 
@@ -109,22 +117,21 @@ class Machine
     void start(const ProgramFactory &f);
 
     /**
-     * Execute the next event and, if it was a rejected NI-full poll,
-     * the run of rejected polls that follows it up to @p limit
-     * (EventQueue::processStep), so one call may advance
-     * eq().eventsExecuted() by more than one. A rejected poll cannot
-     * complete a program, so a caller that loops until this returns
-     * false stops at the same event as a single-stepping one; use
-     * stepUntilEvents() to stop at an exact event count. Panics on
-     * deadlock (no event while programs are unfinished) or when
-     * simulated time exceeds @p limit.
+     * Execute the next real event; the virtual NI-full polls before it
+     * (EventQueue's parked pollers) are accounted with it, so one call
+     * may advance eq().eventsExecuted() by more than one. A virtual
+     * poll cannot complete a program, so a caller that loops until
+     * this returns false stops at the same event as a single-stepping
+     * one; use stepUntilEvents() to stop at an exact event count.
+     * Panics on deadlock (no event while programs are unfinished) or
+     * when simulated time exceeds @p limit.
      * @return false iff every program has completed (no event popped)
      */
     bool stepOne(Tick limit = kDefaultRunLimit);
 
     /**
-     * Drive the machine one event at a time until @p events total
-     * events have executed (eq().eventsExecuted() == events) or all
+     * Drive the machine until @p events total events have executed
+     * (eq().eventsExecuted() == events, virtual polls included) or all
      * programs complete, whichever is first. Used by checkpoint
      * capture/restore: the executed-event count is the canonical
      * replay position.
@@ -180,8 +187,6 @@ class Machine
 
     [[noreturn]] void panicDeadlock() const;
 
-    /** stepOne(), or exactly one event when @p single is set. */
-    bool step(Tick limit, bool single);
 
     struct Node
     {

@@ -11,13 +11,7 @@ HandlerEnv::send(NodeId dst, HandlerId h,
                  std::span<const std::uint64_t> args,
                  std::span<const std::uint64_t> body, bool bulk)
 {
-    Outgoing o;
-    o.dst = dst;
-    o.handler = h;
-    o.args.assign(args.begin(), args.end());
-    o.body.assign(body.begin(), body.end());
-    o.bulk = bulk;
-    outgoing_.push_back(std::move(o));
+    outgoing_.push_back(ni_.makePacket(dst, h, args, body, bulk));
 }
 
 HandlerId
@@ -43,10 +37,10 @@ NetIface::NetIface(NodeId self, EventQueue &eq, const MachineConfig &cfg,
 {
 }
 
-Tick
-NetIface::inject(NodeId dst, HandlerId h,
-                 std::span<const std::uint64_t> args,
-                 std::span<const std::uint64_t> body, bool bulk, Tick when)
+std::unique_ptr<net::Packet>
+NetIface::makePacket(NodeId dst, HandlerId h,
+                     std::span<const std::uint64_t> args,
+                     std::span<const std::uint64_t> body, bool bulk)
 {
     auto msg = std::make_unique<AmMessage>();
     msg->handler = h;
@@ -73,13 +67,19 @@ NetIface::inject(NodeId dst, HandlerId h,
         const std::uint32_t align = cfg_.dmaAlignBytes;
         const std::uint32_t padded = (raw + align - 1) / align * align;
         pkt->addBytes(VolCat::Data, padded);
-        ++counters_.dmaTransfers;
     } else if (!msg->body.empty()) {
         pkt->addBytes(VolCat::Data,
                       static_cast<std::uint32_t>(8 * msg->body.size()));
     }
     pkt->payload = std::move(msg);
+    return pkt;
+}
 
+Tick
+NetIface::launch(std::unique_ptr<net::Packet> pkt, Tick when)
+{
+    if (static_cast<const AmMessage &>(*pkt->payload).bulk)
+        ++counters_.dmaTransfers;
     if (when <= eq_.now())
         return mesh_.send(std::move(pkt));
 
@@ -93,11 +93,21 @@ NetIface::inject(NodeId dst, HandlerId h,
     return 0;
 }
 
-void
-NetIface::publishFull()
+Tick
+NetIface::inject(NodeId dst, HandlerId h,
+                 std::span<const std::uint64_t> args,
+                 std::span<const std::uint64_t> body, bool bulk, Tick when)
 {
-    mesh_.setRecvFull(self_, static_cast<int>(inq_.size())
-                                 >= cfg_.niInputQueueSlots);
+    return launch(makePacket(dst, h, args, body, bulk), when);
+}
+
+std::unique_ptr<AmMessage>
+NetIface::popHead()
+{
+    std::unique_ptr<AmMessage> m = std::move(inq_.front());
+    inq_.pop_front();
+    mesh_.wake(self_);
+    return m;
 }
 
 bool
@@ -110,7 +120,8 @@ NetIface::receive(net::Packet &pkt)
         ALEWIFE_PANIC("non-AM packet delivered to NI at node ", self_);
     pkt.payload.release();
     inq_.emplace_back(am);
-    publishFull();
+    if (static_cast<int>(inq_.size()) < cfg_.niInputQueueSlots)
+        mesh_.wake(self_);
 
     if (mode_ == RecvMode::Interrupt && !drainScheduled_) {
         drainScheduled_ = true;
@@ -144,7 +155,8 @@ NetIface::runHandler(const AmMessage &m)
         ++counters_.messagesPolled;
     }
     // Replies cost normal send overhead, paid inside the handler.
-    for (const auto &o : env.outgoing_) {
+    for (const auto &pkt : env.outgoing_) {
+        const auto &o = static_cast<const AmMessage &>(*pkt->payload);
         cost += cfg_.amSendCycles
                 + cfg_.amSendPerWordCycles
                       * static_cast<double>(o.args.size());
@@ -154,8 +166,8 @@ NetIface::runHandler(const AmMessage &m)
 
     const Tick done = proc_.chargeHandler(cost, TimeCat::MsgOverhead);
 
-    for (auto &o : env.outgoing_)
-        inject(o.dst, o.handler, o.args, o.body, o.bulk, done);
+    for (auto &pkt : env.outgoing_)
+        launch(std::move(pkt), done);
 
     ++delivered_;
     proc_.recheckCond();
@@ -169,9 +181,7 @@ NetIface::drainNext()
         drainScheduled_ = false;
         return;
     }
-    auto m = std::move(inq_.front());
-    inq_.pop_front();
-    publishFull();
+    const auto m = popHead();
     lastHandlerDone_ = runHandler(*m);
     eq_.schedule(lastHandlerDone_,
                  EventMeta{EventTag::AmDrain,
@@ -186,9 +196,7 @@ NetIface::pollDrain()
 {
     int n = 0;
     while (!inq_.empty()) {
-        auto m = std::move(inq_.front());
-        inq_.pop_front();
-        publishFull();
+        const auto m = popHead();
         runHandler(*m);
         ++n;
     }

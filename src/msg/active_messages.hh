@@ -12,7 +12,10 @@
  * The NI input queue is finite: when handlers cannot keep up, the queue
  * fills, the mesh parks packets against the final link, and congestion
  * backs up into the network — the endpoint-occupancy effect of
- * Section 5.1.
+ * Section 5.1. The NI is the mesh's sink for its node: it rejects a
+ * packet while the queue is full and calls Mesh::wake() whenever the
+ * queue has room again (a handler took a message, or it accepted one
+ * and is still not full), so parked packets are offered again.
  */
 
 #ifndef ALEWIFE_MSG_ACTIVE_MESSAGES_HH
@@ -100,20 +103,12 @@ class HandlerEnv
   private:
     friend class NetIface;
 
-    struct Outgoing
-    {
-        NodeId dst;
-        HandlerId handler;
-        std::vector<std::uint64_t> args;
-        std::vector<std::uint64_t> body;
-        bool bulk;
-    };
-
     NodeId self_;
     const AmMessage &msg_;
     NetIface &ni_;
     double extraCycles_ = 0.0;
-    std::vector<Outgoing> outgoing_;
+    /** Replies, built and sized; launched by NetIface::runHandler. */
+    std::vector<std::unique_ptr<net::Packet>> outgoing_;
 };
 
 using HandlerFn = std::function<void(HandlerEnv &)>;
@@ -162,11 +157,7 @@ class NetIface
                 std::span<const std::uint64_t> args,
                 std::span<const std::uint64_t> body, bool bulk, Tick when);
 
-    /**
-     * Network sink; false when the input queue is full. The mesh is
-     * told whenever the queue fills or drains (Mesh::setRecvFull), so
-     * it rejects redelivery polls without asking again.
-     */
+    /** Network sink; false when the input queue is full. */
     bool receive(net::Packet &pkt);
 
     /**
@@ -184,6 +175,16 @@ class NetIface
   private:
     /** Checkpoint capture/verify reads private state. */
     friend class alewife::ckpt::Access;
+    /** Builds replies with makePacket(). */
+    friend class HandlerEnv;
+
+    /** A sized active-message packet from this node. */
+    std::unique_ptr<net::Packet> makePacket(
+        NodeId dst, HandlerId h, std::span<const std::uint64_t> args,
+        std::span<const std::uint64_t> body, bool bulk);
+
+    /** Send @p pkt at @p when (>= now); returns the first-link wait. */
+    Tick launch(std::unique_ptr<net::Packet> pkt, Tick when);
 
     /** Run one handler; returns its completion tick. */
     Tick runHandler(const AmMessage &m);
@@ -191,8 +192,8 @@ class NetIface
     /** Interrupt-mode drain chain. */
     void drainNext();
 
-    /** Tell the mesh whether the input queue is full now. */
-    void publishFull();
+    /** Take the queue head (the queue has room after). */
+    std::unique_ptr<AmMessage> popHead();
 
     NodeId self_;
     EventQueue &eq_;

@@ -8,30 +8,28 @@
 
 namespace alewife::net {
 
-Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg,
-           MachineCounters *counters)
-    : eq_(eq), cfg_(cfg), counters_(counters)
+Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg) : eq_(eq), cfg_(cfg)
 {
     sinks_.resize(cfg.nodes());
-    recvFull_.resize(cfg.nodes());
+    waiters_.resize(cfg.nodes());
     // Four unidirectional links per node (E, W, N, S); links off the mesh
     // edge exist but are only used by cross-traffic draining off-edge.
     links_.resize(static_cast<std::size_t>(cfg.nodes()) * 4);
-    linkStep_ = {1, -1, cfg.meshX, -cfg.meshX};
+    linkParked_.resize(links_.size());
     computeDerivedTiming();
-    eq_.setRetryHandler(
-        [](void *mesh, const EventMeta &meta) {
-            return static_cast<Mesh *>(mesh)->redeliver(meta);
-        },
-        this);
 }
 
 void
 Mesh::computeDerivedTiming()
 {
+    // Parked packets keep their pending poll across a period change;
+    // their holds so far are folded in on the old period first.
+    for (std::size_t li = 0; li < links_.size(); ++li)
+        materialize(static_cast<int>(li));
     hopTicks_ = cyclesToTicks(cfg_.hopCycles());
     fixedTicks_ = cyclesToTicks(cfg_.netFixedCycles());
     retryTicks_ = cyclesToTicks(cfg_.niRetryCycles);
+    eq_.setPollPeriod(retryTicks_);
     idealTicks_ = cyclesToTicks(cfg_.idealNetLatencyCycles);
     // Memoize serialization times for every packet size up to 4 KiB
     // (covers all protocol/AM/DMA packets; larger sizes fall back to
@@ -178,6 +176,8 @@ Mesh::send(std::unique_ptr<Packet> pkt)
     bool first = true;
     int finalLink = -1;
     for (int li : scratchLinks_) {
+        if (!linkParked_[li].empty())
+            materialize(li);
         Link &link = links_[li];
         const Tick hop = hopLatency();
         const Tick uncontended = head + hop;
@@ -251,26 +251,53 @@ Mesh::offer(Packet &pkt)
     return true;
 }
 
-Tick
+void
 Mesh::reject(int finalLink)
 {
     // Receiver full: the packet stays parked and keeps its final link
-    // busy until the retry. Busy time grows only by the ticks the hold
-    // adds past the link's current horizon, so several packets parked
-    // behind one link never count the same tick twice.
+    // busy until its next poll. Busy time grows only by the ticks the
+    // hold adds past the link's current horizon, so several packets
+    // parked behind one link never count the same tick twice.
     ++niRejects_;
-    if (counters_)
-        ++counters_->niQueueFullStalls;
+    if (finalLink < 0)
+        return;
+    materialize(finalLink);
     const Tick now = eq_.now();
     const Tick retryAt = now + retryTicks_;
-    if (finalLink >= 0) {
-        Link &link = links_[finalLink];
-        if (retryAt > link.freeAt) {
-            link.busyTicks += retryAt - std::max(link.freeAt, now);
-            link.freeAt = retryAt;
-        }
+    Link &link = links_[finalLink];
+    if (retryAt > link.freeAt) {
+        link.busyTicks += retryAt - std::max(link.freeAt, now);
+        link.freeAt = retryAt;
     }
-    return retryAt;
+}
+
+void
+Mesh::materialize(int li) const
+{
+    // Each virtual poll extended the horizon to its tick + the retry
+    // delay, and found it at or past its own tick (the previous poll's
+    // hold), so busy time grew by exactly the extension. No poll has
+    // run past now, so a horizon a full period out is final.
+    Link &link = links_[li];
+    if (linkParked_[li].empty() || link.freeAt >= eq_.now() + retryTicks_)
+        return;
+    Tick hold = 0;
+    for (EventQueue::PollerId id : linkParked_[li]) {
+        if (!eq_.armed(id))
+            hold = std::max(hold, eq_.lastPoll(id) + retryTicks_);
+    }
+    if (hold > link.freeAt) {
+        link.busyTicks += hold - link.freeAt;
+        link.freeAt = hold;
+    }
+}
+
+const std::vector<Mesh::Link> &
+Mesh::linkStats() const
+{
+    for (std::size_t li = 0; li < links_.size(); ++li)
+        materialize(static_cast<int>(li));
+    return links_;
 }
 
 void
@@ -278,32 +305,68 @@ Mesh::deliver(std::unique_ptr<Packet> pkt, int finalLink)
 {
     if (offer(*pkt))
         return;
-    const Tick retryAt = reject(finalLink);
-    eq_.scheduleRetry(retryAt,
-                      EventMeta{EventTag::MeshRetry,
-                                reinterpret_cast<std::uintptr_t>(
-                                    pkt.release()),
-                                static_cast<std::uint64_t>(
-                                    static_cast<std::int64_t>(finalLink))});
+    reject(finalLink);
+    const NodeId dst = pkt->dst;
+    const EventQueue::PollerId id = eq_.park(
+        EventMeta{EventTag::MeshRetry,
+                  reinterpret_cast<std::uintptr_t>(pkt.get()),
+                  static_cast<std::uint64_t>(
+                      static_cast<std::int64_t>(finalLink))});
+    if (parked_.size() <= id)
+        parked_.resize(id + 1);
+    parked_[id] = Parked{pkt.release(), finalLink};
+    waiters_[static_cast<std::size_t>(dst)].list.push_back({id, finalLink});
+    if (finalLink >= 0)
+        linkParked_[finalLink].push_back(id);
 }
 
-Tick
-Mesh::redeliver(const EventMeta &meta)
+void
+Mesh::wake(NodeId node)
 {
-    auto *pkt = reinterpret_cast<Packet *>(meta.a);
-    const int finalLink =
-        static_cast<int>(static_cast<std::int64_t>(meta.b));
-    // A routed packet's final link leads into its destination, so a
-    // rejection reads neither the packet nor its sink: with thousands
-    // parked, the packet is rarely in cache.
-    const NodeId dst = finalLink >= 0
-                           ? (finalLink >> 2) + linkStep_[finalLink & 3]
-                           : pkt->dst;
-    if (!recvFull_[static_cast<std::size_t>(dst)] && offer(*pkt)) {
-        delete pkt;
-        return EventQueue::kRetryDone;
+    Waiters &w = waiters_[static_cast<std::size_t>(node)];
+    if (w.armed != EventQueue::kNoPoller || w.list.empty())
+        return;
+    // The earliest next poll; equal ticks share a phase class, whose
+    // order decides.
+    EventQueue::PollerId first = w.list.front().id;
+    int li = w.list.front().finalLink;
+    Tick at = eq_.nextPollTick(first);
+    for (const Waiter &c : w.list) {
+        const Tick t = eq_.nextPollTick(c.id);
+        if (t < at || (t == at && c.id != first
+                       && eq_.pollsBefore(c.id, first))) {
+            first = c.id;
+            li = c.finalLink;
+            at = t;
+        }
     }
-    return reject(finalLink);
+    // Its virtual holds end here; the armed poll holds for itself.
+    if (li >= 0)
+        materialize(li);
+    w.armed = first;
+    eq_.arm(first, [this, first]() { pollArmed(first); });
+}
+
+void
+Mesh::pollArmed(EventQueue::PollerId id)
+{
+    const Parked p = parked_[id];
+    Waiters &w = waiters_[static_cast<std::size_t>(p.pkt->dst)];
+    w.armed = EventQueue::kNoPoller;
+    // Off the wait list while offered: a sink that still has room
+    // after taking it wakes the next waiter.
+    eraseOne(w.list, [id](const Waiter &c) { return c.id == id; });
+    if (offer(*p.pkt)) {
+        if (p.finalLink >= 0)
+            eraseOne(linkParked_[p.finalLink],
+                     [id](EventQueue::PollerId c) { return c == id; });
+        eq_.unpark(id);
+        delete p.pkt;
+        return;
+    }
+    w.list.push_back({id, p.finalLink});
+    reject(p.finalLink);
+    eq_.repark(id);
 }
 
 double
@@ -317,6 +380,8 @@ Mesh::bisectionUtilization() const
         const int east =
             linkIndex(bisectX - 1, y, bisectX, y);
         const int west = linkIndex(bisectX, y, bisectX - 1, y);
+        materialize(east);
+        materialize(west);
         worst = std::max({worst, links_[east].busyTicks,
                           links_[west].busyTicks});
     }

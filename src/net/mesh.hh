@@ -10,20 +10,22 @@
  * "congestion dominated" region (Figure 1).
  *
  * Backpressure: a receiver may reject a delivery (network-interface input
- * queue full). The packet then parks, holds its final link busy, and is
- * redelivered after niRetryCycles — modelling the tree saturation the
- * paper observes for message-passing traffic at high rates. A link's
- * busy time grows only by the ticks a hold extends its horizon, so
- * packets parked side by side are not counted twice. Redeliveries are
- * the bulk of all events under irregular message passing, so each is
- * an EventQueue retry record (scheduleRetry) rather than a closure,
- * dispatched back to the mesh through the handler it registers when it
- * is constructed. A receiver that publishes when it is full
- * (setRecvFull; msg::NetIface does) lets that handler reject a poll
- * with a few stores and no sink call, and the queue then re-arms the
- * record and fires the next rejected poll in one loop. Rejections are
- * counted here only: niRejects(), and the machine's niQueueFullStalls
- * when the mesh belongs to a Machine.
+ * queue full). The packet then parks in the network, holds its final
+ * link busy, and polls its receiver every niRetryCycles — modelling the
+ * tree saturation the paper observes for message-passing traffic at
+ * high rates. A link's busy time grows only by the ticks a hold extends
+ * its horizon, so packets parked side by side are not counted twice.
+ *
+ * Polls are the bulk of all events under irregular message passing, so
+ * a parked packet is an EventQueue poller (EventQueue::park): while its
+ * receiver stays full, every poll is virtual — counted, never run. The
+ * mesh keeps each node's waiters and, when the receiver reports room
+ * (wake()), arms the one whose next poll comes first; only that poll is
+ * a real event, and it delivers the packet or parks it again. A
+ * virtual poll's hold on the final link is folded in lazily: a link
+ * with parked packets is brought up to date before anything reads or
+ * moves its horizon. Rejections are counted here only (niRejects();
+ * the machine's niQueueFullStalls mirrors it).
  *
  * An ideal mode (MachineConfig::idealNet) replaces all of this with a
  * uniform one-way latency and infinite bandwidth, used by the Figure 10
@@ -33,7 +35,7 @@
 #ifndef ALEWIFE_NET_MESH_HH
 #define ALEWIFE_NET_MESH_HH
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -64,17 +66,13 @@ class Mesh
   public:
     /**
      * Delivery callback: return true to accept the packet, false to make
-     * the network hold it and retry (NI queue full).
+     * the network hold it (NI queue full). A sink that rejects must
+     * call wake() whenever its node has room again; until then its
+     * parked packets are not offered again.
      */
     using Sink = std::function<bool(Packet &)>;
 
-    /**
-     * Registers itself as @p eq's retry handler (see redeliver()).
-     * Each rejection also bumps @p counters->niQueueFullStalls when
-     * @p counters is given.
-     */
-    Mesh(EventQueue &eq, const MachineConfig &cfg,
-         MachineCounters *counters = nullptr);
+    Mesh(EventQueue &eq, const MachineConfig &cfg);
     Mesh(const Mesh &) = delete;
     Mesh &operator=(const Mesh &) = delete;
 
@@ -82,15 +80,10 @@ class Mesh
     void setSink(NodeId node, Sink sink);
 
     /**
-     * Publish whether @p node's receiver is full, i.e. would reject
-     * every parked packet. While it is, a redelivery poll to @p node is
-     * rejected without calling the sink; a sink whose node never
-     * publishes is asked on every poll.
+     * @p node's receiver has room: arm the parked packet whose next
+     * poll comes first, unless one is armed already.
      */
-    void setRecvFull(NodeId node, bool full)
-    {
-        recvFull_[static_cast<std::size_t>(node)] = full;
-    }
+    void wake(NodeId node);
 
     /**
      * Inject @p pkt at time now. Ownership transfers to the mesh until
@@ -108,7 +101,10 @@ class Mesh
     std::uint64_t packetsDelivered() const { return delivered_; }
 
     /** Times a delivery was rejected by a full NI queue. */
-    std::uint64_t niRejects() const { return niRejects_; }
+    std::uint64_t niRejects() const
+    {
+        return niRejects_ + eq_.virtualPolls();
+    }
 
     /** Bytes that crossed the X-dimension bisection, both directions. */
     std::uint64_t bisectionBytes() const { return bisectionBytes_; }
@@ -161,7 +157,7 @@ class Mesh
      * Per-link occupancy counters, indexed node*4 + direction
      * (E,W,N,S). Read-only diagnostic for the observability exporter.
      */
-    const std::vector<Link> &linkStats() const { return links_; }
+    const std::vector<Link> &linkStats() const;
 
   private:
     /** Checkpoint capture/verify reads private state. */
@@ -174,28 +170,23 @@ class Mesh
     /** Compute the XY route; fills @p links with link indices in order. */
     void route(NodeId src, NodeId dst, RouteBuf &links) const;
 
-    /**
-     * Hand an arrived packet to its sink; on reject, park it and queue
-     * an EventQueue retry record (dispatched to redeliver()).
-     */
+    /** Hand an arrived packet to its sink; on reject, park it. */
     void deliver(std::unique_ptr<Packet> pkt, int finalLink);
 
-    /**
-     * The retry handler's body: poll a parked packet's receiver again.
-     * @return the tick to re-arm the record at if it is still full,
-     *         else EventQueue::kRetryDone (the packet was delivered)
-     */
-    Tick redeliver(const EventMeta &meta);
+    /** The armed poll of parked packet @p id. */
+    void pollArmed(EventQueue::PollerId id);
 
     /** Offer @p pkt to its sink; true (and counted) if accepted. */
     bool offer(Packet &pkt);
 
     /**
-     * Bookkeeping of one rejection: count it and hold @p finalLink
-     * busy until the retry.
-     * @return the retry tick
+     * Bookkeeping of one real rejection: count it and hold
+     * @p finalLink busy until the next poll.
      */
-    Tick reject(int finalLink);
+    void reject(int finalLink);
+
+    /** Fold the holds of @p li's virtual polls into the link. */
+    void materialize(int li) const;
 
     /** The un-memoized serialization formula (table fill + fallback). */
     Tick serializationTicksExact(std::uint32_t bytes) const;
@@ -211,26 +202,56 @@ class Mesh
     /** Per-hop latency, jittered when hop jitter is enabled. */
     Tick hopLatency();
 
+    /** A parked packet, indexed by its EventQueue::PollerId. */
+    struct Parked
+    {
+        Packet *pkt = nullptr;
+        int finalLink = -1;
+    };
+
+    /** A node's parked packet: its poller and final link. */
+    struct Waiter
+    {
+        EventQueue::PollerId id;
+        int finalLink;
+    };
+
+    /** Per node: its parked packets and the armed one, if any. */
+    struct Waiters
+    {
+        std::vector<Waiter> list;
+        EventQueue::PollerId armed = EventQueue::kNoPoller;
+    };
+
+    /** Drop @p id from @p v (order is irrelevant). */
+    template <typename V, typename Pred>
+    static void
+    eraseOne(V &v, Pred is)
+    {
+        auto it = std::find_if(v.begin(), v.end(), is);
+        *it = v.back();
+        v.pop_back();
+    }
+
     EventQueue &eq_;
     const MachineConfig &cfg_;
-    MachineCounters *counters_;
     std::vector<Sink> sinks_;
-    /** Per node: the receiver published that it is full. */
-    std::vector<std::uint8_t> recvFull_;
-    std::vector<Link> links_;
-    /** Node-id step along each link direction (E, W, N, S): link li
-     *  leads into node li / 4 + linkStep_[li % 4]. */
-    std::array<NodeId, 4> linkStep_{};
+    std::vector<Parked> parked_;
+    std::vector<Waiters> waiters_;
+    /** Per link: the packets parked on it (their holds are lazy). */
+    std::vector<std::vector<EventQueue::PollerId>> linkParked_;
+    /** Horizons include every virtual hold once materialize()d. */
+    mutable std::vector<Link> links_;
     VolumeBreakdown volume_;
     std::uint64_t injected_ = 0;
     std::uint64_t delivered_ = 0;
     std::uint64_t niRejects_ = 0;
     std::uint64_t bisectionBytes_ = 0;
     std::uint64_t nextId_ = 1;
-    Tick hopTicks_;
-    Tick fixedTicks_;
-    Tick retryTicks_;
-    Tick idealTicks_;
+    Tick hopTicks_ = 0;
+    Tick fixedTicks_ = 0;
+    Tick retryTicks_ = 0;
+    Tick idealTicks_ = 0;
     /**
      * serializationTicks() memo for common packet sizes, computed once
      * with the exact per-call formula (tests/net/serialization_ticks

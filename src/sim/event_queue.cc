@@ -66,48 +66,382 @@ EventQueue::setTieBreak(std::uint64_t seed)
     rng_ = Rng(seed);
 }
 
-void
-EventQueue::scheduleRetry(Tick when, const EventMeta &meta)
+// ---------------------------------------------------------------------
+// Parked pollers
+// ---------------------------------------------------------------------
+
+std::uint64_t
+EventQueue::keyAfter(Tick g) const
 {
-    if (!retryFn_) [[unlikely]]
-        ALEWIFE_PANIC("retry scheduled with no retry handler registered");
-    pushRetry(when, meta);
+    // No real event runs between now_ and the next one, so a tick at
+    // or past now_ reads the current seq_ (only virtualCountBefore()
+    // asks that far ahead).
+    if (g >= now_)
+        return seq_;
+    auto it = std::upper_bound(
+        keys_.begin() + static_cast<std::ptrdiff_t>(keysHead_), keys_.end(),
+        g, [](Tick t, const std::pair<Tick, std::uint64_t> &k) {
+            return t < k.first;
+        });
+    if (it == keys_.begin() + static_cast<std::ptrdiff_t>(keysHead_))
+        [[unlikely]]
+        ALEWIFE_PANIC("parked poll key at tick ", g, " no longer logged");
+    return std::prev(it)->second;
 }
 
-inline void
-EventQueue::pushRetry(Tick when, const EventMeta &meta)
+void
+EventQueue::advanceTo(Tick t)
 {
-    if (when < now_) [[unlikely]]
-        panicScheduledPast(when);
-    const Retry r{when, priorityFor(when), seq_++, meta};
-    if (dep_) [[unlikely]]
-        dep_->onSchedule(r.seq, curExec_, when, now_, meta);
-    if (retryCount_ > retryMask_) [[unlikely]]
-        growRetries();
-    // Retries fire a fixed delay after now(), so a new record almost
-    // always sorts last. It walks back only past a tie-break run of
-    // equal `when`, or past records queued before a warm-start delta
-    // lowered the retry delay.
-    std::size_t pos = retryHead_ + retryCount_;
-    while (pos != retryHead_
-           && before(r, retries_[(pos - 1) & retryMask_])) {
-        retries_[pos & retryMask_] = retries_[(pos - 1) & retryMask_];
-        --pos;
+    if (t == now_)
+        return;
+    settledNow_ = 0; // pollsIn() counts them once now_ has passed
+    if (parked_ != 0) {
+        keys_.emplace_back(now_, seq_);
+        // Keep the last entry at or before t - period_: no lookup
+        // reaches further back than one period.
+        const Tick floor = t > period_ ? t - period_ : 0;
+        while (keysHead_ + 1 < keys_.size()
+               && keys_[keysHead_ + 1].first <= floor)
+            ++keysHead_;
+        if (keysHead_ > 64 && 2 * keysHead_ > keys_.size()) {
+            keys_.erase(keys_.begin(),
+                        keys_.begin()
+                            + static_cast<std::ptrdiff_t>(keysHead_));
+            keysHead_ = 0;
+        }
     }
-    retries_[pos & retryMask_] = r;
-    ++retryCount_;
+    now_ = t;
+}
+
+EventQueue::NextPoll
+EventQueue::nextPoll(const Poller &p) const
+{
+    if (p.base >= now_)
+        return {p.base + period_, p.key};
+    // The first phase tick at or after now_; the polls before it ran.
+    const Tick g = now_ + (p.origin % period_ + period_ - now_ % period_)
+                              % period_;
+    return {g, g == p.base + period_ ? p.key : keyAfter(g - period_)};
+}
+
+std::uint64_t
+EventQueue::phaseCount(Tick phases) const
+{
+    std::uint64_t n = 0;
+    for (Tick i = phases; i > 0; i -= i & (~i + 1))
+        n += phaseTree_[i - 1];
+    return n;
+}
+
+std::uint64_t
+EventQueue::pollsIn(Tick from, Tick to) const
+{
+    // Every virtual poller polls once a period, at its phase.
+    const Tick span = to - from;
+    std::uint64_t n = virtual_ * (span / period_);
+    const Tick a = (from + span / period_ * period_) % period_;
+    const Tick b = to % period_;
+    if (a < b)
+        n += phaseCount(b) - phaseCount(a);
+    else if (a > b)
+        n += phaseCount(period_) - phaseCount(a) + phaseCount(b);
+    return n;
 }
 
 void
-EventQueue::growRetries()
+EventQueue::countPolls()
 {
-    std::vector<Retry> bigger(2 * retries_.size());
-    for (std::size_t i = 0; i < retryCount_; ++i)
-        bigger[i] = retries_[(retryHead_ + i) & retryMask_];
-    retries_ = std::move(bigger);
-    retryMask_ = retries_.size() - 1;
-    retryHead_ = 0;
+    counted_ += pollsIn(countedTo_, now_);
+    countedTo_ = now_;
 }
+
+void
+EventQueue::addVirtual(Poller &p, Tick first)
+{
+    countPolls();
+    for (Tick i = p.origin % period_ + 1; i <= period_; i += i & (~i + 1))
+        ++phaseTree_[i - 1];
+    ++virtual_;
+    // pollsIn() will count every phase tick from now_ on, but the
+    // first poll is at `first`: take the ticks before it back now, and
+    // count them in again until pollsIn() has passed them.
+    p.first = first;
+    if (first > now_) {
+        counted_ -= ticksBefore(p);
+        while (!deferred_.empty() && pollers_[deferred_.front()].first <= now_)
+            deferred_.erase(deferred_.begin());
+        deferred_.push_back(static_cast<PollerId>(&p - pollers_.data()));
+    }
+}
+
+std::uint64_t
+EventQueue::ticksBefore(const Poller &p) const
+{
+    return p.first > now_ ? (p.first - now_) / period_ : 0;
+}
+
+void
+EventQueue::dropVirtual(const Poller &p)
+{
+    countPolls();
+    for (Tick i = p.origin % period_ + 1; i <= period_; i += i & (~i + 1))
+        --phaseTree_[i - 1];
+    --virtual_;
+    const auto it = std::find(deferred_.begin(), deferred_.end(),
+                              static_cast<PollerId>(&p - pollers_.data()));
+    if (it != deferred_.end()) {
+        counted_ += ticksBefore(p); // never reached: not polls
+        deferred_.erase(it);
+    }
+    if (p.base == now_ && p.origin != now_) {
+        // Its poll at now_ ran; pollsIn() will no longer count it.
+        --settledNow_;
+        ++counted_;
+    }
+}
+
+void
+EventQueue::settleAt(Poller &p)
+{
+    p.base = now_;
+    p.key = seq_;
+    ++settledNow_;
+}
+
+Tick
+EventQueue::lastPoll(PollerId id) const
+{
+    const Poller &p = pollers_[id];
+    if (p.base >= now_ || now_ <= p.origin)
+        return p.base;
+    return p.origin + (now_ - p.origin - 1) / period_ * period_;
+}
+
+std::uint64_t
+EventQueue::virtualPolls() const
+{
+    std::uint64_t n = counted_ + pollsIn(countedTo_, now_) + settledNow_;
+    for (PollerId id : deferred_)
+        n += ticksBefore(pollers_[id]);
+    return n;
+}
+
+bool
+EventQueue::classBefore(PollerId a, PollerId b) const
+{
+    for (PollerId id : classOf(pollers_[a].origin)) {
+        if (id == a)
+            return true;
+        if (id == b)
+            return false;
+    }
+    return false;
+}
+
+Tick
+EventQueue::nextPollTick(PollerId id) const
+{
+    const Poller &p = pollers_[id];
+    if (p.base >= now_)
+        return p.base + period_;
+    return now_ + (p.origin % period_ + period_ - now_ % period_) % period_;
+}
+
+bool
+EventQueue::pollsBefore(PollerId a, PollerId b) const
+{
+    const Tick ta = nextPollTick(a);
+    const Tick tb = nextPollTick(b);
+    if (ta != tb)
+        return ta < tb;
+    return classBefore(a, b);
+}
+
+EventQueue::PollerId
+EventQueue::park(const EventMeta &meta)
+{
+    PollerId id;
+    if (freePollers_.empty()) {
+        id = static_cast<PollerId>(pollers_.size());
+        pollers_.emplace_back();
+    } else {
+        id = freePollers_.back();
+        freePollers_.pop_back();
+    }
+    Poller &p = pollers_[id];
+    p = Poller{now_, now_, seq_, kNoSlot, 0, meta};
+    ++parked_;
+    addVirtual(p, now_ + period_);
+    // After the members whose poll at now_ already ran.
+    std::vector<PollerId> &cls = classOf(now_);
+    auto pos = cls.begin();
+    while (pos != cls.end() && pollers_[*pos].base >= now_)
+        ++pos;
+    cls.insert(pos, id);
+    return id;
+}
+
+void
+EventQueue::repark(PollerId id)
+{
+    Poller &p = pollers_[id];
+    p.origin = p.base = now_;
+    p.key = seq_;
+    addVirtual(p, now_ + period_);
+}
+
+void
+EventQueue::unpark(PollerId id)
+{
+    const Poller &p = pollers_[id];
+    std::vector<PollerId> &cls = classOf(p.origin);
+    cls.erase(std::find(cls.begin(), cls.end(), id));
+    freePollers_.push_back(id);
+    --parked_;
+    if (parked_ == 0) {
+        keys_.clear();
+        keysHead_ = 0;
+    }
+}
+
+void
+EventQueue::arm(PollerId id, EventFn fn)
+{
+    Poller &p = pollers_[id];
+    const NextPoll next = nextPoll(p);
+    dropVirtual(p);
+    // Make the armed poll explicit: it is the one after base.
+    p.origin = p.base = next.when - period_;
+    p.key = next.key;
+    p.slot = pool_->allocate();
+    detail::EventPool::Slot &slot = pool_->slot(p.slot);
+    slot.fn = std::move(fn);
+    slot.meta = p.meta;
+    p.armSeq = seq_++;
+    if (dep_) [[unlikely]]
+        dep_->onSchedule(p.armSeq, curExec_, next.when, now_, p.meta);
+    armed_.push_back(id);
+}
+
+EventQueue::PollerId
+EventQueue::firstArmed() const
+{
+    PollerId best = kNoPoller;
+    for (PollerId id : armed_) {
+        if (best == kNoPoller) {
+            best = id;
+            continue;
+        }
+        const Poller &a = pollers_[id];
+        const Poller &b = pollers_[best];
+        if (a.base != b.base ? a.base < b.base : classBefore(id, best))
+            best = id;
+    }
+    return best;
+}
+
+bool
+EventQueue::armedBefore(PollerId a, const Entry &e) const
+{
+    const Poller &p = pollers_[a];
+    const Tick when = p.base + period_;
+    if (when != e.when)
+        return when < e.when;
+    return e.pri != 0 || p.key <= e.seq;
+}
+
+void
+EventQueue::settleBefore(std::uint64_t pri, std::uint64_t seq)
+{
+    std::vector<PollerId> &cls = classOf(now_);
+    if (cls.empty())
+        return;
+    std::uint64_t lazyKey = 0;
+    bool haveLazy = false;
+    for (PollerId id : cls) {
+        Poller &p = pollers_[id];
+        if (p.base >= now_)
+            continue; // its poll at now_ ran, or it has none
+        std::uint64_t key = p.key;
+        if (p.base + period_ != now_) {
+            // Its poll a period ago ran lazily, after that tick's
+            // last real event.
+            if (!haveLazy) {
+                lazyKey = keyAfter(now_ - period_);
+                haveLazy = true;
+            }
+            key = lazyKey;
+        }
+        if (pri == 0 && key > seq)
+            break; // keys never fall along the class
+        settleAt(p);
+    }
+}
+
+void
+EventQueue::setPollPeriod(Tick period)
+{
+    if (period == 0)
+        ALEWIFE_PANIC("parked-poll period must be positive");
+    if (period == period_)
+        return;
+    // Each poller keeps its pending poll, (when, key), and continues on
+    // the new period from there. Members of one new class that start
+    // at different ticks first meet at the later start, where the
+    // later starter's key is the older one: it goes first.
+    struct Pending
+    {
+        PollerId id;
+        NextPoll next;
+        std::size_t order;
+    };
+    std::vector<Pending> all;
+    std::size_t order = 0;
+    for (std::vector<PollerId> &cls : classes_) {
+        for (PollerId id : cls) {
+            Poller &p = pollers_[id];
+            const NextPoll next =
+                p.slot != kNoSlot ? NextPoll{p.base + period_, p.key}
+                                  : nextPoll(p);
+            all.push_back({id, next, order++});
+        }
+        cls.clear();
+    }
+    // Every poll so far is counted; the pollers rejoin on the new
+    // period from their pending poll.
+    countPolls();
+    counted_ += settledNow_;
+    settledNow_ = 0;
+    for (PollerId id : deferred_)
+        counted_ += ticksBefore(pollers_[id]);
+    deferred_.clear();
+    virtual_ = 0;
+    std::sort(all.begin(), all.end(), [](const Pending &a, const Pending &b) {
+        if (a.next.when != b.next.when)
+            return a.next.when > b.next.when;
+        if (a.next.key != b.next.key)
+            return a.next.key < b.next.key;
+        return a.order < b.order;
+    });
+    period_ = period;
+    classes_.assign(period, {});
+    phaseTree_.assign(period, 0);
+    for (const Pending &e : all) {
+        Poller &p = pollers_[e.id];
+        if (e.next.when < period) [[unlikely]]
+            ALEWIFE_PANIC("parked poll at tick ", e.next.when,
+                          " precedes one new period");
+        p.origin = p.base = e.next.when - period;
+        p.key = e.next.key;
+        classOf(p.origin).push_back(e.id);
+        if (p.slot == kNoSlot)
+            addVirtual(p, e.next.when);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Dispatch
+// ---------------------------------------------------------------------
 
 inline void
 EventQueue::finishEvent()
@@ -118,82 +452,232 @@ EventQueue::finishEvent()
         hooks_->onEventExecuted(now_);
 }
 
-void
-EventQueue::fireRetries(const Entry *bound, Tick limit,
-                        std::uint64_t budget)
-{
-    for (;;) {
-        const Retry r = retries_[retryHead_];
-        retryHead_ = (retryHead_ + 1) & retryMask_;
-        --retryCount_;
-        now_ = r.when;
-        ++executed_;
-        if (dep_) [[unlikely]] {
-            curExec_ = r.seq;
-            dep_->onExecute(r.seq, r.when);
-        }
-        const std::uint64_t seqBefore = seq_;
-        const Tick rearm = retryFn_(retryCtx_, r.meta);
-        if (rearm != kRetryDone)
-            pushRetry(rearm, r.meta);
-        finishEvent();
-        // Go on only while the poll was rejected and nothing but its
-        // re-arm was scheduled, so `bound` is still the radix queue's
-        // top (a cancellation can only make the real top later).
-        if (rearm == kRetryDone || seq_ != seqBefore + 1 || --budget == 0)
-            return;
-        const Retry &next = retries_[retryHead_];
-        if (next.when > limit || (bound && !before(next, *bound)))
-            return;
-    }
-}
-
-bool
-EventQueue::step(Tick limit, std::uint64_t budget)
+const EventQueue::Entry *
+EventQueue::liveTop()
 {
     while (!heap_.empty()) {
-        const Entry e = heap_.top();
-        detail::EventPool::Slot &slot = pool_->slot(e.idx);
-        if (slot.gen != e.gen) {
-            heap_.pop(); // cancelled
-            continue;
+        const Entry &e = heap_.top();
+        if (entryLive(e))
+            return &e;
+        heap_.pop(); // cancelled
+    }
+    return nullptr;
+}
+
+EventQueue::Next
+EventQueue::peekNext()
+{
+    Next n;
+    n.entry = liveTop();
+    if (n.entry)
+        n.when = n.entry->when;
+    if (!armed_.empty()) [[unlikely]] {
+        const PollerId a = firstArmed();
+        if (!n.entry || armedBefore(a, *n.entry)) {
+            n.entry = nullptr;
+            n.armed = a;
+            n.when = pollers_[a].base + period_;
         }
-        if (retryCount_ != 0 && before(retries_[retryHead_], e)) {
-            fireRetries(&e, limit, budget);
-            return true;
+    }
+    return n;
+}
+
+void
+EventQueue::runNext(const Next &n)
+{
+    if (n.armed != kNoPoller) {
+        Poller &p = pollers_[n.armed];
+        advanceTo(n.when);
+        // The class members ahead of it poll first.
+        for (PollerId id : classOf(now_)) {
+            if (id == n.armed)
+                break;
+            Poller &q = pollers_[id];
+            if (q.base < now_)
+                settleAt(q);
         }
-        heap_.pop();
-        now_ = e.when;
+        armed_.erase(std::find(armed_.begin(), armed_.end(), n.armed));
+        const std::uint32_t idx = p.slot;
+        p.slot = kNoSlot;
         ++executed_;
-        // Bump the generation before invoking: every outstanding handle
-        // (including the event's own — self-cancellation is a no-op)
-        // and stale heap entry is dead from here on. The callback runs
-        // in place in its slot, which is pushed back on the free list
-        // only afterwards, so it cannot be handed out mid-execution.
-        // Slot addresses are stable across addSlab, so `slot` stays
-        // valid even if the callback grows the pool.
-        ++slot.gen;
         if (dep_) [[unlikely]] {
-            curExec_ = e.seq;
-            dep_->onExecute(e.seq, e.when);
+            curExec_ = p.armSeq;
+            dep_->onExecute(p.armSeq, now_);
         }
+        detail::EventPool::Slot &slot = pool_->slot(idx);
+        ++slot.gen;
         slot.fn();
         slot.fn.reset();
         slot.nextFree = pool_->freeHead;
-        pool_->freeHead = e.idx;
+        pool_->freeHead = idx;
         finishEvent();
+        return;
+    }
+    const Entry e = *n.entry;
+    heap_.pop();
+    advanceTo(e.when);
+    if (parked_ != 0)
+        settleBefore(e.pri, e.seq);
+    ++executed_;
+    // Bump the generation before invoking: every outstanding handle
+    // (including the event's own — self-cancellation is a no-op) and
+    // stale heap entry is dead from here on. The callback runs in
+    // place in its slot, which is pushed back on the free list only
+    // afterwards, so it cannot be handed out mid-execution. Slot
+    // addresses are stable across addSlab, so `slot` stays valid even
+    // if the callback grows the pool.
+    detail::EventPool::Slot &slot = pool_->slot(e.idx);
+    ++slot.gen;
+    if (dep_) [[unlikely]] {
+        curExec_ = e.seq;
+        dep_->onExecute(e.seq, e.when);
+    }
+    slot.fn();
+    slot.fn.reset();
+    slot.nextFree = pool_->freeHead;
+    pool_->freeHead = e.idx;
+    finishEvent();
+}
+
+bool
+EventQueue::step()
+{
+    const Next n = peekNext();
+    if (!n.any())
+        return false;
+    runNext(n);
+    return true;
+}
+
+EventQueue::PollerId
+EventQueue::firstVirtual(Tick *when) const
+{
+    if (parked_ == 0)
+        return kNoPoller;
+    // A poller whose poll at now_ ran next polls a full period on.
+    for (Tick d = 0; d <= period_; ++d) {
+        const Tick g = now_ + d;
+        for (PollerId id : classOf(g)) {
+            const Poller &p = pollers_[id];
+            if (p.base >= g)
+                continue; // ran at g already, or starts later
+            if (p.slot != kNoSlot)
+                continue; // its poll is the armed record
+            *when = g;
+            return id;
+        }
+    }
+    return kNoPoller;
+}
+
+bool
+EventQueue::virtualBefore(PollerId v, Tick when, const Next &n) const
+{
+    if (!n.any())
+        return true;
+    if (when != n.when)
+        return when < n.when;
+    if (n.armed != kNoPoller)
+        return classBefore(v, n.armed);
+    return n.entry->pri != 0 || nextPoll(pollers_[v]).key <= n.entry->seq;
+}
+
+bool
+EventQueue::processOne()
+{
+    const Next n = peekNext();
+    Tick when = 0;
+    const PollerId v = firstVirtual(&when);
+    if (v != kNoPoller && virtualBefore(v, when, n)) {
+        advanceTo(when);
+        settleAt(pollers_[v]);
         return true;
     }
-    if (retryCount_ == 0)
+    if (!n.any())
         return false;
-    fireRetries(nullptr, limit, budget);
+    runNext(n);
     return true;
+}
+
+std::uint64_t
+EventQueue::virtualCountBefore(const Next &n) const
+{
+    std::uint64_t count = 0;
+    for (const std::vector<PollerId> &cls : classes_) {
+        for (PollerId id : cls) {
+            const Poller &p = pollers_[id];
+            if (p.slot != kNoSlot)
+                continue;
+            const NextPoll next = nextPoll(p);
+            if (next.when > n.when)
+                continue;
+            // Polls at next.when, next.when + period_, ... before n's
+            // tick, then the one at n's tick if it precedes n.
+            const Tick span = n.when - next.when;
+            count += (span + period_ - 1) / period_;
+            if (span % period_ != 0)
+                continue;
+            bool first;
+            if (n.armed != kNoPoller)
+                first = classBefore(id, n.armed);
+            else {
+                const std::uint64_t key =
+                    span == 0 ? next.key : keyAfter(n.when - period_);
+                first = n.entry->pri != 0 || key <= n.entry->seq;
+            }
+            count += first ? 1 : 0;
+        }
+    }
+    return count;
+}
+
+bool
+EventQueue::stepWithin(std::uint64_t budget)
+{
+    const Next n = peekNext();
+    if (n.any() && (parked_ == 0 || virtualCountBefore(n) < budget)) {
+        runNext(n);
+        return true;
+    }
+    return processOne();
+}
+
+void
+EventQueue::settleThrough(Tick limit)
+{
+    if (parked_ == 0 || limit < now_)
+        return;
+    // The latest virtual poll due by limit.
+    Tick last = 0;
+    bool any = false;
+    for (const std::vector<PollerId> &cls : classes_) {
+        for (PollerId id : cls) {
+            const Poller &p = pollers_[id];
+            if (p.slot != kNoSlot)
+                continue;
+            const NextPoll next = nextPoll(p);
+            if (next.when > limit)
+                continue;
+            const Tick at = next.when + (limit - next.when) / period_ * period_;
+            if (!any || at > last)
+                last = at;
+            any = true;
+        }
+    }
+    if (!any)
+        return;
+    advanceTo(last);
+    for (PollerId id : classOf(now_)) {
+        Poller &p = pollers_[id];
+        if (p.base < now_ && p.slot == kNoSlot)
+            settleAt(p);
+    }
 }
 
 Tick
 EventQueue::run()
 {
-    while (step(kNoLimit, kNoBudget)) {
+    while (step()) {
     }
     return now_;
 }
@@ -201,33 +685,22 @@ EventQueue::run()
 bool
 EventQueue::runUntil(Tick limit)
 {
-    for (auto when = peekNextTick(); when; when = peekNextTick()) {
-        if (*when > limit)
+    for (Next n = peekNext(); n.any(); n = peekNext()) {
+        if (n.when > limit) {
+            settleThrough(limit);
             return false;
-        step(limit, kNoBudget);
+        }
+        runNext(n);
     }
-    return true;
-}
-
-std::optional<Tick>
-EventQueue::peekNextTick()
-{
-    while (!heap_.empty() && !entryLive(heap_.top()))
-        heap_.pop(); // cancelled
-    if (retryCount_ == 0) {
-        if (heap_.empty())
-            return std::nullopt;
-        return heap_.top().when;
-    }
-    const Tick retry = retries_[retryHead_].when;
-    return heap_.empty() ? retry : std::min(retry, heap_.top().when);
+    settleThrough(limit);
+    return parked_ == 0;
 }
 
 bool
 EventQueue::empty() const
 {
     // Only used by tests; a linear scan over queued entries is fine.
-    return retryCount_ == 0
+    return parked_ == 0
            && !heap_.any([this](const Entry &e) { return entryLive(e); });
 }
 

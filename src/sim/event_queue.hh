@@ -22,35 +22,42 @@
  * machine), so a handle may outlive its queue: it then reports
  * not-pending and cancel() is a no-op.
  *
- * NI-full retries take a second, slot-free path (scheduleRetry). A
- * packet parked behind a full network-interface queue is re-polled
- * every niRetryCycles, and under irregular message-passing traffic
- * those polls are the bulk of all events. Each one is a plain
- * (when, pri, seq, EventMeta) record in a FIFO ring beside the radix
- * queue, dispatched through the one handler net::Mesh registers —
- * no pool slot, no closure, no radix redistribution. Every retry
- * fires a fixed delay after now(), so records append in order and pop
- * in O(1), and the ring holds no more records than there are parked
- * packets. The dispatch loop merges the FIFO head with the radix
- * queue's live top under the same total (when, pri, seq) order, and a
- * record is in every other respect a real event: it draws a seq and
- * a tie-break priority, counts as executed, and is reported to the
- * DepListener, the audit hooks and forEachPending like any other.
- * Records cannot be cancelled (nothing ever cancels a retry).
+ * Parked pollers. A packet bounced by a full network-interface queue
+ * re-polls it every pollPeriod() ticks, and under irregular message
+ * passing those polls are the bulk of all events. They are not queued:
+ * park() records the poller, and a poll that only finds its NI still
+ * full is *virtual* — counted in eventsExecuted(), never dispatched.
+ * Only a poll that may succeed is a real record: when the NI has room,
+ * net::Mesh arm()s its earliest waiter, and the armed poll runs like
+ * any other event, then unpark()s or repark()s its poller.
  *
- * A poll that finds the NI still full is *rejected*: the handler
- * returns the tick to re-arm at, and the queue re-arms the record
- * itself, with the same tie-break draw, seq and DepListener report a
- * scheduleRetry() from inside the handler would make. A rejected poll
- * schedules nothing else (a handler that does ends the loop), so the
- * radix queue's top cannot change under it. The queue therefore
- * keeps firing FIFO records in one loop while each is rejected and
- * the next still precedes that top, up to the caller's tick limit and
- * event budget: processOne() has a budget of one event, processStep(),
- * run() and runUntil() take a whole run of rejected polls per call.
- * Each poll still executes as its own event, with its own seq, count
- * and observer calls, so every result is the same as when each is
- * dispatched on its own.
+ * Exact order. The polls are accounted as if each were an event with
+ * the (tick, seq) it would have had, so every simulated result is the
+ * same as when each poll ran on its own:
+ *  - `seq_` numbers real schedules only. A poll carries the key c,
+ *    the value seq_ had when its poller's previous poll (or its park)
+ *    ran; it runs before a real event at the same tick with seq s iff
+ *    c <= s (and before every same-tick event of nonzero tie-break
+ *    priority: a poll draws no priority, it sorts as 0).
+ *  - Polls at one tick share a phase, tick mod pollPeriod(). Each
+ *    phase class lists its pollers in poll order; a poller parked at
+ *    tick t goes after the members whose poll at t already ran.
+ *  - Keys are lazy: a poll that ran after the last real event of its
+ *    tick g has key C(g), the seq_ after that event, read back from a
+ *    ring of (tick, seq_) appended whenever now() advances while
+ *    anything is parked.
+ *  - Before a real event at tick t runs, the members of t's class
+ *    whose poll precedes it are settled: their poll at t is marked
+ *    run, with the current seq_ as next key. Nothing parked: one
+ *    branch per event; else a modulo and a load.
+ *
+ * Stepping: processOne() runs exactly one event, a virtual poll
+ * included; run(), runUntil() and step() account virtual polls
+ * lazily. stepWithin(n) runs one real event when at most n events
+ * (its virtual predecessors and itself) precede it, else one virtual
+ * poll, so a caller can stop at an exact event count. Observers
+ * (DepListener, check::Hooks) see real events only; an armed poll is
+ * the child of the event that armed it.
  *
  * Schedule perturbation (setTieBreak): for fuzzing, same-tick events
  * scheduled for the *future* can be ordered by a seeded random priority
@@ -69,7 +76,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <source_location>
 #include <type_traits>
 #include <vector>
@@ -398,70 +404,95 @@ class EventQueue
         return schedule(now_ + delay, meta, std::forward<F>(fn));
     }
 
-    /** Returned by a retry handler whose record is finished. */
-    static constexpr Tick kRetryDone = std::numeric_limits<Tick>::max();
+    /** Identifies a parked poller (see the file comment). */
+    using PollerId = std::uint32_t;
+    static constexpr PollerId kNoPoller = 0xffffffffu;
 
     /**
-     * Dispatch target of retry records; @p ctx is the registrant.
-     * Returns the tick at which the queue re-arms the record (the poll
-     * was rejected), or kRetryDone.
+     * Set the period of parked pollers. Pollers already parked keep
+     * their pending poll tick and continue on the new period from
+     * there (a warm-start delta on niRetryCycles).
      */
-    using RetryHandler = Tick (*)(void *ctx, const EventMeta &meta);
+    void setPollPeriod(Tick period);
+    Tick pollPeriod() const { return period_; }
 
     /**
-     * Register the handler every retry record is dispatched to
-     * (net::Mesh does so when it is constructed; one per queue).
+     * Park a poller whose poll at now() was rejected: it polls again
+     * at now() + pollPeriod() and every period after, virtually, until
+     * it is armed. @p meta names it in snapshots.
      */
-    void
-    setRetryHandler(RetryHandler fn, void *ctx)
-    {
-        retryFn_ = fn;
-        retryCtx_ = ctx;
-    }
+    PollerId park(const EventMeta &meta);
 
     /**
-     * Schedule an NI-full redelivery at @p when as a slot-free retry
-     * record (see the file comment). It is ordered, counted and
-     * observed exactly like schedule(when, meta, fn) with a closure
-     * that calls the retry handler on @p meta (and re-schedules
-     * itself while the handler returns a re-arm tick), but it has no
-     * handle and cannot be cancelled.
-     *
-     * @pre when >= now() — enforced as for schedule().
+     * Make @p id's next poll a real event that runs @p fn. The record
+     * is a child of the running event; it runs once, after which the
+     * caller must unpark() or repark() the poller.
      */
-    void scheduleRetry(Tick when, const EventMeta &meta);
+    void arm(PollerId id, EventFn fn);
 
-    /** Run until the queue is empty. Returns final time. */
+    /** A poller's armed poll was rejected: it polls on from now(). */
+    void repark(PollerId id);
+
+    /** Forget a poller (its armed poll was accepted). */
+    void unpark(PollerId id);
+
+    /** True while @p id has an armed poll pending. */
+    bool armed(PollerId id) const { return pollers_[id].slot != kNoSlot; }
+
+    /**
+     * Tick of @p id's last poll that has run, virtual or real (its
+     * park tick if none has).
+     */
+    Tick lastPoll(PollerId id) const;
+
+    /** Tick of virtual poller @p id's next poll. */
+    Tick nextPollTick(PollerId id) const;
+
+    /** True if @p a's next poll runs before @p b's (neither armed). */
+    bool pollsBefore(PollerId a, PollerId b) const;
+
+    /** Virtual polls run so far (each also an executed event). */
+    std::uint64_t virtualPolls() const;
+
+    /**
+     * Run until no real event remains (a poller nobody arms polls on
+     * virtually). Returns final time.
+     */
     Tick run();
 
     /**
      * Run every event due at or before @p limit, and no other.
-     * @return true if the queue drained, false if the limit was hit.
+     * @return true if nothing is queued or parked any more, false if
+     *         the limit was hit
      */
     bool runUntil(Tick limit);
 
-    /** Number of events executed so far. */
-    std::uint64_t eventsExecuted() const { return executed_; }
+    /** Number of events executed so far, virtual polls included. */
+    std::uint64_t eventsExecuted() const
+    {
+        return executed_ + (pollers_.empty() ? 0 : virtualPolls());
+    }
 
     /** True if no live events remain. */
     bool empty() const;
 
     /**
-     * Pop and run the next live event, and only that one.
-     * @return false if no live event remained
+     * Run the next event, and only that one; a virtual poll counts.
+     * @return false if no event remained
      */
-    bool processOne() { return step(kNoLimit, 1); }
+    bool processOne();
 
     /**
-     * Pop and run the next live event; if it was a rejected NI poll,
-     * go on with the run of rejected polls that follows it while they
-     * are due at or before @p limit (see the file comment). A rejected
-     * poll changes nothing but the mesh's link hold and reject counts,
-     * so a caller that stops on simulation state stops at the same
-     * event as with processOne().
-     * @return false if no live event remained
+     * Run the next real event, accounting the virtual polls before it
+     * lazily. @return false if no real event remained
      */
-    bool processStep(Tick limit) { return step(limit, kNoBudget); }
+    bool step();
+
+    /**
+     * step() if the next real event is at most @p budget events away
+     * (>= 1), else processOne(). @return false if nothing remained
+     */
+    bool stepWithin(std::uint64_t budget);
 
     /**
      * Enable seeded random ordering among same-tick *future* events
@@ -510,19 +541,37 @@ class EventQueue
             fn(PendingEvent{e.when, e.pri, e.seq, s.meta, s.siteFile,
                             s.siteLine});
         });
-        for (std::size_t i = 0; i < retryCount_; ++i) {
-            const Retry &r = retries_[(retryHead_ + i) & retryMask_];
-            fn(PendingEvent{r.when, r.pri, r.seq, r.meta});
+        for (PollerId id : armed_) {
+            const Poller &p = pollers_[id];
+            fn(PendingEvent{p.base + period_, 0, p.armSeq, p.meta});
         }
     }
 
     /**
-     * Time of the next live event without executing it, or nullopt if
-     * the queue is drained. Discards dead entries encountered on the
-     * way (like runUntil), so it may mutate internal bookkeeping but
-     * never observable simulation state.
+     * Snapshot view of one parked poller, listed in poll order by
+     * forEachParked(): by phase, then class order.
      */
-    std::optional<Tick> peekNextTick();
+    struct ParkedPoller
+    {
+        Tick origin = 0;
+        Tick base = 0;
+        std::uint64_t key = 0;
+        bool armed = false;
+        EventMeta meta;
+    };
+
+    /** Invoke @p fn on every parked poller (checkpoint capture). */
+    template <typename Fn>
+    void
+    forEachParked(Fn fn) const
+    {
+        for (const std::vector<PollerId> &cls : classes_)
+            for (PollerId id : cls) {
+                const Poller &p = pollers_[id];
+                fn(ParkedPoller{p.origin, p.base, p.key,
+                                p.slot != kNoSlot, p.meta});
+            }
+    }
 
   private:
     /** Checkpoint capture/verify reads private kernel state. */
@@ -538,50 +587,110 @@ class EventQueue
         std::uint32_t idx;
     };
 
-    /** A retry record: the radix Entry's key plus its typed record. */
-    struct Retry
+    static constexpr std::uint32_t kNoSlot = detail::EventPool::kNone;
+
+    /**
+     * A parked poller. Its polls run at origin + k * period_ (k >= 1);
+     * those after `base` ran lazily, and the poll at base ran at
+     * seq_ == key. While armed, `slot` holds the armed record and its
+     * poll is the one at base + period_.
+     */
+    struct Poller
     {
-        Tick when;
-        std::uint64_t pri;
-        std::uint64_t seq;
+        Tick origin = 0;
+        Tick base = 0;
+        std::uint64_t key = 0;
+        std::uint32_t slot = kNoSlot;
+        std::uint64_t armSeq = 0;
         EventMeta meta;
+        /** Its first virtual poll since it last turned virtual. */
+        Tick first = 0;
     };
 
-    /** Total event order, shared by radix entries and retry records. */
-    template <typename A, typename B>
-    static bool
-    before(const A &a, const B &b)
+    /** A poller's next poll: its tick and order key. */
+    struct NextPoll
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.pri != b.pri)
-            return a.pri < b.pri;
-        return a.seq < b.seq;
+        Tick when;
+        std::uint64_t key;
+    };
+
+    /** Next pending poll of virtual poller @p p. */
+    NextPoll nextPoll(const Poller &p) const;
+
+    /** Virtual pollers whose phase is below @p phases (Fenwick sum). */
+    std::uint64_t phaseCount(Tick phases) const;
+
+    /** Virtual polls at ticks in [@p from, @p to). */
+    std::uint64_t pollsIn(Tick from, Tick to) const;
+
+    /** Count the virtual polls before now_ into counted_. */
+    void countPolls();
+
+    /** @p p turns virtual; its first virtual poll is at @p first. */
+    void addVirtual(Poller &p, Tick first);
+
+    /** @p p stops being virtual (it is armed). */
+    void dropVirtual(const Poller &p);
+
+    /** @p p's phase ticks from now_ up to its first poll. */
+    std::uint64_t ticksBefore(const Poller &p) const;
+
+    /** Mark @p p's pending poll at now_ run. */
+    void settleAt(Poller &p);
+
+    /** Key C(@p g): seq_ after the last real event at a tick <= g. */
+    std::uint64_t keyAfter(Tick g) const;
+
+    /** Class of phase @p t. */
+    std::vector<PollerId> &classOf(Tick t) { return classes_[t % period_]; }
+    const std::vector<PollerId> &
+    classOf(Tick t) const
+    {
+        return classes_[t % period_];
     }
 
-    static constexpr Tick kNoLimit = std::numeric_limits<Tick>::max();
-    static constexpr std::uint64_t kNoBudget =
-        std::numeric_limits<std::uint64_t>::max();
+    /** Move now_ to @p t, logging the key of the tick left. */
+    void advanceTo(Tick t);
 
-    /**
-     * Pop and run the next live event; if it was a rejected poll, run
-     * up to @p budget - 1 further rejected polls due by @p limit.
-     * Returns false if no live event remained.
-     */
-    bool step(Tick limit, std::uint64_t budget);
+    /** Settle the polls at now_ that precede a real (pri, seq) event. */
+    void settleBefore(std::uint64_t pri, std::uint64_t seq);
 
-    /**
-     * Fire FIFO records from the head for step(); @p bound is a copy
-     * of the radix queue's live top, or null when it is empty.
-     */
-    void fireRetries(const Entry *bound, Tick limit, std::uint64_t budget);
+    /** True if @p a precedes @p b in their (common) class. */
+    bool classBefore(PollerId a, PollerId b) const;
 
-    /** Insert a retry record: scheduleRetry() minus the handler check,
-     *  also the re-arm of a rejected poll. */
-    void pushRetry(Tick when, const EventMeta &meta);
+    /** First armed poller in run order, or kNoPoller. */
+    PollerId firstArmed() const;
 
-    /** Double the retry ring, unwrapping it to start at slot 0. */
-    void growRetries();
+    /** True if armed @p a runs before real entry @p e. */
+    bool armedBefore(PollerId a, const Entry &e) const;
+
+    /** Live radix top, or null (discards cancelled entries). */
+    const Entry *liveTop();
+
+    /** The next real or armed event, in run order. */
+    struct Next
+    {
+        const Entry *entry = nullptr;
+        PollerId armed = kNoPoller;
+        Tick when = 0;
+        bool any() const { return entry || armed != kNoPoller; }
+    };
+    Next peekNext();
+
+    /** Run @p n; every virtual poll before it counts as run. */
+    void runNext(const Next &n);
+
+    /** First pending virtual poll (processOne), or kNoPoller. */
+    PollerId firstVirtual(Tick *when) const;
+
+    /** True if virtual @p v's poll at @p when runs before @p n. */
+    bool virtualBefore(PollerId v, Tick when, const Next &n) const;
+
+    /** Virtual polls that run before @p n (stepWithin). */
+    std::uint64_t virtualCountBefore(const Next &n) const;
+
+    /** Run every virtual poll due at or before @p limit. */
+    void settleThrough(Tick limit);
 
     /** Observer bookkeeping after either kind of event ran. */
     void finishEvent();
@@ -643,15 +752,36 @@ class EventQueue
     std::uint64_t curExec_ = DepListener::kNoParent;
     detail::PoolRef pool_;
     sim::RadixQueue<Entry> heap_;
-    /** Ring of the retryCount_ pending retry records, in (when, pri,
-     *  seq) order from slot retryHead_. Its size is a power of two and
-     *  doubles only when every slot holds a parked packet. */
-    std::vector<Retry> retries_ = std::vector<Retry>(16);
-    std::size_t retryMask_ = 15; ///< retries_.size() - 1
-    std::size_t retryHead_ = 0;
-    std::size_t retryCount_ = 0;
-    RetryHandler retryFn_ = nullptr;
-    void *retryCtx_ = nullptr;
+    /** Parked-poller table, indexed by PollerId; freePollers_ lists
+     *  the unused ids. */
+    std::vector<Poller> pollers_;
+    std::vector<PollerId> freePollers_;
+    /** Live pollers, armed ones included. */
+    std::size_t parked_ = 0;
+    Tick period_ = 1;
+    /** Phase classes, period_ of them, each in poll order. */
+    std::vector<std::vector<PollerId>> classes_ =
+        std::vector<std::vector<PollerId>>(1);
+    std::vector<PollerId> armed_;
+    /**
+     * Virtual-poll count: counted_ holds every virtual poll at a tick
+     * before countedTo_ (modulo 2^64: a joining poller's first phase
+     * ticks are subtracted up front), pollsIn() adds the ticks since,
+     * settledNow_ the polls already run at now_. phaseTree_ is a
+     * Fenwick tree of the virtual pollers per phase, virtual_ their
+     * number.
+     */
+    std::uint64_t counted_ = 0;
+    Tick countedTo_ = 0;
+    std::uint64_t settledNow_ = 0;
+    /** Virtual pollers whose first poll is still ahead; counted_ has
+     *  their phase ticks before it taken back already. */
+    std::vector<PollerId> deferred_;
+    std::vector<std::uint64_t> phaseTree_ = std::vector<std::uint64_t>(1);
+    std::uint64_t virtual_ = 0;
+    /** (tick, seq_ when now_ left it), ascending from keysHead_. */
+    std::vector<std::pair<Tick, std::uint64_t>> keys_;
+    std::size_t keysHead_ = 0;
 };
 
 } // namespace alewife

@@ -112,17 +112,40 @@ TEST(Mesh, DisjointRoutesDoNotInterfere)
 
 TEST(Mesh, RejectedDeliveryRetries)
 {
+    // The receiver rejects the packet on arrival and reports room one
+    // and a half retry periods later. The poll in between finds it
+    // still full (a virtual poll: counted, the sink is not asked); the
+    // next one delivers.
     EventQueue eq;
     MachineConfig c = testConfig();
     Mesh mesh(eq, c);
+    const Tick retry = cyclesToTicks(c.niRetryCycles);
     int attempts = 0;
+    bool open = false;
+    Tick arrived = 0;
+    Tick delivered = 0;
     for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [&](Packet &) { return ++attempts >= 3; });
+        mesh.setSink(i, [&](Packet &) {
+            ++attempts;
+            if (open) {
+                delivered = eq.now();
+                return true;
+            }
+            arrived = eq.now();
+            eq.schedule(eq.now() + retry + retry / 2, [&]() {
+                open = true;
+                mesh.wake(2);
+            });
+            return false;
+        });
     mesh.send(makePkt(0, 2, 24));
     eq.run();
-    EXPECT_EQ(attempts, 3);
+    EXPECT_EQ(attempts, 2);
     EXPECT_EQ(mesh.niRejects(), 2u);
     EXPECT_EQ(mesh.packetsDelivered(), 1u);
+    EXPECT_EQ(delivered, arrived + 2 * retry);
+    // Arrival, the virtual poll, the wake-up, the delivering poll.
+    EXPECT_EQ(eq.eventsExecuted(), 4u);
 }
 
 TEST(Mesh, ParkedPacketsNeverOverCountLinkBusyTime)
@@ -135,7 +158,13 @@ TEST(Mesh, ParkedPacketsNeverOverCountLinkBusyTime)
     Mesh mesh(eq, c);
     const Tick openAt = cyclesToTicks(c.niRetryCycles * 20);
     for (int i = 0; i < c.nodes(); ++i)
-        mesh.setSink(i, [&](Packet &) { return eq.now() >= openAt; });
+        mesh.setSink(i, [&](Packet &p) {
+            if (eq.now() < openAt)
+                return false;
+            mesh.wake(p.dst); // room for the next one too
+            return true;
+        });
+    eq.schedule(openAt, [&]() { mesh.wake(2); });
     mesh.send(makePkt(0, 2, 24));
     mesh.send(makePkt(0, 2, 24));
     eq.run();

@@ -1,17 +1,21 @@
 /**
  * @file
  * Property test: the EventQueue against a naive reference model.
- * Random schedules, nested schedules, cancellations and retry records
- * must fire in exactly the order a (when, seq) reference predicts; the
- * EventQueueRetry cases pin the rest of the retry-record contract, and
- * the EventQueueStorm cases the loop that re-arms rejected records:
- * its order, its observers and the stepping contract (processOne runs
- * one event; runUntil and processStep never pass their limit).
+ * Random schedules, nested schedules, cancellations and tagged records
+ * must fire in exactly the order a (when, seq) reference predicts. The
+ * EventQueueRetry and EventQueueStorm cases pin the parked-poller
+ * contract: what snapshots and observers see, the order of a poll
+ * against same-tick events (a storm of pollers among tying closures
+ * against a (when, seq) reference), and the stepping contract (processOne runs
+ * one event, a virtual poll included; runUntil never passes its
+ * limit). tests/net/parking_property_test.cc checks parking against a
+ * poll-per-event reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -65,11 +69,13 @@ struct Actor
     {
         fired.push_back(id);
         const Spawn &sp = spawns[id];
-        if (sp.recordDelay >= 0 && idLeft())
-            eq.scheduleRetry(eq.now() + static_cast<Tick>(sp.recordDelay),
-                             EventMeta{EventTag::MeshRetry,
-                                       static_cast<std::uint64_t>(nextId++),
-                                       0});
+        if (sp.recordDelay >= 0 && idLeft()) {
+            const int child = nextId++;
+            eq.schedule(eq.now() + static_cast<Tick>(sp.recordDelay),
+                        EventMeta{EventTag::MeshRetry,
+                                  static_cast<std::uint64_t>(child), 0},
+                        [this, child]() { act(child); });
+        }
         if (sp.closureDelay >= 0 && idLeft()) {
             const int child = nextId++;
             eq.schedule(eq.now() + static_cast<Tick>(sp.closureDelay),
@@ -138,12 +144,6 @@ TEST_P(EventQueueProperty, MatchesReferenceModel)
 
     EventQueue eq;
     Actor actor{eq, spawns, kInitial, {}};
-    eq.setRetryHandler(
-        [](void *a, const EventMeta &m) {
-            static_cast<Actor *>(a)->act(static_cast<int>(m.a));
-            return EventQueue::kRetryDone;
-        },
-        &actor);
     std::vector<EventHandle> handles;
     for (int i = 0; i < kInitial; ++i)
         handles.push_back(
@@ -189,160 +189,279 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueProperty,
                          ::testing::Values(11, 22, 33, 44, 55));
 
 // ---------------------------------------------------------------------
-// Retry records (EventQueue::scheduleRetry)
+// Parked pollers (EventQueue::park / arm)
 // ---------------------------------------------------------------------
 
-/** Retry handler that logs the id carried in EventMeta::a. */
-Tick
-logRetry(void *log, const EventMeta &m)
-{
-    static_cast<std::vector<int> *>(log)->push_back(static_cast<int>(m.a));
-    return EventQueue::kRetryDone;
-}
-
 EventMeta
-retryMeta(int id)
+pollMeta(int id)
 {
     return EventMeta{EventTag::MeshRetry, static_cast<std::uint64_t>(id),
-                     0};
+                     7};
 }
 
-TEST(EventQueueRetry, TieBreakOrdersEqualTicksByPriorityThenSeq)
+/**
+ * A poller parked at tick 0 with period 10 and armed by an event at 35:
+ * virtual polls at 10, 20, 30, then the armed poll at 40 delivers.
+ */
+struct ParkedAt0
 {
     EventQueue eq;
-    eq.setTieBreak(7);
-    std::vector<int> fired;
-    eq.setRetryHandler(logRetry, &fired);
-    // From inside one event, schedule records (odd ids) and closures
-    // (even ids) that all fire at tick 100.
-    eq.schedule(1, [&]() {
-        for (int id = 0; id < 12; ++id) {
-            if (id % 2)
-                eq.scheduleRetry(100, retryMeta(id));
-            else
-                eq.schedule(100,
-                            EventMeta{EventTag::ProcResume,
-                                      static_cast<std::uint64_t>(id), 0},
-                            [&fired, id]() { fired.push_back(id); });
+    EventQueue::PollerId id = EventQueue::kNoPoller;
+    Tick delivered = 0;
+
+    ParkedAt0()
+    {
+        eq.setPollPeriod(10);
+        eq.schedule(0, [this]() { id = eq.park(pollMeta(1)); });
+        eq.schedule(35, [this]() {
+            eq.arm(id, [this]() {
+                delivered = eq.now();
+                eq.unpark(id);
+            });
+        });
+    }
+};
+
+/**
+ * A poll storm: poller id is parked by an event at parkTick(id) (its
+ * first, rejected poll) and polls every kDelay ticks until an event at
+ * armTick(id), one of its poll ticks, arms it. For even ids that event
+ * arms directly and precedes the poll due then, which is accepted; for
+ * odd ids it arms from a nested event at the same tick, which runs
+ * after that poll, so the next poll is accepted. Closures queued up
+ * front at closureTick(c) precede the polls they tie with; each spawns
+ * a child two ticks later, which a poll due then precedes. Every
+ * closure, child and accepted poll logs (id, tick, eventsExecuted()):
+ * closure c logs -1-c, its child -1-kClosures-c, poller id's accepted
+ * poll id.
+ */
+struct PollStorm
+{
+    static constexpr int kPollers = 5;
+    static constexpr int kRejects = 40;
+    static constexpr Tick kDelay = 4;
+    static constexpr int kClosures = 30;
+
+    using Log = std::vector<std::tuple<int, Tick, std::uint64_t>>;
+
+    EventQueue eq;
+    std::vector<EventQueue::PollerId> ids =
+        std::vector<EventQueue::PollerId>(kPollers, EventQueue::kNoPoller);
+    Log log;
+
+    static Tick closureTick(int c) { return 6 * static_cast<Tick>(c) + 2; }
+    static Tick parkTick(int id) { return 2 * static_cast<Tick>(id); }
+    static Tick armTick(int id) { return parkTick(id) + kRejects * kDelay; }
+
+    void note(int id) { log.emplace_back(id, eq.now(), eq.eventsExecuted()); }
+
+    void
+    arm(int id)
+    {
+        eq.arm(ids[id], [this, id]() {
+            note(id);
+            eq.unpark(ids[id]);
+        });
+    }
+
+    PollStorm()
+    {
+        eq.setPollPeriod(kDelay);
+        for (int c = 0; c < kClosures; ++c)
+            eq.schedule(closureTick(c), [this, c]() {
+                note(-1 - c);
+                eq.schedule(eq.now() + 2,
+                            [this, c]() { note(-1 - kClosures - c); });
+            });
+        for (int id = 0; id < kPollers; ++id)
+            eq.schedule(parkTick(id),
+                        [this, id]() { ids[id] = eq.park(pollMeta(id)); });
+        for (int id = 0; id < kPollers; ++id)
+            eq.schedule(armTick(id), [this, id]() {
+                if (id % 2 == 0)
+                    arm(id);
+                else
+                    eq.schedule(eq.now(), [this, id]() { arm(id); });
+            });
+    }
+
+    struct Reference
+    {
+        Log log;
+        std::uint64_t events = 0;
+        std::uint64_t rejectedPolls = 0;
+    };
+
+    /** The same storm with every poll its own (when, seq) event. */
+    static Reference
+    expected()
+    {
+        enum class Kind { Closure, Child, Park, Arm, NestedArm, Poll };
+        struct Ev
+        {
+            Tick when;
+            std::uint64_t seq;
+            Kind kind;
+            int id;
+        };
+        std::vector<Ev> pending;
+        std::uint64_t seq = 0;
+        const auto push = [&](Tick when, Kind kind, int id) {
+            pending.push_back({when, seq++, kind, id});
+        };
+        for (int c = 0; c < kClosures; ++c)
+            push(closureTick(c), Kind::Closure, c);
+        for (int id = 0; id < kPollers; ++id)
+            push(parkTick(id), Kind::Park, id);
+        for (int id = 0; id < kPollers; ++id)
+            push(armTick(id), Kind::Arm, id);
+        std::vector<bool> armed(kPollers, false);
+        Reference out;
+        while (!pending.empty()) {
+            const auto it = std::min_element(
+                pending.begin(), pending.end(), [](const Ev &a, const Ev &b) {
+                    return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
+                });
+            const Ev e = *it;
+            pending.erase(it);
+            ++out.events;
+            switch (e.kind) {
+            case Kind::Closure:
+                out.log.emplace_back(-1 - e.id, e.when, out.events);
+                push(e.when + 2, Kind::Child, e.id);
+                break;
+            case Kind::Child:
+                out.log.emplace_back(-1 - kClosures - e.id, e.when,
+                                     out.events);
+                break;
+            case Kind::Park:
+                push(e.when + kDelay, Kind::Poll, e.id);
+                break;
+            case Kind::Arm:
+                if (e.id % 2 == 0)
+                    armed[e.id] = true;
+                else
+                    push(e.when, Kind::NestedArm, e.id);
+                break;
+            case Kind::NestedArm:
+                armed[e.id] = true;
+                break;
+            case Kind::Poll:
+                if (armed[e.id]) {
+                    out.log.emplace_back(e.id, e.when, out.events);
+                } else {
+                    ++out.rejectedPolls;
+                    push(e.when + kDelay, Kind::Poll, e.id);
+                }
+                break;
+            }
         }
-    });
-    ASSERT_FALSE(eq.runUntil(1)); // stops with the tick-100 events queued
+        return out;
+    }
+};
 
-    std::vector<EventQueue::PendingEvent> pending;
-    eq.forEachPending(
-        [&](const EventQueue::PendingEvent &e) { pending.push_back(e); });
-    ASSERT_EQ(pending.size(), 12u);
-    std::sort(pending.begin(), pending.end(),
-              [](const auto &a, const auto &b) {
-                  return std::tie(a.pri, a.seq) < std::tie(b.pri, b.seq);
-              });
-    std::vector<int> expected;
-    for (const auto &e : pending)
-        expected.push_back(static_cast<int>(e.meta.a));
-
-    eq.run();
-    EXPECT_EQ(fired, expected);
-    // The random priorities really reordered the records among
-    // themselves (so a push walked back from the tail).
-    std::vector<int> records;
-    for (int id : fired)
-        if (id % 2)
-            records.push_back(id);
-    EXPECT_FALSE(std::is_sorted(records.begin(), records.end()));
+TEST(EventQueueStorm, RunFiresEveryPollInReferenceOrder)
+{
+    using S = PollStorm;
+    const S::Reference want = S::expected();
+    ASSERT_EQ(want.log.size(),
+              static_cast<std::size_t>(2 * S::kClosures + S::kPollers));
+    // Even pollers: kRejects - 1 virtual polls; odd ones: kRejects.
+    ASSERT_EQ(want.rejectedPolls,
+              static_cast<std::uint64_t>(S::kPollers * S::kRejects
+                                         - (S::kPollers + 1) / 2));
+    for (bool single : {false, true}) {
+        SCOPED_TRACE(single ? "processOne" : "run");
+        PollStorm s;
+        if (single) {
+            for (std::uint64_t n = 0; s.eq.processOne(); ++n)
+                ASSERT_EQ(s.eq.eventsExecuted(), n + 1);
+        } else {
+            s.eq.run();
+        }
+        EXPECT_EQ(s.log, want.log);
+        EXPECT_EQ(s.eq.eventsExecuted(), want.events);
+        EXPECT_EQ(s.eq.virtualPolls(), want.rejectedPolls);
+        EXPECT_TRUE(s.eq.empty());
+    }
 }
 
-TEST(EventQueueRetry, ShorterDelayPushedLaterFiresFirst)
+TEST(EventQueueStorm, ProcessOneRunsExactlyOneEvent)
 {
-    // A lowered retry delay (a warm-start delta on niRetryCycles) makes
-    // a new record sort before records already queued.
-    EventQueue eq;
-    std::vector<int> fired;
-    eq.setRetryHandler(logRetry, &fired);
-    eq.schedule(30, [&fired]() { fired.push_back(0); });
-    eq.schedule(10, [&]() {
-        eq.scheduleRetry(eq.now() + 50, retryMeta(1));
-        eq.scheduleRetry(eq.now() + 20, retryMeta(2)); // ties tick 30
-        eq.scheduleRetry(eq.now() + 35, retryMeta(3));
-    });
-    eq.run();
-    EXPECT_EQ(fired, (std::vector<int>{0, 2, 3, 1}));
-    EXPECT_EQ(eq.now(), 60u);
-    EXPECT_EQ(eq.eventsExecuted(), 5u);
+    ParkedAt0 s;
+    const Tick want[] = {0, 10, 20, 30, 35, 40};
+    for (std::size_t n = 0; n < std::size(want); ++n) {
+        ASSERT_TRUE(s.eq.processOne());
+        EXPECT_EQ(s.eq.eventsExecuted(), n + 1);
+        EXPECT_EQ(s.eq.now(), want[n]);
+    }
+    EXPECT_EQ(s.delivered, 40u);
+    EXPECT_FALSE(s.eq.processOne());
+    EXPECT_TRUE(s.eq.empty());
 }
 
-TEST(EventQueueRetry, RunUntilPeekAndEmptySeeRecords)
+TEST(EventQueueStorm, RunUntilStopsAtItsLimit)
 {
+    ParkedAt0 s;
+    EXPECT_FALSE(s.eq.runUntil(25));
+    // The park at 0 and the virtual polls at 10 and 20, nothing past.
+    EXPECT_EQ(s.eq.now(), 20u);
+    EXPECT_EQ(s.eq.eventsExecuted(), 3u);
+    EXPECT_FALSE(s.eq.empty());
+    EXPECT_FALSE(s.eq.runUntil(36));
+    EXPECT_EQ(s.eq.now(), 35u);
+    EXPECT_EQ(s.eq.eventsExecuted(), 5u);
+    EXPECT_TRUE(s.eq.runUntil(100));
+    EXPECT_EQ(s.delivered, 40u);
+    EXPECT_EQ(s.eq.eventsExecuted(), 6u);
+    EXPECT_TRUE(s.eq.empty());
+}
+
+TEST(EventQueueRetry, RunUntilAndEmptySeeParkedPollers)
+{
+    // A parked poller nobody arms polls forever: the queue never
+    // drains, and every poll up to the limit counts.
     EventQueue eq;
-    std::vector<int> fired;
-    eq.setRetryHandler(logRetry, &fired);
+    eq.setPollPeriod(10);
     EXPECT_TRUE(eq.empty());
-    eq.scheduleRetry(100, retryMeta(1));
+    eq.schedule(5, [&]() { eq.park(pollMeta(1)); });
+    EXPECT_FALSE(eq.runUntil(1000));
     EXPECT_FALSE(eq.empty());
-    eq.scheduleRetry(200, retryMeta(2));
-    eq.schedule(250, [&fired]() { fired.push_back(3); });
-    // The record is earlier than the radix queue's top.
-    EXPECT_EQ(eq.peekNextTick(), std::optional<Tick>(100));
-
-    EXPECT_FALSE(eq.runUntil(150));
-    EXPECT_EQ(fired, (std::vector<int>{1}));
-    EXPECT_EQ(eq.now(), 100u);
-    EXPECT_EQ(eq.peekNextTick(), std::optional<Tick>(200));
-
-    // A closure earlier than the remaining record is next in line.
-    eq.schedule(120, [&fired]() { fired.push_back(4); });
-    EXPECT_EQ(eq.peekNextTick(), std::optional<Tick>(120));
-    EXPECT_FALSE(eq.runUntil(220));
-    EXPECT_EQ(fired, (std::vector<int>{1, 4, 2}));
-    EXPECT_EQ(eq.peekNextTick(), std::optional<Tick>(250));
-
-    EXPECT_TRUE(eq.runUntil(300));
-    EXPECT_EQ(fired, (std::vector<int>{1, 4, 2, 3}));
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.peekNextTick(), std::nullopt);
+    EXPECT_EQ(eq.now(), 995u);
+    EXPECT_EQ(eq.eventsExecuted(), 1u + 99u);
 }
 
 TEST(EventQueueRetry, ForEachPendingListsRecordsWithTheirMeta)
 {
-    EventQueue eq;
-    std::vector<int> fired;
-    eq.setRetryHandler(logRetry, &fired);
-    eq.schedule(5, EventMeta{EventTag::ProcResume, 3, 0}, []() {});
-    eq.scheduleRetry(7, EventMeta{EventTag::MeshRetry, 0x1234, 9});
-
+    ParkedAt0 s;
+    ASSERT_FALSE(s.eq.runUntil(35));
     std::vector<EventQueue::PendingEvent> pending;
-    eq.forEachPending(
+    s.eq.forEachPending(
         [&](const EventQueue::PendingEvent &e) { pending.push_back(e); });
-    std::sort(pending.begin(), pending.end(),
-              [](const auto &a, const auto &b) { return a.seq < b.seq; });
-    ASSERT_EQ(pending.size(), 2u);
-    EXPECT_EQ(pending[0].when, 5u);
-    EXPECT_EQ(pending[0].meta.tag, EventTag::ProcResume);
-    EXPECT_EQ(pending[1].when, 7u);
-    EXPECT_EQ(pending[1].pri, 0u);
-    EXPECT_EQ(pending[1].seq, 1u);
-    EXPECT_EQ(pending[1].meta.tag, EventTag::MeshRetry);
-    EXPECT_EQ(pending[1].meta.a, 0x1234u);
-    EXPECT_EQ(pending[1].meta.b, 9u);
-    EXPECT_EQ(pending[1].siteFile, nullptr);
-
-    eq.run();
-    int left = 0;
-    eq.forEachPending([&](const EventQueue::PendingEvent &) { ++left; });
-    EXPECT_EQ(left, 0);
+    ASSERT_EQ(pending.size(), 1u); // the armed poll
+    EXPECT_EQ(pending[0].when, 40u);
+    EXPECT_EQ(pending[0].meta.tag, EventTag::MeshRetry);
+    EXPECT_EQ(pending[0].meta.a, 1u);
+    EXPECT_EQ(pending[0].meta.b, 7u);
+    std::vector<EventQueue::ParkedPoller> parked;
+    s.eq.forEachParked(
+        [&](const EventQueue::ParkedPoller &p) { parked.push_back(p); });
+    ASSERT_EQ(parked.size(), 1u);
+    EXPECT_TRUE(parked[0].armed);
+    EXPECT_EQ(parked[0].base + 10, 40u);
+    EXPECT_EQ(parked[0].meta.a, 1u);
 }
 
 struct DepLog : DepListener
 {
-    std::vector<std::tuple<std::uint64_t, std::uint64_t, Tick, Tick,
-                           EventTag>>
-        scheduled;
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, Tick>> scheduled;
     std::vector<std::pair<std::uint64_t, Tick>> executed;
 
     void
-    onSchedule(std::uint64_t seq, std::uint64_t parentSeq, Tick when,
-               Tick now, const EventMeta &meta) override
+    onSchedule(std::uint64_t seq, std::uint64_t parent, Tick when, Tick,
+               const EventMeta &) override
     {
-        scheduled.emplace_back(seq, parentSeq, when, now, meta.tag);
+        scheduled.emplace_back(seq, parent, when);
     }
 
     void
@@ -352,243 +471,59 @@ struct DepLog : DepListener
     }
 };
 
-struct ExecLog : check::Hooks
-{
-    std::vector<Tick> ticks;
-    void onEventExecuted(Tick now) override { ticks.push_back(now); }
-};
-
 TEST(EventQueueRetry, ObserversSeeRecordsAsEvents)
 {
-    EventQueue eq;
+    // Observers see the real events and the armed poll, a child of the
+    // event that armed it; the virtual polls at 10, 20, 30 only count.
     DepLog dep;
-    ExecLog hooks;
+    struct Count : check::Hooks
+    {
+        int n = 0;
+        void onEventExecuted(Tick) override { ++n; }
+    } hooks;
+    EventQueue eq;
     eq.setDepListener(&dep);
     eq.setAuditHooks(&hooks);
-    struct Ctx
-    {
-        EventQueue &eq;
-        int records = 0;
-    } ctx{eq};
-    eq.setRetryHandler(
-        [](void *c, const EventMeta &) {
-            auto &x = *static_cast<Ctx *>(c);
-            ++x.records;
-            x.eq.schedule(x.eq.now() + 4, []() {});
-            return EventQueue::kRetryDone;
-        },
-        &ctx);
-    eq.schedule(10, [&]() { eq.scheduleRetry(eq.now() + 16, retryMeta(0)); });
+    eq.setPollPeriod(10);
+    EventQueue::PollerId id = EventQueue::kNoPoller;
+    eq.schedule(0, [&]() { id = eq.park(pollMeta(1)); });
+    eq.schedule(35, [&]() {
+        eq.arm(id, [&]() { eq.unpark(id); });
+    });
     eq.run();
-
-    constexpr auto root = DepListener::kNoParent;
-    using S = std::tuple<std::uint64_t, std::uint64_t, Tick, Tick, EventTag>;
-    EXPECT_EQ(dep.scheduled,
-              (std::vector<S>{{0, root, 10, 0, EventTag::Untagged},
-                              {1, 0, 26, 10, EventTag::MeshRetry},
-                              {2, 1, 30, 26, EventTag::Untagged}}));
-    EXPECT_EQ(dep.executed,
-              (std::vector<std::pair<std::uint64_t, Tick>>{
-                  {0, 10}, {1, 26}, {2, 30}}));
-    EXPECT_EQ(hooks.ticks, (std::vector<Tick>{10, 26, 30}));
-    EXPECT_EQ(ctx.records, 1);
-    EXPECT_EQ(eq.eventsExecuted(), 3u);
+    using S = std::tuple<std::uint64_t, std::uint64_t, Tick>;
+    const std::vector<S> wantSched = {S{0, DepListener::kNoParent, 0},
+                                      S{1, DepListener::kNoParent, 35},
+                                      S{2, 1, 40}};
+    EXPECT_EQ(dep.scheduled, wantSched);
+    using E = std::pair<std::uint64_t, Tick>;
+    const std::vector<E> wantExec = {E{0, 0}, E{1, 35}, E{2, 40}};
+    EXPECT_EQ(dep.executed, wantExec);
+    EXPECT_EQ(hooks.n, 3);
+    EXPECT_EQ(eq.eventsExecuted(), 6u);
 }
 
-// ---------------------------------------------------------------------
-// Poll storms: rejected records re-armed by the queue itself
-// ---------------------------------------------------------------------
-
-/**
- * A poll storm: each of kRecords records is rejected kRejects times
- * (its handler returns a re-arm tick kDelay ahead) before the handler
- * finishes it, among closures on a coarser grid that tie with some of
- * the polls. Every firing is logged as (id, tick); closure c logs -1-c.
- */
-struct Storm
+TEST(EventQueueRetry, TieBreakOrdersEqualTicksByPriorityThenSeq)
 {
-    static constexpr int kRecords = 5;
-    static constexpr int kRejects = 40;
-    static constexpr Tick kDelay = 4;
-    static constexpr int kClosures = 30;
-
-    using Log = std::vector<std::pair<int, Tick>>;
-
-    EventQueue eq;
-    std::vector<int> rejectsLeft = std::vector<int>(kRecords, kRejects);
-    Log log;
-
-    static Tick closureTick(int c) { return 6 * static_cast<Tick>(c) + 2; }
-    static Tick recordTick(int id) { return 2 * static_cast<Tick>(id); }
-
-    Storm()
-    {
-        eq.setRetryHandler(
-            [](void *s, const EventMeta &m) {
-                auto &st = *static_cast<Storm *>(s);
-                const int id = static_cast<int>(m.a);
-                st.log.emplace_back(id, st.eq.now());
-                if (st.rejectsLeft[id]-- > 0)
-                    return st.eq.now() + kDelay;
-                return EventQueue::kRetryDone;
-            },
-            this);
-        for (int c = 0; c < kClosures; ++c)
-            eq.schedule(closureTick(c),
-                        [this, c]() { log.emplace_back(-1 - c, eq.now()); });
-        for (int id = 0; id < kRecords; ++id)
-            eq.scheduleRetry(recordTick(id), retryMeta(id));
+    // E is scheduled for tick 10 before the poller parks, so the poll
+    // at 10 runs after E; under tie-break perturbation E draws a random
+    // priority and the poll, which draws none, sorts as 0 and goes
+    // first.
+    for (bool perturbed : {false, true}) {
+        SCOPED_TRACE(perturbed);
+        EventQueue eq;
+        if (perturbed)
+            eq.setTieBreak(99);
+        eq.setPollPeriod(10);
+        bool ranE = false;
+        eq.schedule(10, [&]() { ranE = true; });
+        eq.schedule(0, [&]() { eq.park(pollMeta(1)); });
+        ASSERT_TRUE(eq.processOne()); // the park
+        ASSERT_TRUE(eq.processOne()); // E or the poll at 10
+        EXPECT_EQ(eq.now(), 10u);
+        EXPECT_EQ(ranE, !perturbed);
+        EXPECT_EQ(eq.eventsExecuted(), 2u);
     }
-
-    /** The (when, seq) reference order of every firing. */
-    static Log
-    expected()
-    {
-        std::vector<RefEvent> pending;
-        std::uint64_t seq = 0;
-        for (int c = 0; c < kClosures; ++c)
-            pending.push_back({closureTick(c), seq++, -1 - c});
-        for (int id = 0; id < kRecords; ++id)
-            pending.push_back({recordTick(id), seq++, id});
-        std::vector<int> left(kRecords, kRejects);
-        Log out;
-        while (!pending.empty()) {
-            const auto it = std::min_element(
-                pending.begin(), pending.end(),
-                [](const RefEvent &a, const RefEvent &b) {
-                    return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
-                });
-            const RefEvent e = *it;
-            pending.erase(it);
-            out.emplace_back(e.id, e.when);
-            if (e.id >= 0 && left[e.id]-- > 0)
-                pending.push_back({e.when + kDelay, seq++, e.id});
-        }
-        return out;
-    }
-};
-
-TEST(EventQueueStorm, RunFiresEveryPollInReferenceOrder)
-{
-    Storm s;
-    const Storm::Log want = Storm::expected();
-    ASSERT_EQ(want.size(),
-              static_cast<std::size_t>(Storm::kClosures
-                                       + Storm::kRecords
-                                             * (Storm::kRejects + 1)));
-    s.eq.run();
-    EXPECT_EQ(s.log, want);
-    EXPECT_EQ(s.eq.eventsExecuted(), want.size());
-    EXPECT_TRUE(s.eq.empty());
-}
-
-TEST(EventQueueStorm, ProcessOneRunsExactlyOneEvent)
-{
-    Storm s;
-    for (std::uint64_t n = 1;; ++n) {
-        if (!s.eq.processOne())
-            break;
-        ASSERT_EQ(s.eq.eventsExecuted(), n);
-        ASSERT_EQ(s.log.size(), n);
-    }
-    EXPECT_EQ(s.log, Storm::expected());
-}
-
-TEST(EventQueueStorm, RunUntilAndProcessStepStopAtTheirLimit)
-{
-    const Storm::Log want = Storm::expected();
-    const auto dueBy = [&](Tick limit) {
-        return static_cast<std::size_t>(std::count_if(
-            want.begin(), want.end(),
-            [limit](const auto &f) { return f.second <= limit; }));
-    };
-    Storm viaRunUntil;
-    Storm viaStep;
-    for (Tick limit = 0; limit < want.back().second + 3; limit += 3) {
-        viaRunUntil.eq.runUntil(limit);
-        while (viaStep.eq.peekNextTick()
-               && *viaStep.eq.peekNextTick() <= limit)
-            viaStep.eq.processStep(limit);
-        for (Storm *s : {&viaRunUntil, &viaStep}) {
-            ASSERT_EQ(s->log.size(), dueBy(limit)) << "limit " << limit;
-            ASSERT_EQ(s->eq.eventsExecuted(), s->log.size());
-            ASSERT_TRUE(std::equal(s->log.begin(), s->log.end(),
-                                   want.begin()));
-            const auto next = s->eq.peekNextTick();
-            ASSERT_TRUE(!next || *next > limit) << "limit " << limit;
-        }
-    }
-    EXPECT_EQ(viaRunUntil.log, want);
-    EXPECT_EQ(viaStep.log, want);
-}
-
-TEST(EventQueueStorm, ObserversSeeEveryPollAndReArm)
-{
-    Storm s;
-    DepLog dep;
-    ExecLog hooks;
-    s.eq.setDepListener(&dep);
-    s.eq.setAuditHooks(&hooks);
-    s.eq.run();
-
-    const Storm::Log want = Storm::expected();
-    ASSERT_EQ(dep.executed.size(), want.size());
-    ASSERT_EQ(hooks.ticks.size(), want.size());
-    std::map<std::uint64_t, Tick> firedAt;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(dep.executed[i].second, want[i].second);
-        EXPECT_EQ(hooks.ticks[i], want[i].second);
-        firedAt[dep.executed[i].first] = dep.executed[i].second;
-    }
-    EXPECT_EQ(firedAt.size(), want.size()); // one onExecute per seq
-    // Every re-arm is a child of the poll that was rejected.
-    int rearms = 0;
-    for (const auto &[seq, parent, when, now, tag] : dep.scheduled) {
-        if (parent == DepListener::kNoParent)
-            continue;
-        ++rearms;
-        EXPECT_EQ(tag, EventTag::MeshRetry);
-        ASSERT_TRUE(firedAt.count(parent));
-        EXPECT_EQ(firedAt[parent], now);
-        EXPECT_EQ(when, now + Storm::kDelay);
-    }
-    EXPECT_EQ(rearms, Storm::kRecords * Storm::kRejects);
-}
-
-TEST(EventQueueStorm, RejectionThatSchedulesEndsTheRun)
-{
-    // A handler may schedule while it rejects (a mesh sink that never
-    // publishes "full" is asked on every poll). What it schedules can
-    // precede the next record, so the run of polls must stop there.
-    EventQueue eq;
-    struct Ctx
-    {
-        EventQueue &eq;
-        Storm::Log log;
-        int rejectsLeft = 3;
-    } ctx{eq, {}};
-    eq.setRetryHandler(
-        [](void *c, const EventMeta &) {
-            auto &x = *static_cast<Ctx *>(c);
-            x.log.emplace_back(0, x.eq.now());
-            x.eq.schedule(x.eq.now() + 1,
-                          [&x]() { x.log.emplace_back(-1, x.eq.now()); });
-            if (x.rejectsLeft-- > 0)
-                return x.eq.now() + 4;
-            return EventQueue::kRetryDone;
-        },
-        &ctx);
-    eq.schedule(1000, []() {});
-    eq.scheduleRetry(0, retryMeta(0));
-    eq.run();
-    EXPECT_EQ(ctx.log, (Storm::Log{{0, 0},
-                                   {-1, 1},
-                                   {0, 4},
-                                   {-1, 5},
-                                   {0, 8},
-                                   {-1, 9},
-                                   {0, 12},
-                                   {-1, 13}}));
 }
 
 } // namespace
