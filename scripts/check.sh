@@ -25,9 +25,14 @@
 #   9. lint (runs first): no getenv in src/, bench/ or examples/
 #      outside the farm's FARM_FAULT hook and perf_kernel's
 #      ALEWIFE_GIT_SHA provenance stamp
+#  10. benchmark self-test: perfbench builds against src/ (Release,
+#      into the git-ignored .bench_build/), a planted truncated cache
+#      entry and a planted one-cycle mismatch each fail a run, and
+#      every workload smoke-runs with and without tracing
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast   skip the sanitizer builds (tier-1 + fuzz corpus only)
+#   --fast   skip the sanitizer builds and the benchmark self-test
+#            (tier-1 + fuzz corpus and smokes only)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -84,7 +89,7 @@ if [[ "$FAST" -eq 0 ]]; then
     step "ASan/UBSan: farm label (queue protocol + fault recovery)"
     ctest --test-dir build-asan -j "$JOBS" --output-on-failure -L farm
 
-    step "TSan: build + parallel-engine and kernel-pool suites"
+    step "TSan: build + concurrent-sweep and kernel-pool suites"
     cmake -B build-tsan -S . -DALEWIFE_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$JOBS"
     # KernelGolden/EventPool/InlineFn cover the slab pool + free-list +
@@ -92,6 +97,11 @@ if [[ "$FAST" -eq 0 ]]; then
     # kernel determinism regression is sanitizer-proven both ways.
     ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
         -R "SweepEngine|Determinism|EventPool|KernelGolden|InlineFn|RadixQueue"
+
+    # perfbench links src/ directly, so an API change there must not
+    # be left for a benchmark run to find.
+    step "perfbench: build + self-test (planted failures, every workload)"
+    python3 perfbench/run.py --selftest
 fi
 
 step "check_fuzz: short corpus"

@@ -21,8 +21,9 @@
 namespace alewife::ckpt {
 
 /**
- * Runs the machine to completion, capturing one in-memory snapshot
- * the moment the executed-event count reaches forkEvents.
+ * Runs the machine to completion, capturing one in-memory snapshot on
+ * the first real event at or past forkEvents (stepUntilEvents); the
+ * snapshot records the count it paused at.
  */
 class ForkPointDriver : public core::RunDriver
 {
@@ -34,7 +35,8 @@ class ForkPointDriver : public core::RunDriver
 
     Tick drive(Machine &m, const Machine::ProgramFactory &f) override;
 
-    /** The captured fork snapshot; set iff the run reached forkEvents. */
+    /** The captured fork snapshot; set iff the run reached forkEvents
+     *  before its programs completed. */
     const std::optional<Snapshot> &snapshot() const { return snap_; }
 
   private:

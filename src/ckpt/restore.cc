@@ -17,14 +17,13 @@ restoreSafeDelta(const MachineConfig &base, const MachineConfig &variant,
     probe.netFixedNs = base.netFixedNs;
     probe.idealNetLatencyCycles = base.idealNetLatencyCycles;
     probe.contextSwitchCycles = base.contextSwitchCycles;
-    probe.niRetryCycles = base.niRetryCycles;
     if (probe.canonicalKey() == base.canonicalKey())
         return true;
     if (why)
         *why = "variant config changes a non-restore-safe knob; only "
-               "linkMBps, hopNs, netFixedNs, idealNetLatencyCycles, "
-               "contextSwitchCycles and niRetryCycles may differ from "
-               "the snapshot's configuration";
+               "linkMBps, hopNs, netFixedNs, idealNetLatencyCycles and "
+               "contextSwitchCycles may differ from the snapshot's "
+               "configuration";
     return false;
 }
 
@@ -44,12 +43,15 @@ resume(Machine &m, const Machine::ProgramFactory &f, const Snapshot &snap)
 
     const std::uint64_t target = snap.eventsExecuted();
     m.start(f);
-    if (!m.stepUntilEvents(target)) {
-        r.error = "ckpt: replay finished after " +
+    // Replay pauses on a real event, so one that differs from the
+    // captured run can finish before the snapshot's count or pass it.
+    m.stepUntilEvents(target);
+    if (m.eq().eventsExecuted() != target) {
+        r.error = "ckpt: replay reached " +
                   std::to_string(m.eq().eventsExecuted()) +
-                  " events, before the snapshot position (" +
+                  " events; the snapshot was taken at " +
                   std::to_string(target) +
-                  ") — the machine, program, cross-traffic or "
+                  " — the machine, program, cross-traffic or "
                   "perturbation differs from the captured run";
         return r;
     }

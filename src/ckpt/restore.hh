@@ -4,7 +4,8 @@
  *
  * Restore is state-verified deterministic reconstruction (snapshot.hh):
  * the caller builds a *fresh* machine with the snapshot's configuration,
- * resume() replays it to the snapshot's executed-event count, and every
+ * resume() replays it to the snapshot's executed-event count (the
+ * real-event boundary the capture paused at), and every
  * captured section is bit-audited against the snapshot before the
  * machine is handed back. A passing resume therefore continues the
  * original run exactly — resume-equals-straight-run is pinned by the
@@ -17,7 +18,7 @@
  * restore-safe knobs may differ — knobs that alter timing of *future*
  * events without invalidating any already-captured state. The
  * whitelist lives in restoreSafeDelta(); docs/API.md documents why
- * each knob qualifies.
+ * each knob qualifies, and why niRetryCycles does not.
  */
 
 #ifndef ALEWIFE_CKPT_RESTORE_HH
@@ -33,9 +34,10 @@ namespace alewife::ckpt {
 /**
  * True iff @p variant differs from @p base only in restore-safe knobs:
  * linkMBps, hopNs, netFixedNs, idealNetLatencyCycles,
- * contextSwitchCycles, niRetryCycles (and the display name, which never
- * affects simulation). When false and @p why is non-null, *why names
- * the restriction.
+ * contextSwitchCycles (and the display name, which never affects
+ * simulation). niRetryCycles is not one: the poll period of parked
+ * packets is fixed for a machine's lifetime. When false and @p why is
+ * non-null, *why names the restriction.
  */
 bool restoreSafeDelta(const MachineConfig &base,
                       const MachineConfig &variant,
@@ -45,8 +47,9 @@ bool restoreSafeDelta(const MachineConfig &base,
 struct ResumeResult
 {
     bool ok = false;
-    /** Failure reason: config mismatch, replay shortfall, or the full
-     *  divergence list from the post-replay audit. */
+    /** Failure reason: config mismatch, a replay that ends before or
+     *  steps past the snapshot's count, or the full divergence list
+     *  from the post-replay audit. */
     std::string error;
 };
 
@@ -55,8 +58,10 @@ struct ResumeResult
  * constructed (never stepped) with a configuration whose canonicalKey()
  * matches the snapshot, with cross-traffic and perturbation applied
  * exactly as in the captured run; @p f must be the same program
- * factory. On success the machine is paused at the snapshot point —
- * continue with Machine::stepOne()/finishRun().
+ * factory. Replay steps real events (Machine::stepUntilEvents) and must
+ * stop exactly at the count the capture paused at. On success the
+ * machine is paused at the snapshot point — continue with
+ * Machine::stepOne()/finishRun().
  */
 ResumeResult resume(Machine &m, const Machine::ProgramFactory &f,
                     const Snapshot &snap);

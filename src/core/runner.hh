@@ -104,7 +104,7 @@ struct RunSpec
  * Seam into runApp's machine-driving loop. Without a driver runApp
  * calls Machine::run(); with one it delegates the whole launch-step-
  * finish sequence, which is how the checkpoint subsystem pauses a run
- * at a precise event count (fork-point capture) or starts it from a
+ * at an event count (fork-point capture) or starts it from a
  * snapshot instead of from scratch (warm start). A driver must
  * leave the machine fully finished (Machine::finishRun() called) and
  * return the finish tick, so every statistic runApp collects afterwards

@@ -3,9 +3,10 @@
  * Warm-start sweeps: fork one checkpoint into parameter variants.
  *
  * A warm-start sweep runs the base configuration once, captures a
- * snapshot at a chosen executed-event count (the fork point), then
- * launches each variant from that snapshot under a restore-safe config
- * delta (ckpt::restoreSafeDelta — network latency/bandwidth knobs).
+ * snapshot at the first real event at or past a chosen executed-event
+ * count (the fork point), then launches each variant from that
+ * snapshot under a restore-safe config delta (ckpt::restoreSafeDelta —
+ * network latency/bandwidth knobs; the NI poll period is not one).
  * Every variant replays to the fork point under the base
  * configuration, passes the bit-level restore audit, and only then
  * switches knobs, so the common prefix of all variants is provably the
@@ -38,7 +39,8 @@ struct WarmStartSweep
      * restore-safe knobs (rejected otherwise).
      */
     std::vector<MachineConfig> variants;
-    /** Fork point as an executed-event count. */
+    /** Fork point as an executed-event count; the base run pauses on
+     *  the first real event at or past it. */
     std::uint64_t forkEvents = 0;
 };
 

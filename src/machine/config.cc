@@ -1,5 +1,6 @@
 #include "machine/config.hh"
 
+#include <cmath>
 #include <cstdio>
 
 #include "sim/logging.hh"
@@ -42,6 +43,14 @@ MachineConfig::validate() const
         ALEWIFE_FATAL("dirHwPointers must be at least 1");
     if (niInputQueueSlots < 1)
         ALEWIFE_FATAL("niInputQueueSlots must be at least 1");
+    // The mesh polls a full NI every cyclesToTicks(niRetryCycles) ticks;
+    // check the double before that conversion, which is undefined for
+    // NaN and negative values.
+    if (!std::isfinite(niRetryCycles)
+        || niRetryCycles * static_cast<double>(kTicksPerCycle) + 0.5 < 1.0)
+        ALEWIFE_FATAL("niRetryCycles must be finite and round to at least "
+                      "one tick (", kTicksPerCycle, " per cycle); got ",
+                      niRetryCycles);
 }
 
 std::string

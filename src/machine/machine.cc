@@ -158,16 +158,11 @@ Machine::stepOne(Tick limit)
 bool
 Machine::stepUntilEvents(std::uint64_t events, Tick limit)
 {
-    for (std::uint64_t done = eq_.eventsExecuted(); done < events;
-         done = eq_.eventsExecuted()) {
-        if (allDone())
+    while (eq_.eventsExecuted() < events) {
+        if (!stepOne(limit))
             return false;
-        if (!eq_.stepWithin(events - done))
-            panicDeadlock();
-        if (eq_.now() > limit)
-            ALEWIFE_PANIC("simulation exceeded tick limit ", limit);
     }
-    return eq_.eventsExecuted() == events;
+    return true;
 }
 
 Tick

@@ -105,7 +105,7 @@ class Machine
      * Launch one program per node and drive the simulation until all
      * programs complete. Equivalent to start(f); while (stepOne(limit))
      * {}; finishRun() — the stepping primitives exist so checkpoint
-     * drivers can pause the machine at a precise event count
+     * drivers can pause the machine between two real events
      * (stepUntilEvents).
      * @param f per-node program factory
      * @param limit panic if simulated time would exceed this
@@ -122,20 +122,21 @@ class Machine
      * may advance eq().eventsExecuted() by more than one. A virtual
      * poll cannot complete a program, so a caller that loops until
      * this returns false stops at the same event as a single-stepping
-     * one; use stepUntilEvents() to stop at an exact event count.
-     * Panics on deadlock (no event while programs are unfinished) or
-     * when simulated time exceeds @p limit.
+     * one. Panics on deadlock (no event while programs are unfinished)
+     * or when simulated time exceeds @p limit.
      * @return false iff every program has completed (no event popped)
      */
     bool stepOne(Tick limit = kDefaultRunLimit);
 
     /**
-     * Drive the machine until @p events total events have executed
-     * (eq().eventsExecuted() == events, virtual polls included) or all
-     * programs complete, whichever is first. Used by checkpoint
-     * capture/restore: the executed-event count is the canonical
-     * replay position.
-     * @return true if the machine paused exactly at @p events
+     * stepOne() until at least @p events events have executed
+     * (eq().eventsExecuted(), virtual polls included) or all programs
+     * complete, whichever is first. The pause is a real-event boundary,
+     * so it may pass @p events by the virtual polls that precede the
+     * pausing event. Used by checkpoint capture/restore: the count the
+     * machine paused at is the canonical replay position, and replaying
+     * to it lands on the same event.
+     * @return true if the machine paused at or past @p events
      */
     bool stepUntilEvents(std::uint64_t events,
                          Tick limit = kDefaultRunLimit);

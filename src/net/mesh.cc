@@ -22,10 +22,6 @@ Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg) : eq_(eq), cfg_(cfg)
 void
 Mesh::computeDerivedTiming()
 {
-    // Parked packets keep their pending poll across a period change;
-    // their holds so far are folded in on the old period first.
-    for (std::size_t li = 0; li < links_.size(); ++li)
-        materialize(static_cast<int>(li));
     hopTicks_ = cyclesToTicks(cfg_.hopCycles());
     fixedTicks_ = cyclesToTicks(cfg_.netFixedCycles());
     retryTicks_ = cyclesToTicks(cfg_.niRetryCycles);

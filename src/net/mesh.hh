@@ -195,7 +195,8 @@ class Mesh
      * (Re)compute every cfg_-derived timing quantity (hop/fixed/retry/
      * ideal ticks and the serialization memo). Called by the ctor and
      * again by ckpt::Access after a warm-start config delta changes a
-     * network knob in place.
+     * network knob in place; such a delta never changes the retry
+     * period, on which the lazy holds of parked packets depend.
      */
     void computeDerivedTiming();
 

@@ -73,11 +73,6 @@ EventQueue::setTieBreak(std::uint64_t seed)
 std::uint64_t
 EventQueue::keyAfter(Tick g) const
 {
-    // No real event runs between now_ and the next one, so a tick at
-    // or past now_ reads the current seq_ (only virtualCountBefore()
-    // asks that far ahead).
-    if (g >= now_)
-        return seq_;
     auto it = std::upper_bound(
         keys_.begin() + static_cast<std::ptrdiff_t>(keysHead_), keys_.end(),
         g, [](Tick t, const std::pair<Tick, std::uint64_t> &k) {
@@ -94,7 +89,9 @@ EventQueue::advanceTo(Tick t)
 {
     if (t == now_)
         return;
-    settledNow_ = 0; // pollsIn() counts them once now_ has passed
+    // pollsIn() counts these once now_ has passed.
+    settledNow_ = 0;
+    joinedNow_ = 0;
     if (parked_ != 0) {
         keys_.emplace_back(now_, seq_);
         // Keep the last entry at or before t - period_: no lookup
@@ -111,17 +108,6 @@ EventQueue::advanceTo(Tick t)
         }
     }
     now_ = t;
-}
-
-EventQueue::NextPoll
-EventQueue::nextPoll(const Poller &p) const
-{
-    if (p.base >= now_)
-        return {p.base + period_, p.key};
-    // The first phase tick at or after now_; the polls before it ran.
-    const Tick g = now_ + (p.origin % period_ + period_ - now_ % period_)
-                              % period_;
-    return {g, g == p.base + period_ ? p.key : keyAfter(g - period_)};
 }
 
 std::uint64_t
@@ -156,28 +142,17 @@ EventQueue::countPolls()
 }
 
 void
-EventQueue::addVirtual(Poller &p, Tick first)
+EventQueue::addVirtual(const Poller &p)
 {
     countPolls();
     for (Tick i = p.origin % period_ + 1; i <= period_; i += i & (~i + 1))
         ++phaseTree_[i - 1];
     ++virtual_;
-    // pollsIn() will count every phase tick from now_ on, but the
-    // first poll is at `first`: take the ticks before it back now, and
-    // count them in again until pollsIn() has passed them.
-    p.first = first;
-    if (first > now_) {
-        counted_ -= ticksBefore(p);
-        while (!deferred_.empty() && pollers_[deferred_.front()].first <= now_)
-            deferred_.erase(deferred_.begin());
-        deferred_.push_back(static_cast<PollerId>(&p - pollers_.data()));
-    }
-}
-
-std::uint64_t
-EventQueue::ticksBefore(const Poller &p) const
-{
-    return p.first > now_ ? (p.first - now_) / period_ : 0;
+    // pollsIn() will count every phase tick from now_ on, but the first
+    // poll is a period out: take the one at now_ back now, and count it
+    // in again (joinedNow_) until pollsIn() has passed it.
+    --counted_;
+    ++joinedNow_;
 }
 
 void
@@ -187,11 +162,11 @@ EventQueue::dropVirtual(const Poller &p)
     for (Tick i = p.origin % period_ + 1; i <= period_; i += i & (~i + 1))
         --phaseTree_[i - 1];
     --virtual_;
-    const auto it = std::find(deferred_.begin(), deferred_.end(),
-                              static_cast<PollerId>(&p - pollers_.data()));
-    if (it != deferred_.end()) {
-        counted_ += ticksBefore(p); // never reached: not polls
-        deferred_.erase(it);
+    if (p.origin == now_) {
+        // It turned virtual at now_: pollsIn() will not reach the tick
+        // addVirtual() took back.
+        ++counted_;
+        --joinedNow_;
     }
     if (p.base == now_ && p.origin != now_) {
         // Its poll at now_ ran; pollsIn() will no longer count it.
@@ -220,10 +195,7 @@ EventQueue::lastPoll(PollerId id) const
 std::uint64_t
 EventQueue::virtualPolls() const
 {
-    std::uint64_t n = counted_ + pollsIn(countedTo_, now_) + settledNow_;
-    for (PollerId id : deferred_)
-        n += ticksBefore(pollers_[id]);
-    return n;
+    return counted_ + pollsIn(countedTo_, now_) + settledNow_ + joinedNow_;
 }
 
 bool
@@ -244,6 +216,7 @@ EventQueue::nextPollTick(PollerId id) const
     const Poller &p = pollers_[id];
     if (p.base >= now_)
         return p.base + period_;
+    // The first phase tick at or after now_; the polls before it ran.
     return now_ + (p.origin % period_ + period_ - now_ % period_) % period_;
 }
 
@@ -271,7 +244,7 @@ EventQueue::park(const EventMeta &meta)
     Poller &p = pollers_[id];
     p = Poller{now_, now_, seq_, kNoSlot, 0, meta};
     ++parked_;
-    addVirtual(p, now_ + period_);
+    addVirtual(p);
     // After the members whose poll at now_ already ran.
     std::vector<PollerId> &cls = classOf(now_);
     auto pos = cls.begin();
@@ -287,7 +260,7 @@ EventQueue::repark(PollerId id)
     Poller &p = pollers_[id];
     p.origin = p.base = now_;
     p.key = seq_;
-    addVirtual(p, now_ + period_);
+    addVirtual(p);
 }
 
 void
@@ -308,18 +281,22 @@ void
 EventQueue::arm(PollerId id, EventFn fn)
 {
     Poller &p = pollers_[id];
-    const NextPoll next = nextPoll(p);
+    // Its next poll; a poll that ran lazily a period before it keyed it
+    // with C(that tick).
+    const Tick when = nextPollTick(id);
+    const std::uint64_t key =
+        when == p.base + period_ ? p.key : keyAfter(when - period_);
     dropVirtual(p);
     // Make the armed poll explicit: it is the one after base.
-    p.origin = p.base = next.when - period_;
-    p.key = next.key;
+    p.origin = p.base = when - period_;
+    p.key = key;
     p.slot = pool_->allocate();
     detail::EventPool::Slot &slot = pool_->slot(p.slot);
     slot.fn = std::move(fn);
     slot.meta = p.meta;
     p.armSeq = seq_++;
     if (dep_) [[unlikely]]
-        dep_->onSchedule(p.armSeq, curExec_, next.when, now_, p.meta);
+        dep_->onSchedule(p.armSeq, curExec_, when, now_, p.meta);
     armed_.push_back(id);
 }
 
@@ -385,58 +362,13 @@ EventQueue::setPollPeriod(Tick period)
         ALEWIFE_PANIC("parked-poll period must be positive");
     if (period == period_)
         return;
-    // Each poller keeps its pending poll, (when, key), and continues on
-    // the new period from there. Members of one new class that start
-    // at different ticks first meet at the later start, where the
-    // later starter's key is the older one: it goes first.
-    struct Pending
-    {
-        PollerId id;
-        NextPoll next;
-        std::size_t order;
-    };
-    std::vector<Pending> all;
-    std::size_t order = 0;
-    for (std::vector<PollerId> &cls : classes_) {
-        for (PollerId id : cls) {
-            Poller &p = pollers_[id];
-            const NextPoll next =
-                p.slot != kNoSlot ? NextPoll{p.base + period_, p.key}
-                                  : nextPoll(p);
-            all.push_back({id, next, order++});
-        }
-        cls.clear();
-    }
-    // Every poll so far is counted; the pollers rejoin on the new
-    // period from their pending poll.
-    countPolls();
-    counted_ += settledNow_;
-    settledNow_ = 0;
-    for (PollerId id : deferred_)
-        counted_ += ticksBefore(pollers_[id]);
-    deferred_.clear();
-    virtual_ = 0;
-    std::sort(all.begin(), all.end(), [](const Pending &a, const Pending &b) {
-        if (a.next.when != b.next.when)
-            return a.next.when > b.next.when;
-        if (a.next.key != b.next.key)
-            return a.next.key < b.next.key;
-        return a.order < b.order;
-    });
+    // Phase classes and the per-phase count are laid out by period.
+    if (parked_ != 0)
+        ALEWIFE_PANIC("parked-poll period cannot change while ", parked_,
+                      " pollers are parked");
     period_ = period;
     classes_.assign(period, {});
     phaseTree_.assign(period, 0);
-    for (const Pending &e : all) {
-        Poller &p = pollers_[e.id];
-        if (e.next.when < period) [[unlikely]]
-            ALEWIFE_PANIC("parked poll at tick ", e.next.when,
-                          " precedes one new period");
-        p.origin = p.base = e.next.when - period;
-        p.key = e.next.key;
-        classOf(p.origin).push_back(e.id);
-        if (p.slot == kNoSlot)
-            addVirtual(p, e.next.when);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -549,99 +481,6 @@ EventQueue::step()
     return true;
 }
 
-EventQueue::PollerId
-EventQueue::firstVirtual(Tick *when) const
-{
-    if (parked_ == 0)
-        return kNoPoller;
-    // A poller whose poll at now_ ran next polls a full period on.
-    for (Tick d = 0; d <= period_; ++d) {
-        const Tick g = now_ + d;
-        for (PollerId id : classOf(g)) {
-            const Poller &p = pollers_[id];
-            if (p.base >= g)
-                continue; // ran at g already, or starts later
-            if (p.slot != kNoSlot)
-                continue; // its poll is the armed record
-            *when = g;
-            return id;
-        }
-    }
-    return kNoPoller;
-}
-
-bool
-EventQueue::virtualBefore(PollerId v, Tick when, const Next &n) const
-{
-    if (!n.any())
-        return true;
-    if (when != n.when)
-        return when < n.when;
-    if (n.armed != kNoPoller)
-        return classBefore(v, n.armed);
-    return n.entry->pri != 0 || nextPoll(pollers_[v]).key <= n.entry->seq;
-}
-
-bool
-EventQueue::processOne()
-{
-    const Next n = peekNext();
-    Tick when = 0;
-    const PollerId v = firstVirtual(&when);
-    if (v != kNoPoller && virtualBefore(v, when, n)) {
-        advanceTo(when);
-        settleAt(pollers_[v]);
-        return true;
-    }
-    if (!n.any())
-        return false;
-    runNext(n);
-    return true;
-}
-
-std::uint64_t
-EventQueue::virtualCountBefore(const Next &n) const
-{
-    std::uint64_t count = 0;
-    for (const std::vector<PollerId> &cls : classes_) {
-        for (PollerId id : cls) {
-            const Poller &p = pollers_[id];
-            if (p.slot != kNoSlot)
-                continue;
-            const NextPoll next = nextPoll(p);
-            if (next.when > n.when)
-                continue;
-            // Polls at next.when, next.when + period_, ... before n's
-            // tick, then the one at n's tick if it precedes n.
-            const Tick span = n.when - next.when;
-            count += (span + period_ - 1) / period_;
-            if (span % period_ != 0)
-                continue;
-            bool first;
-            if (n.armed != kNoPoller)
-                first = classBefore(id, n.armed);
-            else {
-                const std::uint64_t key =
-                    span == 0 ? next.key : keyAfter(n.when - period_);
-                first = n.entry->pri != 0 || key <= n.entry->seq;
-            }
-            count += first ? 1 : 0;
-        }
-    }
-    return count;
-}
-
-bool
-EventQueue::stepWithin(std::uint64_t budget)
-{
-    const Next n = peekNext();
-    if (n.any() && (parked_ == 0 || virtualCountBefore(n) < budget)) {
-        runNext(n);
-        return true;
-    }
-    return processOne();
-}
-
 void
 EventQueue::settleThrough(Tick limit)
 {
@@ -652,13 +491,12 @@ EventQueue::settleThrough(Tick limit)
     bool any = false;
     for (const std::vector<PollerId> &cls : classes_) {
         for (PollerId id : cls) {
-            const Poller &p = pollers_[id];
-            if (p.slot != kNoSlot)
+            if (pollers_[id].slot != kNoSlot)
                 continue;
-            const NextPoll next = nextPoll(p);
-            if (next.when > limit)
+            const Tick next = nextPollTick(id);
+            if (next > limit)
                 continue;
-            const Tick at = next.when + (limit - next.when) / period_ * period_;
+            const Tick at = next + (limit - next) / period_ * period_;
             if (!any || at > last)
                 last = at;
             any = true;

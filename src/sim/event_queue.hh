@@ -51,13 +51,12 @@
  *    run, with the current seq_ as next key. Nothing parked: one
  *    branch per event; else a modulo and a load.
  *
- * Stepping: processOne() runs exactly one event, a virtual poll
- * included; run(), runUntil() and step() account virtual polls
- * lazily. stepWithin(n) runs one real event when at most n events
- * (its virtual predecessors and itself) precede it, else one virtual
- * poll, so a caller can stop at an exact event count. Observers
- * (DepListener, check::Hooks) see real events only; an armed poll is
- * the child of the event that armed it.
+ * Stepping: step(), run() and runUntil() run real events and account
+ * the virtual polls before each lazily, so every pause is a real-event
+ * boundary; only runUntil() settles the polls due by its limit past
+ * the last real event. Observers (DepListener, check::Hooks) see real
+ * events only; an armed poll is the child of the event that armed it.
+ * The poll period is fixed while anything is parked.
  *
  * Schedule perturbation (setTieBreak): for fuzzing, same-tick events
  * scheduled for the *future* can be ordered by a seeded random priority
@@ -409,9 +408,9 @@ class EventQueue
     static constexpr PollerId kNoPoller = 0xffffffffu;
 
     /**
-     * Set the period of parked pollers. Pollers already parked keep
-     * their pending poll tick and continue on the new period from
-     * there (a warm-start delta on niRetryCycles).
+     * Set the period of parked pollers. Panics if @p period is zero, or
+     * differs from pollPeriod() while a poller is parked: the phase
+     * classes and counts are laid out by period.
      */
     void setPollPeriod(Tick period);
     Tick pollPeriod() const { return period_; }
@@ -477,22 +476,10 @@ class EventQueue
     bool empty() const;
 
     /**
-     * Run the next event, and only that one; a virtual poll counts.
-     * @return false if no event remained
-     */
-    bool processOne();
-
-    /**
      * Run the next real event, accounting the virtual polls before it
      * lazily. @return false if no real event remained
      */
     bool step();
-
-    /**
-     * step() if the next real event is at most @p budget events away
-     * (>= 1), else processOne(). @return false if nothing remained
-     */
-    bool stepWithin(std::uint64_t budget);
 
     /**
      * Enable seeded random ordering among same-tick *future* events
@@ -603,19 +590,7 @@ class EventQueue
         std::uint32_t slot = kNoSlot;
         std::uint64_t armSeq = 0;
         EventMeta meta;
-        /** Its first virtual poll since it last turned virtual. */
-        Tick first = 0;
     };
-
-    /** A poller's next poll: its tick and order key. */
-    struct NextPoll
-    {
-        Tick when;
-        std::uint64_t key;
-    };
-
-    /** Next pending poll of virtual poller @p p. */
-    NextPoll nextPoll(const Poller &p) const;
 
     /** Virtual pollers whose phase is below @p phases (Fenwick sum). */
     std::uint64_t phaseCount(Tick phases) const;
@@ -626,14 +601,11 @@ class EventQueue
     /** Count the virtual polls before now_ into counted_. */
     void countPolls();
 
-    /** @p p turns virtual; its first virtual poll is at @p first. */
-    void addVirtual(Poller &p, Tick first);
+    /** @p p turns virtual at now_; its first poll is a period out. */
+    void addVirtual(const Poller &p);
 
     /** @p p stops being virtual (it is armed). */
     void dropVirtual(const Poller &p);
-
-    /** @p p's phase ticks from now_ up to its first poll. */
-    std::uint64_t ticksBefore(const Poller &p) const;
 
     /** Mark @p p's pending poll at now_ run. */
     void settleAt(Poller &p);
@@ -679,15 +651,6 @@ class EventQueue
 
     /** Run @p n; every virtual poll before it counts as run. */
     void runNext(const Next &n);
-
-    /** First pending virtual poll (processOne), or kNoPoller. */
-    PollerId firstVirtual(Tick *when) const;
-
-    /** True if virtual @p v's poll at @p when runs before @p n. */
-    bool virtualBefore(PollerId v, Tick when, const Next &n) const;
-
-    /** Virtual polls that run before @p n (stepWithin). */
-    std::uint64_t virtualCountBefore(const Next &n) const;
 
     /** Run every virtual poll due at or before @p limit. */
     void settleThrough(Tick limit);
@@ -766,7 +729,7 @@ class EventQueue
     /**
      * Virtual-poll count: counted_ holds every virtual poll at a tick
      * before countedTo_ (modulo 2^64: a joining poller's first phase
-     * ticks are subtracted up front), pollsIn() adds the ticks since,
+     * tick is subtracted up front), pollsIn() adds the ticks since,
      * settledNow_ the polls already run at now_. phaseTree_ is a
      * Fenwick tree of the virtual pollers per phase, virtual_ their
      * number.
@@ -774,9 +737,9 @@ class EventQueue
     std::uint64_t counted_ = 0;
     Tick countedTo_ = 0;
     std::uint64_t settledNow_ = 0;
-    /** Virtual pollers whose first poll is still ahead; counted_ has
-     *  their phase ticks before it taken back already. */
-    std::vector<PollerId> deferred_;
+    /** Virtual pollers that turned virtual at now_; counted_ has
+     *  their phase tick at now_ taken back already. */
+    std::uint64_t joinedNow_ = 0;
     std::vector<std::uint64_t> phaseTree_ = std::vector<std::uint64_t>(1);
     std::uint64_t virtual_ = 0;
     /** (tick, seq_ when now_ left it), ascending from keysHead_. */

@@ -190,7 +190,7 @@ TEST(EventQueue, TieBreakKeepsImmediateEventFifoContract)
         eq.schedule(eq.now(), [&] { order.push_back(3); });
     });
     eq.schedule(5, [&] { order.push_back(1); });
-    while (eq.processOne()) {
+    while (eq.step()) {
     }
     // 0 and 1 were both scheduled for tick 5 before execution began --
     // tie-break may reorder them -- but both immediates (2, 3) must run
@@ -208,7 +208,7 @@ TEST(EventQueue, TieBreakSeedsAreDeterministic)
         std::vector<int> order;
         for (int i = 0; i < 16; ++i)
             eq.schedule(10, [&order, i] { order.push_back(i); });
-        while (eq.processOne()) {
+        while (eq.step()) {
         }
         return order;
     };

@@ -53,7 +53,6 @@ TEST(RestoreSafe, AcceptsEveryWhitelistedKnob)
     ok([](MachineConfig &v) { v.netFixedNs += 100; });
     ok([](MachineConfig &v) { v.idealNetLatencyCycles = 400; });
     ok([](MachineConfig &v) { v.contextSwitchCycles += 5; });
-    ok([](MachineConfig &v) { v.niRetryCycles += 7; });
     ok([](MachineConfig &v) { v.name = "renamed"; });
 }
 
@@ -71,6 +70,8 @@ TEST(RestoreSafe, RejectsStructuralKnobs)
     bad([](MachineConfig &v) { v.cacheBytes *= 2; });
     bad([](MachineConfig &v) { v.procMhz = 40; });
     bad([](MachineConfig &v) { v.idealNet = !v.idealNet; });
+    // The NI poll period lays out the parked packets' phase classes.
+    bad([](MachineConfig &v) { v.niRetryCycles += 7; });
 }
 
 TEST(WarmStart, EarlyForkMatchesColdStartExactly)

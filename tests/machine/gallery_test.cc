@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "machine/gallery.hh"
 
 namespace alewife {
@@ -75,6 +77,20 @@ TEST(Config, ValidationCatchesBadSetups)
     MachineConfig c3;
     c3.cacheBytes = 1000; // not a multiple of 16
     EXPECT_DEATH(c3.validate(), "cacheBytes");
+}
+
+TEST(Config, ValidationRejectsAnUnusableNiRetryCycles)
+{
+    // The NI poll period must be a finite value that rounds to at least
+    // one tick; the check runs before the double becomes a Tick.
+    for (double bad : {0.0, 0.004, -1.0, std::nan("")}) {
+        MachineConfig c;
+        c.niRetryCycles = bad;
+        EXPECT_DEATH(c.validate(), "niRetryCycles") << bad;
+    }
+    MachineConfig ok;
+    ok.niRetryCycles = 0.005; // rounds to one tick
+    ok.validate();
 }
 
 TEST(Config, DerivedQuantities)

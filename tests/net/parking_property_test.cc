@@ -95,9 +95,8 @@ script(std::uint64_t seed)
 /** How runParked() drives the queue. */
 enum class Drive
 {
-    Run,        ///< run(): virtual polls accounted lazily
-    ProcessOne, ///< one event per call, virtual polls included
-    StepWithin, ///< stepWithin() on random budgets
+    Run,  ///< run(): virtual polls accounted lazily
+    Step, ///< one real event per step() call, its virtual polls with it
 };
 
 /** Parking as implemented: net::Mesh over EventQueue pollers. */
@@ -147,24 +146,14 @@ runParked(const MachineConfig &c, const std::vector<Action> &acts,
             mesh.wake(n);
         }
     });
-    Rng budgets(7);
     switch (drive) {
       case Drive::Run:
         eq.run();
         break;
-      case Drive::ProcessOne:
-        for (std::uint64_t n = eq.eventsExecuted(); eq.processOne(); ++n)
-            EXPECT_EQ(eq.eventsExecuted(), n + 1);
-        break;
-      case Drive::StepWithin:
-        for (;;) {
-            const std::uint64_t before = eq.eventsExecuted();
-            const std::uint64_t budget = 1 + budgets.nextBounded(40);
-            if (!eq.stepWithin(budget))
-                break;
+      case Drive::Step:
+        for (std::uint64_t before = eq.eventsExecuted(); eq.step();
+             before = eq.eventsExecuted())
             EXPECT_GT(eq.eventsExecuted(), before);
-            EXPECT_LE(eq.eventsExecuted(), before + budget);
-        }
         break;
     }
     for (const Mesh::Link &l : mesh.linkStats())
@@ -323,7 +312,7 @@ TEST_P(ParkingProperty, MatchesPollPerEventReference)
     const std::vector<Action> acts = script(k.seed);
     const Trace want = runReference(c, acts, k.slots);
     ASSERT_GT(want.rejects, 50u); // the script really parks packets
-    for (Drive d : {Drive::Run, Drive::ProcessOne, Drive::StepWithin}) {
+    for (Drive d : {Drive::Run, Drive::Step}) {
         SCOPED_TRACE(static_cast<int>(d));
         expectSame(runParked(c, acts, k.slots, d), want);
     }

@@ -6,10 +6,11 @@
  * EventQueueRetry and EventQueueStorm cases pin the parked-poller
  * contract: what snapshots and observers see, the order of a poll
  * against same-tick events (a storm of pollers among tying closures
- * against a (when, seq) reference), and the stepping contract (processOne runs
- * one event, a virtual poll included; runUntil never passes its
- * limit). tests/net/parking_property_test.cc checks parking against a
- * poll-per-event reference.
+ * against a (when, seq) reference), and the stepping contract (step
+ * runs one real event and counts the virtual polls before it;
+ * runUntil never passes its limit; the poll period is fixed while
+ * anything is parked). tests/net/parking_property_test.cc checks
+ * parking against a poll-per-event reference.
  */
 
 #include <gtest/gtest.h>
@@ -370,12 +371,13 @@ TEST(EventQueueStorm, RunFiresEveryPollInReferenceOrder)
     ASSERT_EQ(want.rejectedPolls,
               static_cast<std::uint64_t>(S::kPollers * S::kRejects
                                          - (S::kPollers + 1) / 2));
-    for (bool single : {false, true}) {
-        SCOPED_TRACE(single ? "processOne" : "run");
+    for (bool stepped : {false, true}) {
+        SCOPED_TRACE(stepped ? "step" : "run");
         PollStorm s;
-        if (single) {
-            for (std::uint64_t n = 0; s.eq.processOne(); ++n)
-                ASSERT_EQ(s.eq.eventsExecuted(), n + 1);
+        if (stepped) {
+            for (std::uint64_t before = 0; s.eq.step();
+                 before = s.eq.eventsExecuted())
+                ASSERT_GT(s.eq.eventsExecuted(), before);
         } else {
             s.eq.run();
         }
@@ -386,17 +388,20 @@ TEST(EventQueueStorm, RunFiresEveryPollInReferenceOrder)
     }
 }
 
-TEST(EventQueueStorm, ProcessOneRunsExactlyOneEvent)
+TEST(EventQueueStorm, StepRunsOneRealEventWithItsVirtualPolls)
 {
+    // The park at 0; the event at 35, counted after the virtual polls
+    // at 10, 20 and 30; the armed poll at 40.
     ParkedAt0 s;
-    const Tick want[] = {0, 10, 20, 30, 35, 40};
-    for (std::size_t n = 0; n < std::size(want); ++n) {
-        ASSERT_TRUE(s.eq.processOne());
-        EXPECT_EQ(s.eq.eventsExecuted(), n + 1);
-        EXPECT_EQ(s.eq.now(), want[n]);
+    const Tick wantTick[] = {0, 35, 40};
+    const std::uint64_t wantCount[] = {1, 5, 6};
+    for (std::size_t n = 0; n < std::size(wantTick); ++n) {
+        ASSERT_TRUE(s.eq.step());
+        EXPECT_EQ(s.eq.now(), wantTick[n]);
+        EXPECT_EQ(s.eq.eventsExecuted(), wantCount[n]);
     }
     EXPECT_EQ(s.delivered, 40u);
-    EXPECT_FALSE(s.eq.processOne());
+    EXPECT_FALSE(s.eq.step());
     EXPECT_TRUE(s.eq.empty());
 }
 
@@ -450,6 +455,33 @@ TEST(EventQueueRetry, ForEachPendingListsRecordsWithTheirMeta)
     EXPECT_TRUE(parked[0].armed);
     EXPECT_EQ(parked[0].base + 10, 40u);
     EXPECT_EQ(parked[0].meta.a, 1u);
+}
+
+TEST(EventQueueRetry, ArmedInTheTickItParkedPollsOnlyWhenArmed)
+{
+    // Parked and armed at tick 0: no virtual poll ever runs, and the
+    // armed poll at 10 is the only poll counted, before and after it.
+    EventQueue eq;
+    eq.setPollPeriod(10);
+    EventQueue::PollerId id = EventQueue::kNoPoller;
+    std::uint64_t at5 = 0, atPoll = 0, at25 = 0;
+    Tick polled = 0;
+    eq.schedule(0, [&]() { id = eq.park(pollMeta(1)); });
+    eq.schedule(0, [&]() {
+        eq.arm(id, [&]() {
+            polled = eq.now();
+            atPoll = eq.eventsExecuted();
+            eq.unpark(id);
+        });
+    });
+    eq.schedule(5, [&]() { at5 = eq.eventsExecuted(); });
+    eq.schedule(25, [&]() { at25 = eq.eventsExecuted(); });
+    eq.run();
+    EXPECT_EQ(at5, 3u);
+    EXPECT_EQ(polled, 10u);
+    EXPECT_EQ(atPoll, 4u);
+    EXPECT_EQ(at25, 5u);
+    EXPECT_EQ(eq.virtualPolls(), 0u);
 }
 
 struct DepLog : DepListener
@@ -508,22 +540,46 @@ TEST(EventQueueRetry, TieBreakOrdersEqualTicksByPriorityThenSeq)
     // E is scheduled for tick 10 before the poller parks, so the poll
     // at 10 runs after E; under tie-break perturbation E draws a random
     // priority and the poll, which draws none, sorts as 0 and goes
-    // first.
+    // first. E counts itself and the park, and the poll if it ran.
     for (bool perturbed : {false, true}) {
         SCOPED_TRACE(perturbed);
         EventQueue eq;
         if (perturbed)
             eq.setTieBreak(99);
         eq.setPollPeriod(10);
-        bool ranE = false;
-        eq.schedule(10, [&]() { ranE = true; });
+        std::uint64_t countInE = 0;
+        eq.schedule(10, [&]() { countInE = eq.eventsExecuted(); });
         eq.schedule(0, [&]() { eq.park(pollMeta(1)); });
-        ASSERT_TRUE(eq.processOne()); // the park
-        ASSERT_TRUE(eq.processOne()); // E or the poll at 10
+        ASSERT_TRUE(eq.step()); // the park
+        ASSERT_TRUE(eq.step()); // E
         EXPECT_EQ(eq.now(), 10u);
-        EXPECT_EQ(ranE, !perturbed);
-        EXPECT_EQ(eq.eventsExecuted(), 2u);
+        EXPECT_EQ(countInE, perturbed ? 3u : 2u);
+        EXPECT_EQ(eq.eventsExecuted(), countInE);
     }
+}
+
+TEST(EventQueueRetryDeath, PeriodChangeWhileParkedPanics)
+{
+    // Phase classes are laid out by period: it may change only while
+    // nothing is parked, and setting the same period is a no-op.
+    EventQueue eq;
+    eq.setPollPeriod(10);
+    eq.setPollPeriod(7);
+    EXPECT_EQ(eq.pollPeriod(), 7u);
+    EventQueue::PollerId id = EventQueue::kNoPoller;
+    eq.schedule(0, [&]() { id = eq.park(pollMeta(1)); });
+    ASSERT_TRUE(eq.step());
+    eq.setPollPeriod(7);
+    EXPECT_DEATH(eq.setPollPeriod(8), "period cannot change while 1 "
+                                      "pollers are parked");
+    EXPECT_DEATH(eq.setPollPeriod(0), "must be positive");
+    eq.schedule(20, [&]() {
+        eq.arm(id, [&]() { eq.unpark(id); });
+    });
+    eq.run();
+    EXPECT_TRUE(eq.empty());
+    eq.setPollPeriod(8);
+    EXPECT_EQ(eq.pollPeriod(), 8u);
 }
 
 } // namespace

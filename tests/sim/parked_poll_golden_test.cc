@@ -1,17 +1,25 @@
 /**
  * @file
- * Goldens for NI-full parking, recorded from the kernel that ran every
- * redelivery poll as its own event. Each table pins what any change to
- * how parked packets are polled must keep bit-identical:
+ * Goldens for NI-full parking. Each table pins what any change to how
+ * parked packets are polled must keep bit-identical:
  *
  *  - a clock sweep of the three graph kernels under the three
  *    message-passing mechanisms (each clock moves every tick alignment,
  *    so polls and real events share ticks in different places);
  *  - every link's (freeAt, busyTicks, bytes) at the end of the
  *    pagerank-push poll storms;
- *  - warm starts forked mid-storm that continue on another
- *    niRetryCycles, their final link state included;
+ *  - warm starts forked mid-storm that continue on retimed links,
+ *    their final link state included;
  *  - the model state of snapshots taken mid-storm.
+ *
+ * The first two tables were recorded from the kernel that ran every
+ * redelivery poll as its own event. A pause lands on a real event, so
+ * the mid-storm tables fork and snapshot at the first real-event
+ * boundary at or past their target count (300,003, 678,917 and
+ * 1,000,128 under MP-I; 300,501 under MP-P, with 221 to 815 packets
+ * parked there). They were recorded at those counts on the parked-poll
+ * kernel that could also pause between virtual polls, while it still
+ * matched the first two tables and the earlier mid-storm goldens.
  */
 
 #include <gtest/gtest.h>
@@ -73,12 +81,14 @@ struct Harvest : core::RunDriver
     }
 };
 
-/** A warm start that also keeps the final link state. */
+/** A warm start that also keeps the final link state and the count
+ *  its replay paused at. */
 struct WarmHarvest : core::RunDriver
 {
     const ckpt::Snapshot &snap;
     MachineConfig variant;
     std::uint64_t links = 0;
+    std::uint64_t resumedAt = 0;
 
     WarmHarvest(const ckpt::Snapshot &s, MachineConfig v)
         : snap(s), variant(std::move(v))
@@ -90,6 +100,7 @@ struct WarmHarvest : core::RunDriver
     {
         const ckpt::ResumeResult r = ckpt::resumeWarm(m, f, snap, variant);
         EXPECT_TRUE(r.ok) << r.error;
+        resumedAt = m.eq().eventsExecuted();
         while (m.stepOne()) {
         }
         const Tick finish = m.finishRun();
@@ -205,14 +216,23 @@ TEST(ParkedPollGolden, LinkStateAtFinishMatchesThePollPerEventKernel)
 TEST(ParkedPollGolden, MidStormWarmStartsMatchThePollPerEventKernel)
 {
     const std::vector<std::string> want = {
-        "prpush MPI retry=4.0 ev=4451108 rt=410cac04b851eb85 ck=42e4f66318e34340 stalls=4422542 rejects=0 links=a9de68265e9c499b",
-        "prpush MPI retry=8.0 ev=2387446 rt=410cab1f33333333 ck=42e4f66318e34340 stalls=2358882 rejects=0 links=378bcd655d8952e0",
-        "prpush MPI retry=13.5 ev=1546806 rt=410cabb8a3d70a3d ck=42e4f66318e34340 stalls=1518248 rejects=0 links=e6c57fe12dd4854a",
-        "prpush MPI retry=24.0 ev=1011687 rt=410cae77ae147ae1 ck=42e4f66318e34340 stalls=983139 rejects=0 links=8b3e8a428a344447",
-        "prpush MPP retry=4.0 ev=9799826 rt=4107299b0a3d70a4 ck=42e4f66318e34340 stalls=9774222 rejects=0 links=045fbd34915b0772",
-        "prpush MPP retry=8.0 ev=5065822 rt=410729db0a3d70a4 ck=42e4f66318e34340 stalls=5040215 rejects=0 links=011284156db48e40",
-        "prpush MPP retry=13.5 ev=3131078 rt=41072a9d0a3d70a4 ck=42e4f66318e34340 stalls=3105477 rejects=0 links=aa09030f31d84ee2",
-        "prpush MPP retry=24.0 ev=1902498 rt=41072af266666666 ck=42e4f66318e34340 stalls=1876892 rejects=0 links=2e351d244e94e2e1",
+        "prpush MPI fork=300003 linkMBps*0.5 ev=731107 rt=410cb65ee147ae14 ck=42e4f66318e34340 stalls=702073 rejects=0 links=57a9974351dc3d74",
+        "prpush MPI fork=300003 linkMBps*2 ev=1356951 rt=410caa8e147ae148 ck=42e4f66318e34340 stalls=1328350 rejects=0 links=757e418a55e55337",
+        "prpush MPI fork=300003 hopNs*3 ev=1057580 rt=410caee851eb851f ck=42e4f66318e34340 stalls=1028959 rejects=0 links=d8bb952a75971913",
+        "prpush MPP fork=300501 linkMBps*0.5 ev=2780270 rt=410796739999999a ck=42e4f66318e34340 stalls=2754299 rejects=0 links=af0371517dfdf22f",
+        "prpush MPP fork=300501 linkMBps*2 ev=2692834 rt=4107297e147ae148 ck=42e4f66318e34340 stalls=2667224 rejects=0 links=aded5f1367332553",
+        "prpush MPP fork=300501 hopNs*3 ev=2692133 rt=41072bc2a3d70a3d ck=42e4f66318e34340 stalls=2666524 rejects=0 links=76775d495507c4c1",
+    };
+    struct Variant
+    {
+        const char *label;
+        double linkScale;
+        double hopScale;
+    };
+    constexpr Variant kVariants[] = {
+        {"linkMBps*0.5", 0.5, 1.0},
+        {"linkMBps*2", 2.0, 1.0},
+        {"hopNs*3", 1.0, 3.0},
     };
     std::vector<std::string> got;
     const core::AppFactory factory = rmatApp("pagerank-push");
@@ -222,15 +242,20 @@ TEST(ParkedPollGolden, MidStormWarmStartsMatchThePollPerEventKernel)
         ckpt::ForkPointDriver fork(300'000);
         core::runApp(factory, spec, true, nullptr, &fork);
         ASSERT_TRUE(fork.snapshot().has_value());
-        for (double retry : {4.0, 8.0, 13.5, 24.0}) {
+        const std::uint64_t forkedAt = fork.snapshot()->eventsExecuted();
+        for (const Variant &v : kVariants) {
+            // Every parked packet's final link is retimed from the fork.
             MachineConfig variant = spec.machine;
-            variant.niRetryCycles = retry;
+            variant.linkMBps *= v.linkScale;
+            variant.hopNs *= v.hopScale;
             WarmHarvest warm(*fork.snapshot(), variant);
             const core::RunResult r =
                 core::runApp(factory, spec, true, nullptr, &warm);
-            char label[64];
-            std::snprintf(label, sizeof label, "prpush %s retry=%.1f",
-                          m.name, retry);
+            EXPECT_EQ(warm.resumedAt, forkedAt);
+            char label[96];
+            std::snprintf(label, sizeof label, "prpush %s fork=%llu %s",
+                          m.name, static_cast<unsigned long long>(forkedAt),
+                          v.label);
             char links[64];
             std::snprintf(links, sizeof links, " links=%016llx",
                           static_cast<unsigned long long>(warm.links));
@@ -240,8 +265,10 @@ TEST(ParkedPollGolden, MidStormWarmStartsMatchThePollPerEventKernel)
     EXPECT_EQ(got, want);
 }
 
-
-/** Pauses at event `at`, keeps the snapshot's model state, finishes. */
+/**
+ * Pauses at the first real event at or past event `at`, keeps the
+ * snapshot's model state, finishes.
+ */
 struct PauseDigest : core::RunDriver
 {
     std::uint64_t at = 0;
@@ -276,13 +303,14 @@ struct PauseDigest : core::RunDriver
 
 TEST(ParkedPollGolden, MidStormSnapshotsMatchThePollPerEventKernel)
 {
+    // executed: 300,003, 678,917 and 1,000,128.
     const std::vector<std::string> want = {
-        "now=0x0000000000209ac7 executed=0x00000000000493e0 mesh=0x6e4da3ba1fd9a28b memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0xfefe983dc8bd9093 sync=0x83ddae742da7cd77 ni=0xd462caba8fc76b59 cross=0xa0d3956019b69ab5 counters=0xa666e7a5b4e47b35",
-        "now=0x0000000000209ac7 executed=0x00000000000493e0 mesh=0x6e4da3ba1fd9a28b memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0xfefe983dc8bd9093 sync=0x83ddae742da7cd77 ni=0xd462caba8fc76b59 cross=0xa0d3956019b69ab5 counters=0xa666e7a5b4e47b35",
-        "now=0x000000000045c8b6 executed=0x00000000000a5b7f mesh=0x890a9ee6f5a592ee memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0x1e5cc575a9e22946 sync=0x83ddae742da7cd77 ni=0xc4aa2edb593df367 cross=0xa0d3956019b69ab5 counters=0x65d08b660c669051",
-        "now=0x000000000045c8b6 executed=0x00000000000a5b7f mesh=0x890a9ee6f5a592ee memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0x1e5cc575a9e22946 sync=0x83ddae742da7cd77 ni=0xc4aa2edb593df367 cross=0xa0d3956019b69ab5 counters=0x65d08b660c669051",
-        "now=0x00000000005ff4ac executed=0x00000000000f4241 mesh=0x3435a5a7e793a2f9 memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0x5559749cb8b33b42 sync=0x83ddae742da7cd77 ni=0xc1e525d1a6bd075f cross=0xa0d3956019b69ab5 counters=0x48cac641b67e9546",
-        "now=0x00000000005ff4ac executed=0x00000000000f4241 mesh=0x3435a5a7e793a2f9 memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0x5559749cb8b33b42 sync=0x83ddae742da7cd77 ni=0xc1e525d1a6bd075f cross=0xa0d3956019b69ab5 counters=0x48cac641b67e9546",
+        "now=0x0000000000209ae0 executed=0x00000000000493e3 mesh=0x1727998f602a2b30 memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0x53144794f3d9e8e6 sync=0x83ddae742da7cd77 ni=0x7c89016b34d362f1 cross=0xa0d3956019b69ab5 counters=0xf3bb7b76847d5ce0",
+        "now=0x0000000000209ae0 executed=0x00000000000493e3 mesh=0x1727998f602a2b30 memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0x53144794f3d9e8e6 sync=0x83ddae742da7cd77 ni=0x7c89016b34d362f1 cross=0xa0d3956019b69ab5 counters=0xf3bb7b76847d5ce0",
+        "now=0x000000000045cb9a executed=0x00000000000a5c05 mesh=0x2e07870e5e6474af memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0xd20479611837e0f6 sync=0x83ddae742da7cd77 ni=0x80629a6836afc3c4 cross=0xa0d3956019b69ab5 counters=0x416db45102e43ad3",
+        "now=0x000000000045cb9a executed=0x00000000000a5c05 mesh=0x2e07870e5e6474af memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0xd20479611837e0f6 sync=0x83ddae742da7cd77 ni=0x80629a6836afc3c4 cross=0xa0d3956019b69ab5 counters=0x416db45102e43ad3",
+        "now=0x00000000005ff76d executed=0x00000000000f42c0 mesh=0x25e3d7e42dd68e0f memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0x5559749cb8b33b42 sync=0x83ddae742da7cd77 ni=0x0fceb9820f979036 cross=0xa0d3956019b69ab5 counters=0xf70a4b1ad4c2cb68",
+        "now=0x00000000005ff76d executed=0x00000000000f42c0 mesh=0x25e3d7e42dd68e0f memory=0x4316b1565fc8a03c caches=0x3fffd6096f56e57d pfb=0x3f5fa9f3d4f52d7d coh=0xe29692c4c1554e9d procs=0x5559749cb8b33b42 sync=0x83ddae742da7cd77 ni=0x0fceb9820f979036 cross=0xa0d3956019b69ab5 counters=0xf70a4b1ad4c2cb68",
     };
     std::vector<std::string> got;
     check::Hooks noop;
@@ -298,6 +326,59 @@ TEST(ParkedPollGolden, MidStormSnapshotsMatchThePollPerEventKernel)
         }
     }
     EXPECT_EQ(got, want);
+}
+
+/** Resumes from a snapshot, keeps the outcome, finishes the run. */
+struct ResumeProbe : core::RunDriver
+{
+    const ckpt::Snapshot &snap;
+    ckpt::ResumeResult result;
+    std::uint64_t stoppedAt = 0;
+
+    explicit ResumeProbe(const ckpt::Snapshot &s) : snap(s) {}
+
+    Tick
+    drive(Machine &m, const Machine::ProgramFactory &f) override
+    {
+        result = ckpt::resume(m, f, snap);
+        stoppedAt = m.eq().eventsExecuted();
+        while (m.stepOne()) {
+        }
+        return m.finishRun();
+    }
+};
+
+TEST(MidStormResume, RefusesAReplayThatStepsPastTheSnapshot)
+{
+    // A capture pauses on a real event; one whose recorded count is not
+    // such a boundary cannot be replayed to, and resume says where the
+    // replay stopped instead of reporting a kernel-section diff.
+    const core::AppFactory factory = rmatApp("pagerank-push");
+    core::RunSpec spec;
+    spec.mechanism = core::Mechanism::MpInterrupt;
+    ckpt::ForkPointDriver fork(678'783);
+    core::runApp(factory, spec, true, nullptr, &fork);
+    ASSERT_TRUE(fork.snapshot().has_value());
+    ckpt::Snapshot snap = *fork.snapshot();
+    ASSERT_EQ(snap.eventsExecuted(), 678'917u);
+
+    ResumeProbe exact(snap);
+    core::runApp(factory, spec, true, nullptr, &exact);
+    EXPECT_TRUE(exact.result.ok) << exact.result.error;
+    EXPECT_EQ(exact.stoppedAt, 678'917u);
+
+    exp::Json kernel = snap.doc.at("kernel");
+    kernel.set("executed", ckpt::hexU64(678'918));
+    snap.doc.set("kernel", std::move(kernel));
+    ResumeProbe moved(snap);
+    core::runApp(factory, spec, true, nullptr, &moved);
+    EXPECT_FALSE(moved.result.ok);
+    // The next real event after 678,917 ends at 679,191.
+    EXPECT_NE(moved.result.error.find("replay reached 679191 events; the "
+                                      "snapshot was taken at 678918"),
+              std::string::npos)
+        << moved.result.error;
+    EXPECT_EQ(moved.stoppedAt, 679'191u);
 }
 
 } // namespace
