@@ -77,6 +77,10 @@ struct Row
     // Critical-path analyzer rows only.
     std::uint64_t graphBytes = 0; ///< captured DepGraph footprint
     double solvesPerSec = 0.0;    ///< analytic sweep points per second
+
+    // Machine-build rows only.
+    std::uint64_t builds = 0; ///< machines built and destroyed
+    double buildMs = 0.0;     ///< wall time per machine
 };
 
 // ---------------------------------------------------------------------
@@ -263,6 +267,32 @@ struct CkptRestoreProbe : alewife::core::RunDriver
         return m.finishRun();
     }
 };
+
+/**
+ * Build and destroy @p builds default machines wired for @p mech, the
+ * fixed cost every sweep point pays before its first event; best of
+ * @p repeat.
+ */
+Row
+runMachineBuild(const std::string &name, core::Mechanism mech,
+                std::uint64_t builds, int repeat)
+{
+    Row best;
+    best.name = name;
+    best.builds = builds;
+    for (int r = 0; r < repeat; ++r) {
+        const double t0 = nowSeconds();
+        for (std::uint64_t i = 0; i < builds; ++i) {
+            Machine m(MachineConfig{}, core::syncStyle(mech),
+                      core::recvMode(mech));
+        }
+        const double wall = nowSeconds() - t0;
+        if (r == 0 || wall < best.wallSeconds)
+            best.wallSeconds = wall;
+    }
+    best.buildMs = best.wallSeconds * 1e3 / static_cast<double>(builds);
+    return best;
+}
 
 std::pair<Row, Row>
 runCkpt(const core::AppFactory &factory, const Row &straight, int repeat)
@@ -478,6 +508,14 @@ main(int argc, char **argv)
         "fig08_em3d_mpi", apps::Em3d::factory(fig08Params),
         core::Mechanism::MpInterrupt, 8.0));
 
+    // --- machine build: the per-point fixed cost (caches are built
+    // on their first fill, so neither row allocates cache storage) ---
+    const std::uint64_t builds = quick ? 20 : 200;
+    rows.push_back(runMachineBuild(
+        "machine_build_mp", core::Mechanism::MpInterrupt, builds, repeat));
+    rows.push_back(runMachineBuild(
+        "machine_build_sm", core::Mechanism::SharedMemory, builds, repeat));
+
     // --- checkpoint save/restore throughput ---
     {
         const Row *em3d = nullptr;
@@ -564,6 +602,10 @@ main(int argc, char **argv)
         if (r.solvesPerSec > 0.0)
             std::printf("  %-16s %.0f predicted sweep points/s\n", "",
                         r.solvesPerSec);
+        if (r.builds > 0)
+            std::printf("  %-16s %.4f ms per machine (%llu built)\n", "",
+                        r.buildMs,
+                        static_cast<unsigned long long>(r.builds));
     }
 
     auto doc = exp::Json::object();
@@ -595,6 +637,10 @@ main(int argc, char **argv)
             o.set("graph_bytes", r.graphBytes);
         if (r.solvesPerSec > 0.0)
             o.set("solves_per_sec", r.solvesPerSec);
+        if (r.builds > 0) {
+            o.set("builds", r.builds);
+            o.set("build_ms", r.buildMs);
+        }
         arr.push(std::move(o));
     }
     doc.set("results", std::move(arr));

@@ -95,8 +95,10 @@ if [[ "$FAST" -eq 0 ]]; then
     # KernelGolden/EventPool/InlineFn cover the slab pool + free-list +
     # generation logic; the ASan pass above runs them too, so the
     # kernel determinism regression is sanitizer-proven both ways.
+    # Recycler covers the per-thread free lists that packets, payloads
+    # and coroutine frames come from (sweep jobs run on threads).
     ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-        -R "SweepEngine|Determinism|EventPool|KernelGolden|InlineFn|RadixQueue"
+        -R "SweepEngine|Determinism|EventPool|KernelGolden|InlineFn|RadixQueue|Recycler"
 
     # perfbench links src/ directly, so an API change there must not
     # be left for a benchmark run to find.

@@ -251,14 +251,14 @@ Em3d::exchangeMp(proc::Ctx &ctx, Side &side, int iter)
     const std::uint64_t side_bit = (&side == &eSide_) ? 0 : 1;
 
     // Ship ghost values five doubles at a time (Sec. 4.1.1).
+    std::vector<std::uint64_t> args;
     for (int q = 0; q < ctx.nprocs(); ++q) {
         const auto &items = producer_view.plan[self][q];
         std::size_t off = 0;
         while (off < items.size()) {
             const std::size_t batch = std::min<std::size_t>(
                 5, items.size() - off);
-            std::vector<std::uint64_t> args;
-            args.reserve(batch + 1);
+            args.clear();
             args.push_back(side_bit
                            | (static_cast<std::uint64_t>(self) << 1)
                            | (static_cast<std::uint64_t>(off) << 17));
@@ -266,7 +266,7 @@ Em3d::exchangeMp(proc::Ctx &ctx, Side &side, int iter)
                 args.push_back(std::bit_cast<std::uint64_t>(
                     my_local[items[off + k].srcLocal]));
             }
-            co_await ctx.send(q, hGhost_, std::move(args));
+            co_await ctx.send(q, hGhost_, args);
             off += batch;
         }
     }
@@ -287,22 +287,22 @@ Em3d::exchangeBulk(proc::Ctx &ctx, Side &side, int iter)
         (&side == &eSide_) ? hSide_.local[self] : eSide_.local[self];
     const std::uint64_t side_bit = (&side == &eSide_) ? 0 : 1;
 
+    std::vector<std::uint64_t> body;
     for (int q = 0; q < ctx.nprocs(); ++q) {
         const auto &items = side.plan[self][q];
         if (items.empty())
             continue;
         // Gather into a contiguous DMA buffer (explicit copy cost).
-        std::vector<std::uint64_t> body;
-        body.reserve(items.size());
+        body.clear();
         for (const auto &item : items) {
             body.push_back(
                 std::bit_cast<std::uint64_t>(my_local[item.srcLocal]));
         }
         co_await ctx.chargeCopy(items.size());
-        std::vector<std::uint64_t> args;
-        args.push_back(side_bit | (static_cast<std::uint64_t>(self) << 1));
-        co_await ctx.sendBulk(q, hGhostBulk_, std::move(args),
-                              std::move(body));
+        co_await ctx.sendBulk(
+            q, hGhostBulk_,
+            msg::amArgs(side_bit | (static_cast<std::uint64_t>(self) << 1)),
+            body);
     }
 
     const std::int64_t want =

@@ -214,6 +214,11 @@ Bfs::programMp(proc::Ctx &ctx, bool bulk)
         frontier.push_back(root_ - first);
 
     std::vector<std::vector<std::uint64_t>> out(np);
+    if (!bulk) {
+        for (auto &o : out) // a batch at most; sized once
+            o.reserve(kClaimBatch);
+    }
+    std::vector<std::uint64_t> args; // refilled per send
 
     for (std::int32_t level = 0; level < maxDepth_; ++level) {
         for (const std::int32_t li : frontier) {
@@ -234,14 +239,13 @@ Bfs::programMp(proc::Ctx &ctx, bool bulk)
                 }
                 out[q].push_back(word);
                 if (!bulk && out[q].size() == kClaimBatch) {
-                    std::vector<std::uint64_t> args;
-                    args.reserve(kClaimBatch + 1);
+                    args.clear();
                     args.push_back(
                         static_cast<std::uint64_t>(level));
                     args.insert(args.end(), out[q].begin(),
                                 out[q].end());
                     out[q].clear();
-                    co_await ctx.send(q, hClaim_, std::move(args));
+                    co_await ctx.send(q, hClaim_, args);
                 }
             }
         }
@@ -251,18 +255,16 @@ Bfs::programMp(proc::Ctx &ctx, bool bulk)
             const std::size_t n = out[q].size();
             if (bulk) {
                 co_await ctx.chargeCopy(n);
-                std::vector<std::uint64_t> args;
-                args.push_back(static_cast<std::uint64_t>(level));
-                co_await ctx.sendBulk(q, hClaimBulk_,
-                                      std::move(args),
-                                      std::move(out[q]));
+                co_await ctx.sendBulk(
+                    q, hClaimBulk_,
+                    msg::amArgs(static_cast<std::uint64_t>(level)),
+                    out[q]);
             } else {
-                std::vector<std::uint64_t> args;
-                args.reserve(n + 1);
+                args.clear();
                 args.push_back(static_cast<std::uint64_t>(level));
                 args.insert(args.end(), out[q].begin(),
                             out[q].end());
-                co_await ctx.send(q, hClaim_, std::move(args));
+                co_await ctx.send(q, hClaim_, args);
             }
             out[q].clear();
         }

@@ -93,6 +93,23 @@ Pagerank::buildPushPlans()
     producersOf_.assign(np, {});
     consumersOf_.assign(np, {});
 
+    // Size every list first, so each is allocated once per setup.
+    std::vector<std::size_t> planSize(static_cast<std::size_t>(np) * np);
+    for (int q = 0; q < np; ++q) {
+        const std::int32_t first = g_.firstVertex(q);
+        const std::int32_t last = first + g_.numVerticesOn(q);
+        refs_[q].reserve(
+            static_cast<std::size_t>(g_.inRow[last] - g_.inRow[first]));
+        for (std::int32_t k = g_.inRow[first]; k < g_.inRow[last]; ++k) {
+            if (const int pu = g_.owner(g_.inSrc[k]); pu != q)
+                ++planSize[static_cast<std::size_t>(pu) * np + q];
+        }
+    }
+    for (int p = 0; p < np; ++p)
+        for (int q = 0; q < np; ++q)
+            plan_[p][q].reserve(
+                planSize[static_cast<std::size_t>(p) * np + q]);
+
     for (int q = 0; q < np; ++q) {
         const std::int32_t first = g_.firstVertex(q);
         std::int32_t nslots = 0;
@@ -371,6 +388,7 @@ Pagerank::programMpPull(proc::Ctx &ctx, bool bulk)
     const std::int32_t first = g_.firstVertex(self);
     const std::int32_t count = g_.numVerticesOn(self);
     const double base = (1.0 - p_.damping) / g_.n;
+    std::vector<std::uint64_t> words; // args, or a bulk body
 
     for (int r = 0; r < p_.iters; ++r) {
         const int par = r & 1;
@@ -382,35 +400,31 @@ Pagerank::programMpPull(proc::Ctx &ctx, bool bulk)
             if (items.empty())
                 continue;
             if (bulk) {
-                std::vector<std::uint64_t> body;
-                body.reserve(items.size());
+                words.clear();
                 for (const auto &item : items) {
-                    body.push_back(std::bit_cast<std::uint64_t>(
+                    words.push_back(std::bit_cast<std::uint64_t>(
                         cur[item.srcLocal]));
                 }
-                co_await ctx.chargeCopy(body.size());
-                std::vector<std::uint64_t> args;
-                args.push_back(
-                    static_cast<std::uint64_t>(self) << 1);
-                co_await ctx.sendBulk(q, hValBulk_,
-                                      std::move(args),
-                                      std::move(body));
+                co_await ctx.chargeCopy(words.size());
+                co_await ctx.sendBulk(
+                    q, hValBulk_,
+                    msg::amArgs(static_cast<std::uint64_t>(self) << 1),
+                    words);
                 continue;
             }
             std::size_t off = 0;
             while (off < items.size()) {
                 const std::size_t batch = std::min<std::size_t>(
                     kValBatch, items.size() - off);
-                std::vector<std::uint64_t> args;
-                args.reserve(batch + 1);
-                args.push_back(
+                words.clear();
+                words.push_back(
                     (static_cast<std::uint64_t>(self) << 1)
                     | (static_cast<std::uint64_t>(off) << 17));
                 for (std::size_t k = 0; k < batch; ++k) {
-                    args.push_back(std::bit_cast<std::uint64_t>(
+                    words.push_back(std::bit_cast<std::uint64_t>(
                         cur[items[off + k].srcLocal]));
                 }
-                co_await ctx.send(q, hVal_, std::move(args));
+                co_await ctx.send(q, hVal_, words);
                 off += batch;
             }
         }
@@ -453,6 +467,7 @@ Pagerank::programMpPush(proc::Ctx &ctx, bool bulk)
     const std::int32_t first = g_.firstVertex(self);
     const std::int32_t count = g_.numVerticesOn(self);
     const double base = (1.0 - p_.damping) / g_.n;
+    std::vector<std::uint64_t> words; // args, or a bulk body
 
     for (int r = 0; r < p_.iters; ++r) {
         const int par = r & 1;
@@ -481,30 +496,27 @@ Pagerank::programMpPush(proc::Ctx &ctx, bool bulk)
             if (items.empty())
                 continue;
             if (bulk) {
-                std::vector<std::uint64_t> body;
-                body.reserve(items.size());
+                words.clear();
                 for (const auto &item : items) {
                     const std::int32_t u = first + item.srcLocal;
-                    body.push_back(std::bit_cast<std::uint64_t>(
+                    words.push_back(std::bit_cast<std::uint64_t>(
                         cur[item.srcLocal] / g_.outDegree(u)));
                 }
-                co_await ctx.chargeCopy(body.size());
+                co_await ctx.chargeCopy(words.size());
                 co_await ctx.computeFlops(items.size());
-                std::vector<std::uint64_t> args;
-                args.push_back(
-                    static_cast<std::uint64_t>(par)
-                    | (static_cast<std::uint64_t>(self) << 1));
-                co_await ctx.sendBulk(q, hValBulk_,
-                                      std::move(args),
-                                      std::move(body));
+                co_await ctx.sendBulk(
+                    q, hValBulk_,
+                    msg::amArgs(static_cast<std::uint64_t>(par)
+                                | (static_cast<std::uint64_t>(self) << 1)),
+                    words);
                 continue;
             }
             std::size_t off = 0;
             while (off < items.size()) {
                 const std::size_t batch = std::min<std::size_t>(
                     kValBatch, items.size() - off);
-                std::vector<std::uint64_t> args;
-                args.reserve(batch + 1);
+                std::vector<std::uint64_t> &args = words;
+                args.clear();
                 args.push_back(
                     static_cast<std::uint64_t>(par)
                     | (static_cast<std::uint64_t>(self) << 1)
@@ -516,7 +528,7 @@ Pagerank::programMpPush(proc::Ctx &ctx, bool bulk)
                         cur[item.srcLocal] / g_.outDegree(u)));
                 }
                 co_await ctx.computeFlops(batch);
-                co_await ctx.send(q, hVal_, std::move(args));
+                co_await ctx.send(q, hVal_, args);
                 off += batch;
             }
         }
@@ -562,9 +574,8 @@ Pagerank::programMpPush(proc::Ctx &ctx, bool bulk)
         // slots may be overwritten two rounds from now. No barrier —
         // rounds pipeline point-to-point.
         for (const int p : producersOf_[self]) {
-            std::vector<std::uint64_t> args(
-                1, static_cast<std::uint64_t>(self));
-            co_await ctx.send(p, hAck_, std::move(args));
+            co_await ctx.send(p, hAck_,
+                              msg::amArgs(static_cast<std::uint64_t>(self)));
         }
     }
 

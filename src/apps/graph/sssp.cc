@@ -325,6 +325,11 @@ Sssp::programMp(proc::Ctx &ctx, bool bulk)
     auto &flag = flag_[self];
 
     std::vector<std::vector<std::uint64_t>> out(np);
+    if (!bulk) {
+        for (auto &o : out) // a batch at most; sized once
+            o.reserve(kRelaxBatch);
+    }
+    std::vector<std::uint64_t> args; // refilled per send
     std::vector<std::pair<std::int32_t, std::int64_t>> pending;
     std::vector<std::int32_t> act;
 
@@ -372,13 +377,12 @@ Sssp::programMp(proc::Ctx &ctx, bool bulk)
                     (static_cast<std::uint64_t>(t) << 32)
                     | static_cast<std::uint32_t>(cand));
                 if (!bulk && out[q].size() == kRelaxBatch) {
-                    std::vector<std::uint64_t> args;
-                    args.reserve(kRelaxBatch + 1);
+                    args.clear();
                     args.push_back(static_cast<std::uint64_t>(ph));
                     args.insert(args.end(), out[q].begin(),
                                 out[q].end());
                     out[q].clear();
-                    co_await ctx.send(q, hRelax_, std::move(args));
+                    co_await ctx.send(q, hRelax_, args);
                 }
             }
         }
@@ -388,18 +392,15 @@ Sssp::programMp(proc::Ctx &ctx, bool bulk)
             const std::size_t n = out[q].size();
             if (bulk) {
                 co_await ctx.chargeCopy(n);
-                std::vector<std::uint64_t> args;
-                args.push_back(static_cast<std::uint64_t>(ph));
-                co_await ctx.sendBulk(q, hRelaxBulk_,
-                                      std::move(args),
-                                      std::move(out[q]));
+                co_await ctx.sendBulk(
+                    q, hRelaxBulk_,
+                    msg::amArgs(static_cast<std::uint64_t>(ph)), out[q]);
             } else {
-                std::vector<std::uint64_t> args;
-                args.reserve(n + 1);
+                args.clear();
                 args.push_back(static_cast<std::uint64_t>(ph));
                 args.insert(args.end(), out[q].begin(),
                             out[q].end());
-                co_await ctx.send(q, hRelax_, std::move(args));
+                co_await ctx.send(q, hRelax_, args);
             }
             out[q].clear();
         }

@@ -180,8 +180,7 @@ Iccg::programMp(proc::Ctx &ctx, bool bulk)
                     if (outbuf[q].empty())
                         continue;
                     co_await ctx.chargeCopy(outbuf[q].size());
-                    co_await ctx.sendBulk(q, hEdgeBulk_, {},
-                                          std::move(outbuf[q]));
+                    co_await ctx.sendBulk(q, hEdgeBulk_, {}, outbuf[q]);
                     outbuf[q].clear();
                 }
             }
@@ -215,16 +214,14 @@ Iccg::programMp(proc::Ctx &ctx, bool bulk)
                 if (static_cast<int>(outbuf[q].size())
                     >= 2 * p_.bulkBatch) {
                     co_await ctx.chargeCopy(outbuf[q].size());
-                    co_await ctx.sendBulk(q, hEdgeBulk_, {},
-                                          std::move(outbuf[q]));
+                    co_await ctx.sendBulk(q, hEdgeBulk_, {}, outbuf[q]);
                     outbuf[q].clear();
                 }
             } else {
-                std::vector<std::uint64_t> args;
-                args.reserve(2);
-                args.push_back(static_cast<std::uint64_t>(e.dst));
-                args.push_back(std::bit_cast<std::uint64_t>(val));
-                co_await ctx.send(q, hEdge_, std::move(args));
+                co_await ctx.send(
+                    q, hEdge_,
+                    msg::amArgs(static_cast<std::uint64_t>(e.dst),
+                                std::bit_cast<std::uint64_t>(val)));
             }
         }
     }
@@ -235,8 +232,7 @@ Iccg::programMp(proc::Ctx &ctx, bool bulk)
             if (outbuf[q].empty())
                 continue;
             co_await ctx.chargeCopy(outbuf[q].size());
-            co_await ctx.sendBulk(q, hEdgeBulk_, {},
-                                  std::move(outbuf[q]));
+            co_await ctx.sendBulk(q, hEdgeBulk_, {}, outbuf[q]);
             outbuf[q].clear();
         }
     }

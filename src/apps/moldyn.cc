@@ -395,6 +395,7 @@ Moldyn::programMp(proc::Ctx &ctx, bool bulk)
     auto &x = xLoc_[self];
     auto &v = vLoc_[self];
     auto &f = fLoc_[self];
+    std::vector<std::uint64_t> body; // reused by every bulk send
 
     for (int it = 0; it < p_.iters; ++it) {
         // 1. Ship boundary coordinates to every computing neighbour.
@@ -403,8 +404,7 @@ Moldyn::programMp(proc::Ctx &ctx, bool bulk)
             if (items.empty())
                 continue;
             if (bulk) {
-                std::vector<std::uint64_t> body;
-                body.reserve(3 * items.size());
+                body.clear();
                 for (std::int32_t l : items) {
                     for (int d = 0; d < 3; ++d) {
                         body.push_back(std::bit_cast<std::uint64_t>(
@@ -412,23 +412,21 @@ Moldyn::programMp(proc::Ctx &ctx, bool bulk)
                     }
                 }
                 co_await ctx.chargeCopy(body.size());
-                std::vector<std::uint64_t> args;
-                args.push_back(static_cast<std::uint64_t>(self));
-                co_await ctx.sendBulk(q, hCoordsBulk_, std::move(args),
-                                      std::move(body));
+                co_await ctx.sendBulk(
+                    q, hCoordsBulk_,
+                    msg::amArgs(static_cast<std::uint64_t>(self)), body);
             } else {
                 // One molecule (3 doubles) per fine-grained message.
                 for (std::size_t k = 0; k < items.size(); ++k) {
-                    std::vector<std::uint64_t> args;
-                    args.reserve(4);
-                    args.push_back(static_cast<std::uint64_t>(self)
-                                   | (static_cast<std::uint64_t>(k)
-                                      << 16));
-                    for (int d = 0; d < 3; ++d) {
-                        args.push_back(std::bit_cast<std::uint64_t>(
-                            x[3 * items[k] + d]));
-                    }
-                    co_await ctx.send(q, hCoords_, std::move(args));
+                    const double *xk = &x[3 * items[k]];
+                    co_await ctx.send(
+                        q, hCoords_,
+                        msg::amArgs(static_cast<std::uint64_t>(self)
+                                        | (static_cast<std::uint64_t>(k)
+                                           << 16),
+                                    std::bit_cast<std::uint64_t>(xk[0]),
+                                    std::bit_cast<std::uint64_t>(xk[1]),
+                                    std::bit_cast<std::uint64_t>(xk[2])));
                 }
             }
         }
@@ -489,27 +487,24 @@ Moldyn::programMp(proc::Ctx &ctx, bool bulk)
             }
             // Ship the accumulated deltas back.
             if (bulk) {
-                std::vector<std::uint64_t> body;
-                body.reserve(delta.size());
+                body.clear();
                 for (double dv : delta)
                     body.push_back(std::bit_cast<std::uint64_t>(dv));
                 co_await ctx.chargeCopy(body.size());
-                std::vector<std::uint64_t> args;
-                args.push_back(static_cast<std::uint64_t>(self));
-                co_await ctx.sendBulk(p, hDeltasBulk_, std::move(args),
-                                      std::move(body));
+                co_await ctx.sendBulk(
+                    p, hDeltasBulk_,
+                    msg::amArgs(static_cast<std::uint64_t>(self)), body);
             } else {
                 for (std::size_t k = 0; k * 3 < delta.size(); ++k) {
-                    std::vector<std::uint64_t> args;
-                    args.reserve(4);
-                    args.push_back(static_cast<std::uint64_t>(self)
-                                   | (static_cast<std::uint64_t>(k)
-                                      << 16));
-                    for (int d = 0; d < 3; ++d) {
-                        args.push_back(std::bit_cast<std::uint64_t>(
-                            delta[3 * k + d]));
-                    }
-                    co_await ctx.send(p, hDeltas_, std::move(args));
+                    const double *dk = &delta[3 * k];
+                    co_await ctx.send(
+                        p, hDeltas_,
+                        msg::amArgs(static_cast<std::uint64_t>(self)
+                                        | (static_cast<std::uint64_t>(k)
+                                           << 16),
+                                    std::bit_cast<std::uint64_t>(dk[0]),
+                                    std::bit_cast<std::uint64_t>(dk[1]),
+                                    std::bit_cast<std::uint64_t>(dk[2])));
                 }
             }
         }

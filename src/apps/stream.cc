@@ -155,6 +155,7 @@ Stream::programMp(proc::Ctx &ctx, bool bulk)
     const int consumer = (self + 1) % ctx.nprocs();
     auto &mine = valLoc_[self];
     double local_sum = 0.0;
+    std::vector<std::uint64_t> words; // args, or a bulk body
 
     for (int it = 0; it < p_.iters; ++it) {
         for (int k = 0; k < p_.valuesPerIter; ++k) {
@@ -174,26 +175,23 @@ Stream::programMp(proc::Ctx &ctx, bool bulk)
                 TimeCat::Sync);
         }
         if (bulk) {
-            std::vector<std::uint64_t> body;
-            body.reserve(mine.size());
+            words.clear();
             for (double v : mine)
-                body.push_back(std::bit_cast<std::uint64_t>(v));
-            co_await ctx.chargeCopy(body.size());
-            co_await ctx.sendBulk(consumer, hValsBulk_, {},
-                                  std::move(body));
+                words.push_back(std::bit_cast<std::uint64_t>(v));
+            co_await ctx.chargeCopy(words.size());
+            co_await ctx.sendBulk(consumer, hValsBulk_, {}, words);
         } else {
             std::size_t off = 0;
             while (off < mine.size()) {
                 const std::size_t batch =
                     std::min<std::size_t>(5, mine.size() - off);
-                std::vector<std::uint64_t> args;
-                args.reserve(batch + 1);
-                args.push_back(static_cast<std::uint64_t>(off));
+                words.clear();
+                words.push_back(static_cast<std::uint64_t>(off));
                 for (std::size_t k = 0; k < batch; ++k) {
-                    args.push_back(std::bit_cast<std::uint64_t>(
+                    words.push_back(std::bit_cast<std::uint64_t>(
                         mine[off + k]));
                 }
-                co_await ctx.send(consumer, hVals_, std::move(args));
+                co_await ctx.send(consumer, hVals_, words);
                 off += batch;
             }
         }
@@ -208,11 +206,8 @@ Stream::programMp(proc::Ctx &ctx, bool bulk)
             co_await ctx.computeFlops(1);
         }
         // Tell our producer its buffer slot is free again.
-        {
-            std::vector<std::uint64_t> none;
-            co_await ctx.send((self + ctx.nprocs() - 1) % ctx.nprocs(),
-                              hAck_, std::move(none));
-        }
+        co_await ctx.send((self + ctx.nprocs() - 1) % ctx.nprocs(), hAck_,
+                          {});
     }
     sums_[self] = local_sum;
     co_return;

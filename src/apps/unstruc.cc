@@ -301,31 +301,30 @@ Unstruc::exchangeX(proc::Ctx &ctx, int iter, bool bulk)
     const int parity = iter & 1;
     const auto &mine = xLocal_[self];
 
+    std::vector<std::uint64_t> words; // args, or a bulk body
     for (int q = 0; q < ctx.nprocs(); ++q) {
         const auto &items = xPlan_[self][q];
         if (items.empty())
             continue;
         if (bulk) {
-            std::vector<std::uint64_t> body;
-            body.reserve(items.size());
+            words.clear();
             for (const SendItem &it : items) {
-                body.push_back(
+                words.push_back(
                     std::bit_cast<std::uint64_t>(mine[it.srcLocal]));
             }
             co_await ctx.chargeCopy(items.size());
-            std::vector<std::uint64_t> args;
-            args.push_back(
-                static_cast<std::uint64_t>(parity)
-                | (static_cast<std::uint64_t>(self) << 1));
-            co_await ctx.sendBulk(q, hGhostXBulk_, std::move(args),
-                                  std::move(body));
+            co_await ctx.sendBulk(
+                q, hGhostXBulk_,
+                msg::amArgs(static_cast<std::uint64_t>(parity)
+                            | (static_cast<std::uint64_t>(self) << 1)),
+                words);
         } else {
             std::size_t off = 0;
             while (off < items.size()) {
                 const std::size_t batch =
                     std::min<std::size_t>(5, items.size() - off);
-                std::vector<std::uint64_t> args;
-                args.reserve(batch + 1);
+                std::vector<std::uint64_t> &args = words;
+                args.clear();
                 args.push_back(
                     static_cast<std::uint64_t>(parity)
                     | (static_cast<std::uint64_t>(self) << 1)
@@ -334,7 +333,7 @@ Unstruc::exchangeX(proc::Ctx &ctx, int iter, bool bulk)
                     args.push_back(std::bit_cast<std::uint64_t>(
                         mine[items[off + k].srcLocal]));
                 }
-                co_await ctx.send(q, hGhostX_, std::move(args));
+                co_await ctx.send(q, hGhostX_, args);
                 off += batch;
             }
         }
@@ -398,11 +397,9 @@ Unstruc::programMp(proc::Ctx &ctx, bool bulk)
                         std::bit_cast<std::uint64_t>(c));
                     co_await ctx.compute(4.0); // buffering cost
                 } else {
-                    std::vector<std::uint64_t> args;
-                    args.reserve(2);
-                    args.push_back(idx);
-                    args.push_back(std::bit_cast<std::uint64_t>(c));
-                    co_await ctx.send(q, hContrib_, std::move(args));
+                    co_await ctx.send(
+                        q, hContrib_,
+                        msg::amArgs(idx, std::bit_cast<std::uint64_t>(c)));
                 }
             }
         }
@@ -412,8 +409,7 @@ Unstruc::programMp(proc::Ctx &ctx, bool bulk)
                 if (outbuf[q].empty())
                     continue;
                 co_await ctx.chargeCopy(outbuf[q].size());
-                co_await ctx.sendBulk(q, hContribBulk_, {},
-                                      std::move(outbuf[q]));
+                co_await ctx.sendBulk(q, hContribBulk_, {}, outbuf[q]);
                 outbuf[q].clear();
             }
         }

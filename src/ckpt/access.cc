@@ -307,7 +307,7 @@ Access::cachesSection(const Machine &m)
     for (const auto &n : m.nodes_) {
         const mem::Cache &c = n->cache;
         Json lines = Json::array();
-        for (std::size_t i = 0; i < c.numSets_; ++i) {
+        for (std::size_t i = 0; c.lines_ && i < c.numSets_; ++i) {
             const auto &l = c.lines_[i];
             if (!l.valid)
                 continue;
@@ -494,8 +494,8 @@ Access::niSection(const Machine &m)
         o.set("lastHandlerDone", hx(ni.lastHandlerDone_));
         o.set("delivered", hx(ni.delivered_));
         Json q = Json::array();
-        for (const auto &msg : ni.inq_)
-            q.push(amJson(*msg));
+        for (std::size_t i = 0; i < ni.queued_; ++i)
+            q.push(amJson(ni.queued(i)));
         o.set("inq", std::move(q));
         nodes.push(std::move(o));
     }

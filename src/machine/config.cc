@@ -37,6 +37,14 @@ MachineConfig::validate() const
         ALEWIFE_FATAL("lineBytes must be a positive multiple of 8");
     if (cacheBytes % lineBytes != 0)
         ALEWIFE_FATAL("cacheBytes must be a multiple of lineBytes");
+    // The cache is direct-mapped with cacheBytes / lineBytes sets. Check
+    // the set count here, where the message can name the knob; the
+    // cache allocates its storage only on its first fill.
+    if (const std::uint32_t sets = cacheBytes / lineBytes;
+        sets == 0 || (sets & (sets - 1)) != 0)
+        ALEWIFE_FATAL("cacheBytes / lineBytes must be a power of two "
+                      "(the set count); got ", cacheBytes, " / ",
+                      lineBytes);
     if (!idealNet && linkMBps <= 0.0)
         ALEWIFE_FATAL("linkMBps must be positive");
     if (dirHwPointers < 1)
@@ -45,12 +53,17 @@ MachineConfig::validate() const
         ALEWIFE_FATAL("niInputQueueSlots must be at least 1");
     // The mesh polls a full NI every cyclesToTicks(niRetryCycles) ticks;
     // check the double before that conversion, which is undefined for
-    // NaN and negative values.
+    // NaN and negative values. The event queue lays out its parked-poll
+    // tables at 16 bytes per tick of that period, so the upper bound
+    // keeps them to ~1.6 MB.
     if (!std::isfinite(niRetryCycles)
         || niRetryCycles * static_cast<double>(kTicksPerCycle) + 0.5 < 1.0)
         ALEWIFE_FATAL("niRetryCycles must be finite and round to at least "
                       "one tick (", kTicksPerCycle, " per cycle); got ",
                       niRetryCycles);
+    if (niRetryCycles > kMaxNiRetryCycles)
+        ALEWIFE_FATAL("niRetryCycles must be at most ", kMaxNiRetryCycles,
+                      " cycles; got ", niRetryCycles);
 }
 
 std::string

@@ -138,8 +138,12 @@ struct MachineConfig
     int amMaxWords = 14;
     /** NI input queue capacity, in messages. */
     int niInputQueueSlots = 8;
-    /** Cycles between mesh redelivery attempts when the NI is full. */
+    /**
+     * Cycles between mesh redelivery attempts when the NI is full; at
+     * most kMaxNiRetryCycles.
+     */
     double niRetryCycles = 16.0;
+    static constexpr double kMaxNiRetryCycles = 1024.0;
 
     // ------------------------------------------------------------------
     // DMA / bulk transfer

@@ -13,6 +13,11 @@ Cache::Cache(std::uint32_t capacity_bytes, std::uint32_t line_bytes)
 {
     if (numSets_ == 0 || (numSets_ & (numSets_ - 1)) != 0)
         ALEWIFE_FATAL("cache must have a power-of-two number of sets");
+}
+
+void
+Cache::build()
+{
     lines_ = std::make_unique<Line[]>(numSets_);
     words_ = std::make_unique<std::uint64_t[]>(
         static_cast<std::size_t>(numSets_) * wordsPerLine_);
@@ -33,6 +38,8 @@ Cache::setOf(Addr a) const
 const Cache::Line *
 Cache::find(Addr a) const
 {
+    if (!lines_)
+        return nullptr;
     const Line &l = lines_[setOf(a)];
     if (l.valid && l.tag == lineBase(a))
         return &l;
@@ -42,6 +49,8 @@ Cache::find(Addr a) const
 Cache::Line *
 Cache::find(Addr a)
 {
+    if (!lines_)
+        return nullptr;
     Line &l = lines_[setOf(a)];
     if (l.valid && l.tag == lineBase(a))
         return &l;
@@ -97,6 +106,8 @@ Cache::fill(Addr line_addr, LineState st,
     if (words.size() != wordsPerLine_)
         ALEWIFE_PANIC("fill with ", words.size(), " words into a ",
                       wordsPerLine_, "-word line");
+    if (!lines_) [[unlikely]]
+        build();
     Line &l = lines_[setOf(line_addr)];
     std::optional<Victim> victim;
     if (l.valid && l.tag != line_addr) {
@@ -165,6 +176,8 @@ Cache::lineWords(Addr a) const
 void
 Cache::flushAll()
 {
+    if (!lines_)
+        return;
     for (std::uint32_t set = 0; set < numSets_; ++set)
         lines_[set].valid = false;
 }

@@ -9,9 +9,16 @@
  *
  * Storage is flat: per-set metadata {tag, valid, state} plus one
  * numSets x wordsPerLine word array, so building or dropping a cache is
- * two allocations however many sets it has (a machine builds one per
- * node per run, and message-passing runs barely touch them). Calls that
- * hand words out still return vectors.
+ * two allocations however many sets it has. Calls that hand words out
+ * still return vectors.
+ *
+ * Storage is allocated on the first fill(). A machine builds one cache
+ * per node per run, and a message-passing run never fills one, so such
+ * a run pays neither the allocation nor the zeroing (64 KiB of metadata
+ * and 64 KiB of words per node at the defaults). Until then every
+ * lookup misses: contains()/state() answer absent, invalidate() and
+ * downgrade() return nothing, and flushAll() has nothing to drop. The
+ * constructor still checks the geometry.
  */
 
 #ifndef ALEWIFE_MEM_CACHE_HH
@@ -127,6 +134,9 @@ class Cache
         LineState st;
     };
 
+    /** Allocate the (all invalid) sets; fill() calls it once. */
+    void build();
+
     std::uint32_t setOf(Addr a) const;
     Addr lineBase(Addr a) const;
     const Line *find(Addr a) const;
@@ -157,9 +167,9 @@ class Cache
     std::uint32_t wordsPerLine_;
     check::Hooks *hooks_ = nullptr;
     NodeId node_ = -1;
-    /** numSets_ entries. */
+    /** numSets_ entries; null until the first fill(). */
     std::unique_ptr<Line[]> lines_;
-    /** numSets_ x wordsPerLine_ words, set-major. */
+    /** numSets_ x wordsPerLine_ words, set-major; built with lines_. */
     std::unique_ptr<std::uint64_t[]> words_;
 };
 

@@ -6,12 +6,19 @@
 
 namespace alewife::msg {
 
+namespace {
+
+/** Handled messages of this thread, for its next sends. */
+thread_local std::vector<std::unique_ptr<AmMessage>> spares;
+
+} // namespace
+
 void
 HandlerEnv::send(NodeId dst, HandlerId h,
                  std::span<const std::uint64_t> args,
                  std::span<const std::uint64_t> body, bool bulk)
 {
-    outgoing_.push_back(ni_.makePacket(dst, h, args, body, bulk));
+    ni_.replies_.push_back(ni_.makePacket(dst, h, args, body, bulk));
 }
 
 HandlerId
@@ -42,7 +49,13 @@ NetIface::makePacket(NodeId dst, HandlerId h,
                      std::span<const std::uint64_t> args,
                      std::span<const std::uint64_t> body, bool bulk)
 {
-    auto msg = std::make_unique<AmMessage>();
+    std::unique_ptr<AmMessage> msg;
+    if (spares.empty()) {
+        msg = std::make_unique<AmMessage>();
+    } else {
+        msg = std::move(spares.back());
+        spares.pop_back();
+    }
     msg->handler = h;
     msg->src = self_;
     msg->args.assign(args.begin(), args.end());
@@ -104,23 +117,42 @@ NetIface::inject(NodeId dst, HandlerId h,
 std::unique_ptr<AmMessage>
 NetIface::popHead()
 {
-    std::unique_ptr<AmMessage> m = std::move(inq_.front());
-    inq_.pop_front();
+    std::unique_ptr<AmMessage> m = std::move(inq_[qHead_]);
+    qHead_ = (qHead_ + 1) & (inq_.size() - 1);
+    --queued_;
     mesh_.wake(self_);
     return m;
+}
+
+Tick
+NetIface::handleHead()
+{
+    std::unique_ptr<AmMessage> m = popHead();
+    const Tick done = runHandler(*m);
+    spares.push_back(std::move(m));
+    return done;
 }
 
 bool
 NetIface::receive(net::Packet &pkt)
 {
-    if (static_cast<int>(inq_.size()) >= cfg_.niInputQueueSlots)
+    if (static_cast<int>(queued_) >= cfg_.niInputQueueSlots)
         return false; // the mesh counts the stall
-    auto *am = dynamic_cast<AmMessage *>(pkt.payload.get());
-    if (!am)
+    if (pkt.kind != net::PacketKind::ActiveMessage)
         ALEWIFE_PANIC("non-AM packet delivered to NI at node ", self_);
-    pkt.payload.release();
-    inq_.emplace_back(am);
-    if (static_cast<int>(inq_.size()) < cfg_.niInputQueueSlots)
+    if (queued_ == inq_.size()) {
+        // Full ring: double it, unrolled so the head lands at slot 0.
+        std::vector<std::unique_ptr<AmMessage>> bigger(
+            inq_.empty() ? 8 : 2 * inq_.size());
+        for (std::size_t i = 0; i < queued_; ++i)
+            bigger[i] = std::move(inq_[(qHead_ + i) & (inq_.size() - 1)]);
+        inq_ = std::move(bigger);
+        qHead_ = 0;
+    }
+    inq_[(qHead_ + queued_) & (inq_.size() - 1)].reset(
+        static_cast<AmMessage *>(pkt.payload.release()));
+    ++queued_;
+    if (static_cast<int>(queued_) < cfg_.niInputQueueSlots)
         mesh_.wake(self_);
 
     if (mode_ == RecvMode::Interrupt && !drainScheduled_) {
@@ -155,7 +187,7 @@ NetIface::runHandler(const AmMessage &m)
         ++counters_.messagesPolled;
     }
     // Replies cost normal send overhead, paid inside the handler.
-    for (const auto &pkt : env.outgoing_) {
+    for (const auto &pkt : replies_) {
         const auto &o = static_cast<const AmMessage &>(*pkt->payload);
         cost += cfg_.amSendCycles
                 + cfg_.amSendPerWordCycles
@@ -166,8 +198,9 @@ NetIface::runHandler(const AmMessage &m)
 
     const Tick done = proc_.chargeHandler(cost, TimeCat::MsgOverhead);
 
-    for (auto &pkt : env.outgoing_)
+    for (auto &pkt : replies_)
         launch(std::move(pkt), done);
+    replies_.clear();
 
     ++delivered_;
     proc_.recheckCond();
@@ -177,12 +210,11 @@ NetIface::runHandler(const AmMessage &m)
 void
 NetIface::drainNext()
 {
-    if (inq_.empty()) {
+    if (queued_ == 0) {
         drainScheduled_ = false;
         return;
     }
-    const auto m = popHead();
-    lastHandlerDone_ = runHandler(*m);
+    lastHandlerDone_ = handleHead();
     eq_.schedule(lastHandlerDone_,
                  EventMeta{EventTag::AmDrain,
                            static_cast<std::uint64_t>(
@@ -195,9 +227,8 @@ int
 NetIface::pollDrain()
 {
     int n = 0;
-    while (!inq_.empty()) {
-        const auto m = popHead();
-        runHandler(*m);
+    while (queued_ != 0) {
+        handleHead();
         ++n;
     }
     return n;

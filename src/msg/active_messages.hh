@@ -16,13 +16,21 @@
  * packet while the queue is full and calls Mesh::wake() whenever the
  * queue has room again (a handler took a message, or it accepted one
  * and is still not full), so parked packets are offered again.
+ *
+ * Steady-state messaging does not touch the heap. A send's Packet
+ * comes from the thread's free lists (sim/recycler.hh). A handled
+ * AmMessage is kept, with the capacity of its args and body, on a
+ * per-thread spare list that the thread's next send takes from, in
+ * this machine or the next one the thread builds. The input queue is
+ * a ring and replies are staged in a per-NI buffer, both of which keep
+ * their capacity.
  */
 
 #ifndef ALEWIFE_MSG_ACTIVE_MESSAGES_HH
 #define ALEWIFE_MSG_ACTIVE_MESSAGES_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -45,22 +53,25 @@ namespace alewife::msg {
 using HandlerId = int;
 
 /**
- * Build an argument-word vector. Use this instead of a braced
+ * Build argument words in place. Use this instead of a braced
  * initializer list at co_await'ed send sites: GCC 12's coroutine
  * lowering miscompiles init-list backing arrays that span a suspension
- * point ("array used as initializer" / double frees).
+ * point ("array used as initializer" / double frees). The array is a
+ * temporary of the co_await expression, so it outlives the send.
  */
 template <typename... Ts>
-std::vector<std::uint64_t>
+std::array<std::uint64_t, sizeof...(Ts)>
 amArgs(Ts... vs)
 {
-    std::vector<std::uint64_t> out;
-    out.reserve(sizeof...(vs));
-    (out.push_back(static_cast<std::uint64_t>(vs)), ...);
-    return out;
+    return {static_cast<std::uint64_t>(vs)...};
 }
 
-/** An active message (possibly with a DMA bulk body). */
+/**
+ * An active message (possibly with a DMA bulk body). NetIface reuses
+ * whole messages (see the file comment), so their memory comes from
+ * the global heap rather than the free lists: the spare list may then
+ * outlive the thread's free lists when the thread exits.
+ */
 struct AmMessage : net::PayloadBase
 {
     HandlerId handler = -1;
@@ -70,6 +81,13 @@ struct AmMessage : net::PayloadBase
     /** DMA body, present only for bulk transfers. */
     std::vector<std::uint64_t> body;
     bool bulk = false;
+
+    static void *operator new(std::size_t bytes)
+    {
+        return ::operator new(bytes);
+    }
+
+    static void operator delete(void *p) noexcept { ::operator delete(p); }
 };
 
 class NetIface;
@@ -89,6 +107,9 @@ class HandlerEnv
     {
     }
 
+    HandlerEnv(const HandlerEnv &) = delete;
+    HandlerEnv &operator=(const HandlerEnv &) = delete;
+
     NodeId self() const { return self_; }
     const AmMessage &msg() const { return msg_; }
 
@@ -107,8 +128,6 @@ class HandlerEnv
     const AmMessage &msg_;
     NetIface &ni_;
     double extraCycles_ = 0.0;
-    /** Replies, built and sized; launched by NetIface::runHandler. */
-    std::vector<std::unique_ptr<net::Packet>> outgoing_;
 };
 
 using HandlerFn = std::function<void(HandlerEnv &)>;
@@ -166,8 +185,8 @@ class NetIface
      */
     int pollDrain();
 
-    bool queueEmpty() const { return inq_.empty(); }
-    int queueDepth() const { return static_cast<int>(inq_.size()); }
+    bool queueEmpty() const { return queued_ == 0; }
+    int queueDepth() const { return static_cast<int>(queued_); }
 
     /** Total messages this NI has delivered to handlers. */
     std::uint64_t delivered() const { return delivered_; }
@@ -195,6 +214,16 @@ class NetIface
     /** Take the queue head (the queue has room after). */
     std::unique_ptr<AmMessage> popHead();
 
+    /** Run the queue head's handler; returns its completion tick. */
+    Tick handleHead();
+
+    /** The @p i-th queued message, from the head. */
+    const AmMessage &
+    queued(std::size_t i) const
+    {
+        return *inq_[(qHead_ + i) & (inq_.size() - 1)];
+    }
+
     NodeId self_;
     EventQueue &eq_;
     const MachineConfig &cfg_;
@@ -204,7 +233,16 @@ class NetIface
     MachineCounters &counters_;
 
     RecvMode mode_ = RecvMode::Interrupt;
-    std::deque<std::unique_ptr<AmMessage>> inq_;
+    /**
+     * The input queue: a ring of queued_ messages from qHead_, sized a
+     * power of two and grown only when full (it never holds more than
+     * niInputQueueSlots).
+     */
+    std::vector<std::unique_ptr<AmMessage>> inq_;
+    std::size_t qHead_ = 0;
+    std::size_t queued_ = 0;
+    /** Replies of the running handler, built and sized. */
+    std::vector<std::unique_ptr<net::Packet>> replies_;
     bool drainScheduled_ = false;
     Tick lastHandlerDone_ = 0;
     std::uint64_t delivered_ = 0;

@@ -16,6 +16,21 @@ Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg) : eq_(eq), cfg_(cfg)
     // edge exist but are only used by cross-traffic draining off-edge.
     links_.resize(static_cast<std::size_t>(cfg.nodes()) * 4);
     linkParked_.resize(links_.size());
+    // Classify each link once, so send() does no division per hop. The
+    // bisection is the vertical cut between columns bisectX-1 and
+    // bisectX; an east/west link whose endpoints straddle it crosses.
+    linkFlags_.resize(links_.size());
+    const int bisectX = cfg.meshX / 2;
+    for (std::size_t li = 0; li < links_.size(); ++li) {
+        const int x = static_cast<int>(li / 4) % cfg.meshX;
+        const int dir = static_cast<int>(li % 4);
+        linkFlags_[li] =
+            static_cast<std::uint8_t>((dir == 0 || dir == 1 ? kXLink : 0)
+                                      | ((dir == 0 && x == bisectX - 1)
+                                                 || (dir == 1 && x == bisectX)
+                                             ? kCutLink
+                                             : 0));
+    }
     computeDerivedTiming();
 }
 
@@ -162,7 +177,6 @@ Mesh::send(std::unique_ptr<Packet> pkt)
 
     route(pkt->src, pkt->dst, scratchLinks_);
     const Tick ser = serializationTicks(pkt->sizeBytes);
-    const int bisectX = cfg_.meshX / 2; // links from column bisectX-1 <-> bisectX
 
     Tick head = now + fixedTicks_;
     Tick first_link_wait = 0;
@@ -192,14 +206,9 @@ Mesh::send(std::unique_ptr<Packet> pkt)
         if (hooks_)
             hooks_->onHop(*pkt, li, head, waited);
 
-        // Bisection accounting: an east/west link whose endpoints straddle
-        // the vertical cut.
-        const int node = li / 4;
-        const int dir = li % 4;
-        const int x = node % cfg_.meshX;
-        if (dir == 0 || dir == 1)
+        if (linkFlags_[li] & kXLink)
             ++xHops;
-        if ((dir == 0 && x == bisectX - 1) || (dir == 1 && x == bisectX))
+        if (linkFlags_[li] & kCutLink)
             bisectionBytes_ += pkt->sizeBytes;
     }
     // Tail arrives one hop + serialization after the head enters the last
@@ -277,11 +286,10 @@ Mesh::materialize(int li) const
     Link &link = links_[li];
     if (linkParked_[li].empty() || link.freeAt >= eq_.now() + retryTicks_)
         return;
-    Tick hold = 0;
-    for (EventQueue::PollerId id : linkParked_[li]) {
-        if (!eq_.armed(id))
-            hold = std::max(hold, eq_.lastPoll(id) + retryTicks_);
-    }
+    const std::optional<Tick> last = eq_.latestPoll(linkParked_[li]);
+    if (!last)
+        return; // all armed: they hold for themselves
+    const Tick hold = *last + retryTicks_;
     if (hold > link.freeAt) {
         link.busyTicks += hold - link.freeAt;
         link.freeAt = hold;
@@ -311,7 +319,7 @@ Mesh::deliver(std::unique_ptr<Packet> pkt, int finalLink)
     if (parked_.size() <= id)
         parked_.resize(id + 1);
     parked_[id] = Parked{pkt.release(), finalLink};
-    waiters_[static_cast<std::size_t>(dst)].list.push_back({id, finalLink});
+    waiters_[static_cast<std::size_t>(dst)].list.push_back(id);
     if (finalLink >= 0)
         linkParked_[finalLink].push_back(id);
 }
@@ -324,20 +332,9 @@ Mesh::wake(NodeId node)
         return;
     // The earliest next poll; equal ticks share a phase class, whose
     // order decides.
-    EventQueue::PollerId first = w.list.front().id;
-    int li = w.list.front().finalLink;
-    Tick at = eq_.nextPollTick(first);
-    for (const Waiter &c : w.list) {
-        const Tick t = eq_.nextPollTick(c.id);
-        if (t < at || (t == at && c.id != first
-                       && eq_.pollsBefore(c.id, first))) {
-            first = c.id;
-            li = c.finalLink;
-            at = t;
-        }
-    }
+    const EventQueue::PollerId first = eq_.firstToPoll(w.list);
     // Its virtual holds end here; the armed poll holds for itself.
-    if (li >= 0)
+    if (const int li = parked_[first].finalLink; li >= 0)
         materialize(li);
     w.armed = first;
     eq_.arm(first, [this, first]() { pollArmed(first); });
@@ -351,7 +348,7 @@ Mesh::pollArmed(EventQueue::PollerId id)
     w.armed = EventQueue::kNoPoller;
     // Off the wait list while offered: a sink that still has room
     // after taking it wakes the next waiter.
-    eraseOne(w.list, [id](const Waiter &c) { return c.id == id; });
+    eraseOne(w.list, [id](EventQueue::PollerId c) { return c == id; });
     if (offer(*p.pkt)) {
         if (p.finalLink >= 0)
             eraseOne(linkParked_[p.finalLink],
@@ -360,7 +357,7 @@ Mesh::pollArmed(EventQueue::PollerId id)
         delete p.pkt;
         return;
     }
-    w.list.push_back({id, p.finalLink});
+    w.list.push_back(id);
     reject(p.finalLink);
     eq_.repark(id);
 }

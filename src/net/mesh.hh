@@ -27,6 +27,14 @@
  * moves its horizon. Rejections are counted here only (niRejects();
  * the machine's niQueueFullStalls mirrors it).
  *
+ * Both lazy steps scan a list of parked packets, tens long in a storm:
+ * wake() a node's waiters, materialize() a link's. Each hands the
+ * whole list to the event queue (EventQueue::firstToPoll,
+ * EventQueue::latestPoll), which reduces now() mod the poll period
+ * once per tick and compares each poller's stored phase against it,
+ * with no division per packet. send() likewise reads per-link flags
+ * for its bisection accounting instead of dividing per hop.
+ *
  * An ideal mode (MachineConfig::idealNet) replaces all of this with a
  * uniform one-way latency and infinite bandwidth, used by the Figure 10
  * context-switching latency-emulation experiment.
@@ -81,7 +89,8 @@ class Mesh
 
     /**
      * @p node's receiver has room: arm the parked packet whose next
-     * poll comes first, unless one is armed already.
+     * poll comes first, unless one is armed already. One scan of the
+     * node's waiters, division-free (see the file comment).
      */
     void wake(NodeId node);
 
@@ -210,17 +219,10 @@ class Mesh
         int finalLink = -1;
     };
 
-    /** A node's parked packet: its poller and final link. */
-    struct Waiter
-    {
-        EventQueue::PollerId id;
-        int finalLink;
-    };
-
     /** Per node: its parked packets and the armed one, if any. */
     struct Waiters
     {
-        std::vector<Waiter> list;
+        std::vector<EventQueue::PollerId> list;
         EventQueue::PollerId armed = EventQueue::kNoPoller;
     };
 
@@ -243,6 +245,11 @@ class Mesh
     std::vector<std::vector<EventQueue::PollerId>> linkParked_;
     /** Horizons include every virtual hold once materialize()d. */
     mutable std::vector<Link> links_;
+    /** Per link: kXLink if east/west, kCutLink if it crosses the
+     *  bisection. */
+    static constexpr std::uint8_t kXLink = 1;
+    static constexpr std::uint8_t kCutLink = 2;
+    std::vector<std::uint8_t> linkFlags_;
     VolumeBreakdown volume_;
     std::uint64_t injected_ = 0;
     std::uint64_t delivered_ = 0;

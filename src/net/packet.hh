@@ -8,6 +8,11 @@
  * details. Each packet also carries its byte contribution to the Figure 5
  * volume categories so the machine-wide volume breakdown is computed at
  * injection time, exactly like the CMMU statistics counters.
+ *
+ * A run makes and drops one Packet and one payload per message, so both
+ * derive from sim::Recycled: their memory comes from the simulating
+ * thread's free lists (sim/recycler.hh), not from the global heap.
+ * Owners keep using std::unique_ptr as before.
  */
 
 #ifndef ALEWIFE_NET_PACKET_HH
@@ -17,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "sim/recycler.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -31,13 +37,13 @@ enum class PacketKind : std::uint8_t
 };
 
 /** Base class for protocol-specific payloads carried by a Packet. */
-struct PayloadBase
+struct PayloadBase : sim::Recycled
 {
     virtual ~PayloadBase() = default;
 };
 
 /** A message in flight. */
-struct Packet
+struct Packet : sim::Recycled
 {
     NodeId src = -1;
     NodeId dst = -1;

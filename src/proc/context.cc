@@ -190,7 +190,7 @@ Ctx::unlock(Addr a)
 }
 
 sim::SubTask<void>
-Ctx::send(NodeId dst, msg::HandlerId h, std::vector<std::uint64_t> args)
+Ctx::send(NodeId dst, msg::HandlerId h, std::span<const std::uint64_t> args)
 {
     proc_.advance(TimeCat::MsgOverhead,
                   cfg_.amSendCycles
@@ -210,8 +210,9 @@ Ctx::send(NodeId dst, msg::HandlerId h, std::vector<std::uint64_t> args)
 }
 
 sim::SubTask<void>
-Ctx::sendBulk(NodeId dst, msg::HandlerId h, std::vector<std::uint64_t> args,
-              std::vector<std::uint64_t> body)
+Ctx::sendBulk(NodeId dst, msg::HandlerId h,
+              std::span<const std::uint64_t> args,
+              std::span<const std::uint64_t> body)
 {
     proc_.advance(TimeCat::MsgOverhead,
                   cfg_.amSendCycles + cfg_.dmaSetupCycles
@@ -245,36 +246,6 @@ Ctx::pollPoint()
     if (!ni_.queueEmpty()) {
         co_await SyncAwait{proc_};
         ni_.pollDrain();
-    }
-}
-
-sim::SubTask<void>
-Ctx::waitUntil(std::function<bool()> pred, TimeCat cat)
-{
-    if (ni_.mode() == msg::RecvMode::Interrupt) {
-        if (pred())
-            co_return;
-        co_await CondAwait{proc_, std::move(pred), cat};
-        co_return;
-    }
-
-    // Polling: alternate between draining the queue and blocking until
-    // either a message arrives or the predicate flips.
-    for (;;) {
-        proc_.advance(cat, cfg_.pollEmptyCycles);
-        co_await SyncAwait{proc_};
-        ni_.pollDrain();
-        if (pred())
-            co_return;
-        co_await CondAwait{
-            proc_,
-            [this, &pred]() { return !ni_.queueEmpty() || pred(); }, cat};
-        if (pred()) {
-            // Still drain whatever arrived with the wake-up.
-            co_await SyncAwait{proc_};
-            ni_.pollDrain();
-            co_return;
-        }
     }
 }
 

@@ -236,14 +236,20 @@ class Ctx
     // Message passing
     // ------------------------------------------------------------------
 
-    /** Send an active message (fine-grained). */
+    /**
+     * Send an active message (fine-grained). The words of @p args are
+     * read when the message leaves, after the send first suspends, so
+     * they must stay alive and unchanged until the co_await returns:
+     * a buffer the calling program owns and refills per send, or a
+     * temporary of the co_await's own expression.
+     */
     sim::SubTask<void> send(NodeId dst, msg::HandlerId h,
-                            std::vector<std::uint64_t> args);
+                            std::span<const std::uint64_t> args);
 
-    /** Send a bulk transfer: args + DMA body. */
+    /** Send a bulk transfer: args + DMA body (lifetime as for send). */
     sim::SubTask<void> sendBulk(NodeId dst, msg::HandlerId h,
-                                std::vector<std::uint64_t> args,
-                                std::vector<std::uint64_t> body);
+                                std::span<const std::uint64_t> args,
+                                std::span<const std::uint64_t> body);
 
     /** Poll the NI, running any queued handlers. Returns count. */
     sim::SubTask<int> poll();
@@ -259,10 +265,42 @@ class Ctx
     /**
      * Wait until @p pred holds. In interrupt mode this blocks; in
      * polling mode it poll-spins. Handlers changing the predicate's
-     * inputs wake the waiter automatically.
+     * inputs wake the waiter automatically. The predicate lives in the
+     * (recycled) coroutine frame and the processor is handed a
+     * reference to it, so a wait allocates nothing whatever the
+     * predicate captures.
      */
-    sim::SubTask<void> waitUntil(std::function<bool()> pred,
-                                 TimeCat cat = TimeCat::Sync);
+    template <typename Pred>
+    sim::SubTask<void>
+    waitUntil(Pred pred, TimeCat cat = TimeCat::Sync)
+    {
+        if (ni_.mode() == msg::RecvMode::Interrupt) {
+            if (pred())
+                co_return;
+            co_await CondAwait{proc_, [&pred]() { return pred(); }, cat};
+            co_return;
+        }
+
+        // Polling: alternate between draining the queue and blocking
+        // until either a message arrives or the predicate flips.
+        for (;;) {
+            proc_.advance(cat, cfg_.pollEmptyCycles);
+            co_await SyncAwait{proc_};
+            ni_.pollDrain();
+            if (pred())
+                co_return;
+            co_await CondAwait{
+                proc_,
+                [this, &pred]() { return !ni_.queueEmpty() || pred(); },
+                cat};
+            if (pred()) {
+                // Still drain whatever arrived with the wake-up.
+                co_await SyncAwait{proc_};
+                ni_.pollDrain();
+                co_return;
+            }
+        }
+    }
 
     // ------------------------------------------------------------------
     // Synchronization

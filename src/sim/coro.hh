@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "sim/logging.hh"
+#include "sim/recycler.hh"
 
 namespace alewife::sim {
 
@@ -129,11 +130,16 @@ class Thread
  * bulk-transfer wrappers) are SubTasks co_awaited from a node program.
  * Completion resumes the awaiting coroutine by symmetric transfer, so
  * the processor model only ever sees the innermost suspended handle.
+ *
+ * A message-passing program awaits a SubTask per message sent or
+ * polled, so the frames come from the thread's free lists
+ * (sim/recycler.hh): the promise derives from sim::Recycled, which
+ * the compiler uses to allocate and free the frame.
  */
 template <typename T = void>
 class SubTask
 {
-    struct PromiseBase
+    struct PromiseBase : Recycled
     {
         std::coroutine_handle<> continuation;
         std::exception_ptr exception;
@@ -221,7 +227,7 @@ class SubTask
 template <>
 class SubTask<void>
 {
-    struct PromiseBase
+    struct PromiseBase : Recycled
     {
         std::coroutine_handle<> continuation;
         std::exception_ptr exception;

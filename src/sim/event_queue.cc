@@ -145,7 +145,7 @@ void
 EventQueue::addVirtual(const Poller &p)
 {
     countPolls();
-    for (Tick i = p.origin % period_ + 1; i <= period_; i += i & (~i + 1))
+    for (Tick i = p.phase + 1; i <= period_; i += i & (~i + 1))
         ++phaseTree_[i - 1];
     ++virtual_;
     // pollsIn() will count every phase tick from now_ on, but the first
@@ -159,7 +159,7 @@ void
 EventQueue::dropVirtual(const Poller &p)
 {
     countPolls();
-    for (Tick i = p.origin % period_ + 1; i <= period_; i += i & (~i + 1))
+    for (Tick i = p.phase + 1; i <= period_; i += i & (~i + 1))
         --phaseTree_[i - 1];
     --virtual_;
     if (p.origin == now_) {
@@ -183,25 +183,34 @@ EventQueue::settleAt(Poller &p)
     ++settledNow_;
 }
 
-Tick
-EventQueue::lastPoll(PollerId id) const
-{
-    const Poller &p = pollers_[id];
-    if (p.base >= now_ || now_ <= p.origin)
-        return p.base;
-    return p.origin + (now_ - p.origin - 1) / period_ * period_;
-}
-
 std::uint64_t
 EventQueue::virtualPolls() const
 {
     return counted_ + pollsIn(countedTo_, now_) + settledNow_ + joinedNow_;
 }
 
+void
+EventQueue::linkBefore(ClassList &cls, PollerId id, PollerId at)
+{
+    Poller &p = pollers_[id];
+    p.next = at;
+    p.prev = at == kNoPoller ? cls.tail : pollers_[at].prev;
+    (p.prev == kNoPoller ? cls.head : pollers_[p.prev].next) = id;
+    (at == kNoPoller ? cls.tail : pollers_[at].prev) = id;
+}
+
+void
+EventQueue::unlink(ClassList &cls, PollerId id)
+{
+    const Poller &p = pollers_[id];
+    (p.prev == kNoPoller ? cls.head : pollers_[p.prev].next) = p.next;
+    (p.next == kNoPoller ? cls.tail : pollers_[p.next].prev) = p.prev;
+}
+
 bool
 EventQueue::classBefore(PollerId a, PollerId b) const
 {
-    for (PollerId id : classOf(pollers_[a].origin)) {
+    for (PollerId id : members(classes_[pollers_[a].phase])) {
         if (id == a)
             return true;
         if (id == b)
@@ -210,24 +219,42 @@ EventQueue::classBefore(PollerId a, PollerId b) const
     return false;
 }
 
-Tick
-EventQueue::nextPollTick(PollerId id) const
+std::optional<Tick>
+EventQueue::latestPoll(std::span<const PollerId> ids) const
 {
-    const Poller &p = pollers_[id];
-    if (p.base >= now_)
-        return p.base + period_;
-    // The first phase tick at or after now_; the polls before it ran.
-    return now_ + (p.origin % period_ + period_ - now_ % period_) % period_;
+    const Tick np = nowPhase();
+    std::optional<Tick> latest;
+    for (PollerId id : ids) {
+        const Poller &p = pollers_[id];
+        if (p.slot != kNoSlot)
+            continue;
+        Tick last = p.base;
+        if (p.base < now_ && p.origin < now_) {
+            // The last phase tick before now_ (origin, or a later one).
+            last = now_ - (np > p.phase ? np - p.phase
+                                        : np + period_ - p.phase);
+        }
+        if (!latest || last > *latest)
+            latest = last;
+    }
+    return latest;
 }
 
-bool
-EventQueue::pollsBefore(PollerId a, PollerId b) const
+EventQueue::PollerId
+EventQueue::firstToPoll(std::span<const PollerId> ids) const
 {
-    const Tick ta = nextPollTick(a);
-    const Tick tb = nextPollTick(b);
-    if (ta != tb)
-        return ta < tb;
-    return classBefore(a, b);
+    const Tick np = nowPhase();
+    PollerId first = kNoPoller;
+    Tick at = 0;
+    for (PollerId id : ids) {
+        const Tick t = nextPollTick(pollers_[id], np);
+        if (first == kNoPoller || t < at
+            || (t == at && classBefore(id, first))) {
+            first = id;
+            at = t;
+        }
+    }
+    return first;
 }
 
 EventQueue::PollerId
@@ -242,15 +269,15 @@ EventQueue::park(const EventMeta &meta)
         freePollers_.pop_back();
     }
     Poller &p = pollers_[id];
-    p = Poller{now_, now_, seq_, kNoSlot, 0, meta};
+    p = Poller{now_, nowPhase(), now_, seq_, kNoSlot, 0, meta};
     ++parked_;
     addVirtual(p);
     // After the members whose poll at now_ already ran.
-    std::vector<PollerId> &cls = classOf(now_);
-    auto pos = cls.begin();
-    while (pos != cls.end() && pollers_[*pos].base >= now_)
-        ++pos;
-    cls.insert(pos, id);
+    ClassList &cls = classNow();
+    PollerId at = cls.head;
+    while (at != kNoPoller && pollers_[at].base >= now_)
+        at = pollers_[at].next;
+    linkBefore(cls, id, at);
     return id;
 }
 
@@ -259,6 +286,7 @@ EventQueue::repark(PollerId id)
 {
     Poller &p = pollers_[id];
     p.origin = p.base = now_;
+    p.phase = nowPhase();
     p.key = seq_;
     addVirtual(p);
 }
@@ -266,9 +294,7 @@ EventQueue::repark(PollerId id)
 void
 EventQueue::unpark(PollerId id)
 {
-    const Poller &p = pollers_[id];
-    std::vector<PollerId> &cls = classOf(p.origin);
-    cls.erase(std::find(cls.begin(), cls.end(), id));
+    unlink(classes_[pollers_[id].phase], id);
     freePollers_.push_back(id);
     --parked_;
     if (parked_ == 0) {
@@ -283,11 +309,12 @@ EventQueue::arm(PollerId id, EventFn fn)
     Poller &p = pollers_[id];
     // Its next poll; a poll that ran lazily a period before it keyed it
     // with C(that tick).
-    const Tick when = nextPollTick(id);
+    const Tick when = nextPollTick(p, nowPhase());
     const std::uint64_t key =
         when == p.base + period_ ? p.key : keyAfter(when - period_);
     dropVirtual(p);
-    // Make the armed poll explicit: it is the one after base.
+    // Make the armed poll explicit: it is the one after base (a phase
+    // tick, so the phase stays).
     p.origin = p.base = when - period_;
     p.key = key;
     p.slot = pool_->allocate();
@@ -330,12 +357,12 @@ EventQueue::armedBefore(PollerId a, const Entry &e) const
 void
 EventQueue::settleBefore(std::uint64_t pri, std::uint64_t seq)
 {
-    std::vector<PollerId> &cls = classOf(now_);
-    if (cls.empty())
+    const ClassList &cls = classNow();
+    if (cls.head == kNoPoller)
         return;
     std::uint64_t lazyKey = 0;
     bool haveLazy = false;
-    for (PollerId id : cls) {
+    for (PollerId id : members(cls)) {
         Poller &p = pollers_[id];
         if (p.base >= now_)
             continue; // its poll at now_ ran, or it has none
@@ -367,6 +394,8 @@ EventQueue::setPollPeriod(Tick period)
         ALEWIFE_PANIC("parked-poll period cannot change while ", parked_,
                       " pollers are parked");
     period_ = period;
+    phaseAt_ = now_;
+    nowPhase_ = now_ % period_;
     classes_.assign(period, {});
     phaseTree_.assign(period, 0);
 }
@@ -421,7 +450,7 @@ EventQueue::runNext(const Next &n)
         Poller &p = pollers_[n.armed];
         advanceTo(n.when);
         // The class members ahead of it poll first.
-        for (PollerId id : classOf(now_)) {
+        for (PollerId id : members(classNow())) {
             if (id == n.armed)
                 break;
             Poller &q = pollers_[id];
@@ -487,13 +516,14 @@ EventQueue::settleThrough(Tick limit)
     if (parked_ == 0 || limit < now_)
         return;
     // The latest virtual poll due by limit.
+    const Tick np = nowPhase();
     Tick last = 0;
     bool any = false;
-    for (const std::vector<PollerId> &cls : classes_) {
-        for (PollerId id : cls) {
+    for (const ClassList &cls : classes_) {
+        for (PollerId id : members(cls)) {
             if (pollers_[id].slot != kNoSlot)
                 continue;
-            const Tick next = nextPollTick(id);
+            const Tick next = nextPollTick(pollers_[id], np);
             if (next > limit)
                 continue;
             const Tick at = next + (limit - next) / period_ * period_;
@@ -505,7 +535,7 @@ EventQueue::settleThrough(Tick limit)
     if (!any)
         return;
     advanceTo(last);
-    for (PollerId id : classOf(now_)) {
+    for (PollerId id : members(classNow())) {
         Poller &p = pollers_[id];
         if (p.base < now_ && p.slot == kNoSlot)
             settleAt(p);

@@ -41,7 +41,9 @@
  *    priority: a poll draws no priority, it sorts as 0).
  *  - Polls at one tick share a phase, tick mod pollPeriod(). Each
  *    phase class lists its pollers in poll order; a poller parked at
- *    tick t goes after the members whose poll at t already ran.
+ *    tick t goes after the members whose poll at t already ran. The
+ *    lists are linked through the pollers, so parking allocates only
+ *    when the poller table grows.
  *  - Keys are lazy: a poll that ran after the last real event of its
  *    tick g has key C(g), the seq_ after that event, read back from a
  *    ring of (tick, seq_) appended whenever now() advances while
@@ -49,7 +51,12 @@
  *  - Before a real event at tick t runs, the members of t's class
  *    whose poll precedes it are settled: their poll at t is marked
  *    run, with the current seq_ as next key. Nothing parked: one
- *    branch per event; else a modulo and a load.
+ *    branch per event; else a load, plus a modulo when t is a new
+ *    tick.
+ *  - Each poller stores its phase, set with its origin. now() mod the
+ *    period is reduced at most once per tick and kept, so the scans
+ *    net::Mesh makes of a node's or a link's parked packets
+ *    (firstToPoll(), latestPoll()) compare instead of divide.
  *
  * Stepping: step(), run() and runUntil() run real events and account
  * the virtual polls before each lazily, so every pause is a real-event
@@ -75,7 +82,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <source_location>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -439,16 +448,17 @@ class EventQueue
     bool armed(PollerId id) const { return pollers_[id].slot != kNoSlot; }
 
     /**
-     * Tick of @p id's last poll that has run, virtual or real (its
-     * park tick if none has).
+     * The latest poll that has run, virtual or real (a poller's park
+     * tick if none has), among those of @p ids that are not armed;
+     * nullopt if all are armed.
      */
-    Tick lastPoll(PollerId id) const;
+    std::optional<Tick> latestPoll(std::span<const PollerId> ids) const;
 
-    /** Tick of virtual poller @p id's next poll. */
-    Tick nextPollTick(PollerId id) const;
-
-    /** True if @p a's next poll runs before @p b's (neither armed). */
-    bool pollsBefore(PollerId a, PollerId b) const;
+    /**
+     * Of @p ids (none armed), the one whose next poll runs first; equal
+     * ticks go by class order.
+     */
+    PollerId firstToPoll(std::span<const PollerId> ids) const;
 
     /** Virtual polls run so far (each also an executed event). */
     std::uint64_t virtualPolls() const;
@@ -552,8 +562,8 @@ class EventQueue
     void
     forEachParked(Fn fn) const
     {
-        for (const std::vector<PollerId> &cls : classes_)
-            for (PollerId id : cls) {
+        for (const ClassList &cls : classes_)
+            for (PollerId id : members(cls)) {
                 const Poller &p = pollers_[id];
                 fn(ParkedPoller{p.origin, p.base, p.key,
                                 p.slot != kNoSlot, p.meta});
@@ -580,23 +590,76 @@ class EventQueue
      * A parked poller. Its polls run at origin + k * period_ (k >= 1);
      * those after `base` ran lazily, and the poll at base ran at
      * seq_ == key. While armed, `slot` holds the armed record and its
-     * poll is the one at base + period_.
+     * poll is the one at base + period_. `phase` is origin mod
+     * period_ (base has it too); prev/next link it into its phase
+     * class.
      */
     struct Poller
     {
         Tick origin = 0;
+        Tick phase = 0;
         Tick base = 0;
         std::uint64_t key = 0;
         std::uint32_t slot = kNoSlot;
         std::uint64_t armSeq = 0;
         EventMeta meta;
+        PollerId prev = kNoPoller;
+        PollerId next = kNoPoller;
     };
+
+    /** A phase class: its pollers in poll order, linked. */
+    struct ClassList
+    {
+        PollerId head = kNoPoller;
+        PollerId tail = kNoPoller;
+    };
+
+    /** Range-for view of a class's members, in poll order. */
+    struct Members
+    {
+        struct It
+        {
+            const std::vector<Poller> *pollers;
+            PollerId id;
+            PollerId operator*() const { return id; }
+            It &
+            operator++()
+            {
+                id = (*pollers)[id].next;
+                return *this;
+            }
+            bool operator!=(const It &o) const { return id != o.id; }
+        };
+
+        const std::vector<Poller> *pollers;
+        PollerId head;
+        It begin() const { return {pollers, head}; }
+        It end() const { return {pollers, kNoPoller}; }
+    };
+
+    Members members(const ClassList &c) const { return {&pollers_, c.head}; }
+
+    /** Link @p id into @p cls before @p at (last if kNoPoller). */
+    void linkBefore(ClassList &cls, PollerId id, PollerId at);
+
+    /** Unlink @p id from @p cls. */
+    void unlink(ClassList &cls, PollerId id);
 
     /** Virtual pollers whose phase is below @p phases (Fenwick sum). */
     std::uint64_t phaseCount(Tick phases) const;
 
     /** Virtual polls at ticks in [@p from, @p to). */
     std::uint64_t pollsIn(Tick from, Tick to) const;
+
+    /** Tick of virtual poller @p p's next poll; @p np is nowPhase(). */
+    Tick
+    nextPollTick(const Poller &p, Tick np) const
+    {
+        if (p.base >= now_)
+            return p.base + period_;
+        // The first phase tick at or after now_; the polls before it ran.
+        return now_ + (p.phase >= np ? p.phase - np : p.phase + period_ - np);
+    }
 
     /** Count the virtual polls before now_ into counted_. */
     void countPolls();
@@ -613,13 +676,19 @@ class EventQueue
     /** Key C(@p g): seq_ after the last real event at a tick <= g. */
     std::uint64_t keyAfter(Tick g) const;
 
-    /** Class of phase @p t. */
-    std::vector<PollerId> &classOf(Tick t) { return classes_[t % period_]; }
-    const std::vector<PollerId> &
-    classOf(Tick t) const
+    /** now_ mod period_, reduced at most once per tick. */
+    Tick
+    nowPhase() const
     {
-        return classes_[t % period_];
+        if (phaseAt_ != now_) {
+            phaseAt_ = now_;
+            nowPhase_ = now_ % period_;
+        }
+        return nowPhase_;
     }
+
+    /** The class whose polls fall on now_. */
+    ClassList &classNow() { return classes_[nowPhase()]; }
 
     /** Move now_ to @p t, logging the key of the tick left. */
     void advanceTo(Tick t);
@@ -722,9 +791,11 @@ class EventQueue
     /** Live pollers, armed ones included. */
     std::size_t parked_ = 0;
     Tick period_ = 1;
+    /** nowPhase()'s memo: now_ mod period_ as of tick phaseAt_. */
+    mutable Tick phaseAt_ = 0;
+    mutable Tick nowPhase_ = 0;
     /** Phase classes, period_ of them, each in poll order. */
-    std::vector<std::vector<PollerId>> classes_ =
-        std::vector<std::vector<PollerId>>(1);
+    std::vector<ClassList> classes_ = std::vector<ClassList>(1);
     std::vector<PollerId> armed_;
     /**
      * Virtual-poll count: counted_ holds every virtual poll at a tick

@@ -77,6 +77,30 @@ TEST(Config, ValidationCatchesBadSetups)
     MachineConfig c3;
     c3.cacheBytes = 1000; // not a multiple of 16
     EXPECT_DEATH(c3.validate(), "cacheBytes");
+
+    // A direct-mapped cache needs a power-of-two set count; the check
+    // names the knob instead of leaving it to the first fill.
+    for (std::uint32_t bad : {0u, 48u * 1024u}) {
+        MachineConfig c4;
+        c4.cacheBytes = bad;
+        EXPECT_DEATH(c4.validate(), "cacheBytes / lineBytes") << bad;
+    }
+}
+
+TEST(Config, ValidationBoundsNiRetryCyclesFromAbove)
+{
+    // The parked-poll tables cost 16 bytes per tick of the poll period.
+    for (double bad : {1025.0, 1e7, 1e18}) {
+        MachineConfig c;
+        c.niRetryCycles = bad;
+        EXPECT_DEATH(c.validate(), "niRetryCycles must be at most 1024")
+            << bad;
+    }
+    for (double ok : {16.0, 24.0, 1024.0}) {
+        MachineConfig c;
+        c.niRetryCycles = ok;
+        c.validate();
+    }
 }
 
 TEST(Config, ValidationRejectsAnUnusableNiRetryCycles)

@@ -38,6 +38,27 @@ TEST(Cache, AbsentLineReportsNoState)
     EXPECT_FALSE(c.state(0x100).has_value());
 }
 
+TEST(Cache, LookupsMissUntilTheFirstFillBuildsStorage)
+{
+    // No storage until fill(): every query answers absent, and nothing
+    // is there to invalidate, downgrade or flush.
+    Cache c(64 * 1024, 16);
+    EXPECT_FALSE(c.contains(0x100));
+    EXPECT_FALSE(c.state(0x100).has_value());
+    EXPECT_FALSE(c.invalidate(0x100).has_value());
+    EXPECT_FALSE(c.downgrade(0x100).has_value());
+    c.flushAll();
+    EXPECT_FALSE(c.fill(0x100, LineState::Modified, words(1, 2)));
+    EXPECT_EQ(c.state(0x100), LineState::Modified);
+    EXPECT_EQ(c.readWord(0x108), 2u);
+    EXPECT_FALSE(c.contains(0x100 + 64 * 1024)); // same set, other tag
+}
+
+TEST(CacheDeath, GeometryIsCheckedAtConstruction)
+{
+    EXPECT_DEATH(Cache(48 * 1024, 16), "power-of-two number of sets");
+}
+
 TEST(Cache, WriteRequiresModified)
 {
     Cache c(1024, 16);
