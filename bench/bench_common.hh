@@ -207,17 +207,8 @@ parsePredict(int argc, char **argv)
 
 /**
  * Print the analytically predicted curve next to each measured series
- * with per-point error and MAPE (src/obs/predict.hh).
- *
- * One instrumented run per mechanism at the sweep's base
- * configuration captures the dependency graph; every sweep point is
- * then an O(events) arithmetic solve instead of a full simulation, so
- * each *additional* point costs orders of magnitude less than
- * simulating it. @p knobs are the underlying per-point sweep values
- * (parallel to every series' points — the raw bisection targets or
- * clock rates, not the derived x axis) and @p targetFor maps one to a
- * PredictTarget. @p sweepMs is the wall time the measured sweep took,
- * for the cost line.
+ * (core::printPredicted), then what the prediction cost against the
+ * measured sweep, which took @p sweepMs of wall time.
  */
 inline void
 printPredictedSeries(
@@ -229,44 +220,16 @@ printPredictedSeries(
     double sweepMs)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t captureEvents = 0;
-    std::uint64_t solves = 0;
     os << "  predicted (one instrumented run per mechanism, then one "
           "analytic solve per point):\n";
-    for (const auto &s : measured) {
-        core::RunSpec spec;
-        spec.machine = base;
-        spec.mechanism = s.mech;
-        obs::CritPathRecorder rec;
-        core::runApp(factory, spec, /*verify_fatal=*/true,
-                     /*auditor=*/nullptr, /*driver=*/nullptr, &rec);
-        obs::Predictor p(rec.graph());
-        captureEvents += p.solveEvents();
-
-        os << "    " << std::setw(6) << std::left
-           << core::mechanismShortName(s.mech) << std::right;
-        double errSum = 0.0;
-        const std::size_t n = std::min(s.points.size(), knobs.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            const double meas = s.points[i].result.runtimeCycles;
-            const double pred =
-                p.predictRuntimeCycles(targetFor(knobs[i]));
-            const double err =
-                meas > 0 ? 100.0 * std::abs(pred - meas) / meas : 0.0;
-            errSum += err;
-            ++solves;
-            os << std::setw(11) << std::fixed << std::setprecision(0)
-               << pred << " (" << std::setprecision(1) << err << "%)";
-        }
-        os << "   MAPE " << std::setprecision(1)
-           << (n ? errSum / static_cast<double>(n) : 0.0) << "%\n";
-    }
+    const core::PredictedCost cost = core::printPredicted(
+        os, "    ", factory, base, measured, knobs, targetFor);
     const double ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
     os << "    prediction cost: " << measured.size() << " captures ("
-       << captureEvents << " simulated events) + " << solves
+       << cost.captureEvents << " simulated events) + " << cost.solves
        << " solves = " << std::setprecision(0) << ms
        << " ms, vs " << sweepMs << " ms for the measured sweep\n";
 }

@@ -36,7 +36,6 @@
  * --app / --sweep / mechanism names are reported and rejected.
  */
 
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -365,52 +364,6 @@ quarantineExit(const exp::FarmReport &r)
 }
 
 /**
- * --predict: overlay the analytic prediction (src/obs/predict.hh) of
- * each measured series. One instrumented run per mechanism at the
- * sweep's base configuration; every point is then an O(events)
- * arithmetic solve. @p knobs are the underlying sweep values parallel
- * to each series' points; @p targetFor maps one to a PredictTarget.
- */
-void
-printPredicted(const core::AppFactory &factory,
-               const MachineConfig &base,
-               const std::vector<core::MechSeries> &series,
-               const std::vector<double> &knobs,
-               const std::function<obs::PredictTarget(double)> &targetFor)
-{
-    std::cout << "\npredicted from one instrumented run per mechanism"
-                 " (one analytic solve per point):\n";
-    for (const auto &s : series) {
-        core::RunSpec spec;
-        spec.machine = base;
-        spec.mechanism = s.mech;
-        obs::CritPathRecorder rec;
-        core::runApp(factory, spec, /*verify_fatal=*/true,
-                     /*auditor=*/nullptr, /*driver=*/nullptr, &rec);
-        obs::Predictor p(rec.graph());
-
-        std::cout << "  " << std::setw(6) << std::left
-                  << core::mechanismShortName(s.mech) << std::right;
-        double errSum = 0.0;
-        const std::size_t n = std::min(s.points.size(), knobs.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            const double meas = s.points[i].result.runtimeCycles;
-            const double pred =
-                p.predictRuntimeCycles(targetFor(knobs[i]));
-            const double err =
-                meas > 0 ? 100.0 * std::abs(pred - meas) / meas : 0.0;
-            errSum += err;
-            std::cout << std::setw(11) << std::fixed
-                      << std::setprecision(0) << pred << " ("
-                      << std::setprecision(1) << err << "%)";
-        }
-        std::cout << "   MAPE " << std::setprecision(1)
-                  << (n ? errSum / static_cast<double>(n) : 0.0)
-                  << "%\n";
-    }
-}
-
-/**
  * Deterministic one-off delay injection: for each selected mechanism,
  * run the workload once undisturbed and once with RunSpec::delay set,
  * then print the propagation/decay report (finish shift, nodes
@@ -569,11 +522,7 @@ main(int argc, char **argv)
         series =
             core::bisectionSweep(factory, base, o.mechs, pts, 64, opts);
         xlabel = "bisection B/cyc";
-        // Points above the native bisection are skipped by the sweep;
-        // mirror that so the knobs stay parallel to the series.
-        for (double b : pts)
-            if (b <= base.bisectionBytesPerCycle())
-                predictKnobs.push_back(b);
+        predictKnobs = pts;
         predictTarget = [&base](double b) {
             obs::PredictTarget t;
             t.machine = base;
@@ -586,8 +535,16 @@ main(int argc, char **argv)
                        ? std::vector<double>{16, 64, 256}
                        : o.points;
         std::vector<std::uint32_t> lens;
-        for (double p : pts)
+        for (double p : pts) {
+            // Converting a double outside uint32's range is undefined.
+            if (!(p >= 1.0 && p <= 4294967295.0)) {
+                std::cerr << "sweep_cli: msglen point " << p
+                          << " is not a message size in bytes (1 to "
+                             "4294967295)\n";
+                return 2;
+            }
             lens.push_back(static_cast<std::uint32_t>(p));
+        }
         // Consume half the native bisection, as in Figure 7.
         series = core::msgLenSweep(factory, base, o.mechs,
                                    base.bisectionBytesPerCycle() / 2.0,
@@ -621,9 +578,12 @@ main(int argc, char **argv)
     }
     core::printSeries(std::cout, o.app + " / " + o.sweep, xlabel,
                       series);
-    if (o.predict)
-        printPredicted(factory, base, series, predictKnobs,
-                       predictTarget);
+    if (o.predict) {
+        std::cout << "\npredicted from one instrumented run per mechanism"
+                     " (one analytic solve per point):\n";
+        core::printPredicted(std::cout, "  ", factory, base, series,
+                             predictKnobs, predictTarget);
+    }
     if (!o.out.empty()) {
         writeStructured(
             o.out,

@@ -29,6 +29,10 @@
 #      into the git-ignored .bench_build/), a planted truncated cache
 #      entry and a planted one-cycle mismatch each fail a run, and
 #      every workload smoke-runs with and without tracing
+#  11. rejection smoke: a bisection target of -3 B/cycle (cross traffic
+#      above the native bisection) and a msglen point of -1 are
+#      refused before any simulation runs, under a time and memory
+#      limit so a regression fails fast instead of filling the host
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the sanitizer builds and the benchmark self-test
@@ -109,6 +113,28 @@ fi
 step "check_fuzz: short corpus"
 ./build/bench/check_fuzz --seeds 4 --ops 100
 ./build/bench/check_fuzz --inject-bug
+
+step "rejection smoke: saturating cross traffic and bad msglen points"
+# A bisection target <= 0 asks for cross traffic at or above the native
+# bisection; that traffic alone saturates every horizontal link and
+# queues deliveries without bound. The plan must refuse it before any
+# event runs. The limits turn a regression into a fast failure.
+reject_smoke() {
+    local want="$1"; shift
+    local out
+    if out="$( (ulimit -v 2000000; timeout 20 \
+            ./build/examples/sweep_cli --app stream --mechs SM "$@") \
+            2>&1)"; then
+        echo "rejection smoke: sweep_cli $* was not rejected"; exit 1
+    fi
+    grep -q "$want" <<<"$out" \
+        || { echo "rejection smoke: sweep_cli $* failed without" \
+                  "naming the value:"; echo "$out"; exit 1; }
+}
+reject_smoke "cannot emulate a bisection of -3 bytes/cycle" \
+    --sweep bisection --points -3
+reject_smoke "msglen point -1 is not a message size" \
+    --sweep msglen --points -1
 
 step "warm-start smoke: forked sweep matches cold sweep"
 COLD="$(./build/examples/sweep_cli --app stream --mechs SM,MP-I \

@@ -9,17 +9,6 @@
 
 namespace alewife::coh {
 
-
-// The protocol hot path schedules lambdas capturing [this, bool, ProtoMsg
-// by value]; they must fit the event queue's inline callback buffer or
-// every protocol message would silently fall back to a heap allocation.
-static_assert(
-    EventFn::fitsInline<decltype([p = static_cast<void *>(nullptr),
-                                  ex = false, m = ProtoMsg{}]() mutable {
-        (void)p, (void)ex, (void)m;
-    })>(),
-    "ProtoMsg capture exceeds kEventCallbackBytes; bump the constant");
-
 namespace {
 
 /**
@@ -606,108 +595,73 @@ CoherenceController::fillArrived(Addr line, bool exclusive,
 void
 CoherenceController::receive(ProtoMsg msg)
 {
-    switch (msg.type) {
-      case MsgType::GetS:
-      case MsgType::GetX: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            homeRequest(std::move(m));
-        });
-        break;
-      }
-      case MsgType::WbData:
-      case MsgType::WbEvict: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            homeWriteback(m);
-        });
-        break;
-      }
-      case MsgType::RecallNoData: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            // The matching WbEvict is ordered ahead of this message and
-            // has already completed the transaction; nothing to do, but
-            // verify the invariant.
-            DirEntry *e = dir_.find(m.lineAddr);
-            if (e && e->busy() && e->txn->id == m.txnId)
-                ALEWIFE_PANIC("RecallNoData without preceding writeback");
-        });
-        break;
-      }
-      case MsgType::InvAck: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            homeInvAck(m);
-        });
-        break;
-      }
-      case MsgType::Inv: {
-        const Tick at = cmmuSlot(cfg_.invProcessCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            cacheInv(m);
-        });
-        break;
-      }
-      case MsgType::Recall:
-      case MsgType::RecallX: {
-        const bool ex = msg.type == MsgType::RecallX;
-        const Tick at = cmmuSlot(cfg_.invProcessCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, ex, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            cacheRecall(m, ex);
-        });
-        break;
-      }
-      case MsgType::FwdGetS:
-      case MsgType::FwdGetX: {
-        const bool ex = msg.type == MsgType::FwdGetX;
-        const Tick at = cmmuSlot(cfg_.invProcessCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, ex, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            cacheForward(m, ex);
-        });
-        break;
-      }
-      case MsgType::FwdAck: {
-        const Tick at = cmmuSlot(cfg_.homeOccupancyCycles);
-        const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
-        eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
-            if (hooks_)
-                hooks_->onProtoProcess(self_, m);
-            homeFwdAck(m);
-        });
-        break;
-      }
-      case MsgType::Data:
-      case MsgType::DataX: {
+    if (msg.type == MsgType::Data || msg.type == MsgType::DataX) {
         const bool ex = msg.type == MsgType::DataX;
         const Tick at = eq_.now() + cyclesToTicks(cfg_.replyConsumeCycles);
         const EventMeta meta = fillMeta(self_, msg.lineAddr, ex);
         eq_.schedule(at, meta, [this, ex, m = std::move(msg)]() mutable {
             fillArrived(m.lineAddr, ex, std::move(m.words));
         });
+        return;
+    }
+    // Every other message takes a CMMU slot at receive time: the
+    // invalidation cost at a cache, the directory occupancy at a home.
+    const bool atCache = msg.type == MsgType::Inv
+                         || msg.type == MsgType::Recall
+                         || msg.type == MsgType::RecallX
+                         || msg.type == MsgType::FwdGetS
+                         || msg.type == MsgType::FwdGetX;
+    const Tick at = cmmuSlot(atCache ? cfg_.invProcessCycles
+                                     : cfg_.homeOccupancyCycles);
+    const EventMeta meta = protoMeta(EventTag::CohProcess, self_, msg);
+    eq_.schedule(at, meta, [this, m = std::move(msg)]() mutable {
+        if (hooks_)
+            hooks_->onProtoProcess(self_, m);
+        process(m);
+    });
+}
+
+void
+CoherenceController::process(ProtoMsg &m)
+{
+    switch (m.type) {
+      case MsgType::GetS:
+      case MsgType::GetX:
+        homeRequest(std::move(m));
+        break;
+      case MsgType::WbData:
+      case MsgType::WbEvict:
+        homeWriteback(m);
+        break;
+      case MsgType::RecallNoData: {
+        // The matching WbEvict is ordered ahead of this message and has
+        // already completed the transaction; nothing to do, but verify
+        // the invariant.
+        DirEntry *e = dir_.find(m.lineAddr);
+        if (e && e->busy() && e->txn->id == m.txnId)
+            ALEWIFE_PANIC("RecallNoData without preceding writeback");
         break;
       }
+      case MsgType::InvAck:
+        homeInvAck(m);
+        break;
+      case MsgType::Inv:
+        cacheInv(m);
+        break;
+      case MsgType::Recall:
+      case MsgType::RecallX:
+        cacheRecall(m, m.type == MsgType::RecallX);
+        break;
+      case MsgType::FwdGetS:
+      case MsgType::FwdGetX:
+        cacheForward(m, m.type == MsgType::FwdGetX);
+        break;
+      case MsgType::FwdAck:
+        homeFwdAck(m);
+        break;
+      case MsgType::Data:
+      case MsgType::DataX:
+        ALEWIFE_PANIC("data replies are filled by receive()");
     }
 }
 

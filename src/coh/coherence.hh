@@ -205,6 +205,10 @@ class CoherenceController
     /** Send a request to the line's home (local homes short-circuit). */
     void sendRequest(MsgType t, Addr line);
 
+    /** Run the handler of a received non-data message (its CMMU slot
+     *  has passed); a request may be moved out of @p msg. */
+    void process(ProtoMsg &msg);
+
     /** A Data/DataX reply (or local grant) for an MSHR line arrived. */
     void fillArrived(Addr line, bool exclusive,
                      std::vector<std::uint64_t> words);

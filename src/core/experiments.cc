@@ -53,9 +53,13 @@ planSweep(const MachineConfig &base, const SweepRequest &req)
             std::vector<double> xs;
             std::vector<std::size_t> idx;
             for (double target : req.points) {
-                if (target > native)
-                    ALEWIFE_FATAL(
-                        "cannot emulate a bisection above native");
+                // Cross traffic can only lower the native bisection,
+                // and lowering it to 0 or below would saturate it.
+                if (!(target > 0.0 && target <= native))
+                    ALEWIFE_FATAL("cannot emulate a bisection of ",
+                                  target, " bytes/cycle: it must be "
+                                  "above 0 and at most the native ",
+                                  native, " bytes/cycle");
                 RunSpec spec;
                 spec.machine = base;
                 spec.mechanism = m;

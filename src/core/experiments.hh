@@ -93,7 +93,7 @@ struct SweepPlan
 };
 
 /** Materialize @p req against @p base. Fatal on unsatisfiable
- *  requests (e.g. a bisection target above native). */
+ *  requests: a bisection target at or below 0, or above native. */
 SweepPlan planSweep(const MachineConfig &base, const SweepRequest &req);
 
 /** Fold flat submission-ordered @p results back into series. */

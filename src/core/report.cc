@@ -1,9 +1,12 @@
 #include "core/report.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <ostream>
 
 #include "machine/gallery.hh"
+#include "obs/critpath.hh"
 #include "obs/metrics.hh"
 
 namespace alewife::core {
@@ -101,6 +104,45 @@ printSeries(std::ostream &os, const std::string &title,
         os << '\n';
     }
     hrule(os, 16 + 14 * static_cast<int>(series.size()));
+}
+
+PredictedCost
+printPredicted(std::ostream &os, const std::string &indent,
+               const AppFactory &factory, const MachineConfig &base,
+               const std::vector<MechSeries> &measured,
+               const std::vector<double> &knobs,
+               const std::function<obs::PredictTarget(double)> &targetFor)
+{
+    PredictedCost cost;
+    for (const MechSeries &s : measured) {
+        RunSpec spec;
+        spec.machine = base;
+        spec.mechanism = s.mech;
+        obs::CritPathRecorder rec;
+        runApp(factory, spec, /*verify_fatal=*/true, /*auditor=*/nullptr,
+               /*driver=*/nullptr, &rec);
+        obs::Predictor p(rec.graph());
+        cost.captureEvents += p.solveEvents();
+
+        os << indent << std::setw(6) << std::left
+           << mechanismShortName(s.mech) << std::right;
+        double errSum = 0.0;
+        const std::size_t n = std::min(s.points.size(), knobs.size());
+        for (std::size_t i = 0; i < n; ++i) {
+            const double meas = s.points[i].result.runtimeCycles;
+            const double pred =
+                p.predictRuntimeCycles(targetFor(knobs[i]));
+            const double err =
+                meas > 0 ? 100.0 * std::abs(pred - meas) / meas : 0.0;
+            errSum += err;
+            ++cost.solves;
+            os << std::setw(11) << std::fixed << std::setprecision(0)
+               << pred << " (" << std::setprecision(1) << err << "%)";
+        }
+        os << "   MAPE " << std::setprecision(1)
+           << (n ? errSum / static_cast<double>(n) : 0.0) << "%\n";
+    }
+    return cost;
 }
 
 void

@@ -141,9 +141,6 @@ class Machine
     bool stepUntilEvents(std::uint64_t events,
                          Tick limit = kDefaultRunLimit);
 
-    /** True once every node's program has completed. */
-    bool programsDone() const { return allDone(); }
-
     /**
      * Stop cross-traffic, quiesce in-flight protocol traffic, and
      * compute the finish tick. The tail of run().

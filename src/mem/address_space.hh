@@ -70,9 +70,6 @@ class AddressSpace
     std::uint32_t wordsPerLine() const { return lineBytes_ / 8; }
     int nodes() const { return nodes_; }
 
-    /** Total words allocated so far. */
-    std::uint64_t wordsAllocated() const { return store_.size(); }
-
   private:
     /** Checkpoint capture/verify reads private state. */
     friend class alewife::ckpt::Access;

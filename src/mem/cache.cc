@@ -173,13 +173,4 @@ Cache::lineWords(Addr a) const
     return copyWords(*l);
 }
 
-void
-Cache::flushAll()
-{
-    if (!lines_)
-        return;
-    for (std::uint32_t set = 0; set < numSets_; ++set)
-        lines_[set].valid = false;
-}
-
 } // namespace alewife::mem

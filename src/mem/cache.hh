@@ -16,9 +16,9 @@
  * per node per run, and a message-passing run never fills one, so such
  * a run pays neither the allocation nor the zeroing (64 KiB of metadata
  * and 64 KiB of words per node at the defaults). Until then every
- * lookup misses: contains()/state() answer absent, invalidate() and
- * downgrade() return nothing, and flushAll() has nothing to drop. The
- * constructor still checks the geometry.
+ * lookup misses: contains()/state() answer absent, and invalidate() and
+ * downgrade() return nothing. The constructor still checks the
+ * geometry.
  */
 
 #ifndef ALEWIFE_MEM_CACHE_HH
@@ -104,13 +104,10 @@ class Cache
     std::uint32_t lineBytes() const { return lineBytes_; }
     std::uint32_t numSets() const { return numSets_; }
 
-    /** Drop every line (used between benchmark repetitions). */
-    void flushAll();
-
     /**
      * Observer notified of fills/evicts/invalidates/state changes and
      * word accesses; may be null. @p node identifies this cache in the
-     * observer's view. Auditing across flushAll() is not supported.
+     * observer's view.
      */
     void setAuditHooks(check::Hooks *hooks, NodeId node)
     {

@@ -186,7 +186,6 @@ class NetIface
     int pollDrain();
 
     bool queueEmpty() const { return queued_ == 0; }
-    int queueDepth() const { return static_cast<int>(queued_); }
 
     /** Total messages this NI has delivered to handlers. */
     std::uint64_t delivered() const { return delivered_; }

@@ -19,6 +19,21 @@ CrossTraffic::CrossTraffic(EventQueue &eq, Mesh &mesh,
         streams_.push_back({right, left});
     }
     if (cfg_.bytesPerCycle > 0.0) {
+        // At or above the native bisection the cross traffic alone
+        // saturates every horizontal link and deliveries queue without
+        // bound.
+        const double native = mc.bisectionBytesPerCycle();
+        if (cfg_.bytesPerCycle >= native)
+            ALEWIFE_FATAL("cross traffic of ", cfg_.bytesPerCycle,
+                          " bytes/cycle saturates the native bisection "
+                          "of ",
+                          native, " bytes/cycle");
+        if (cfg_.messageBytes == 0)
+            ALEWIFE_FATAL("cross-traffic messages of 0 bytes cannot "
+                          "carry ",
+                          cfg_.bytesPerCycle, " bytes/cycle across the "
+                          "native bisection of ",
+                          native, " bytes/cycle; need at least 1 byte");
         const double per_stream =
             cfg_.bytesPerCycle / static_cast<double>(streams_.size());
         const double period_cycles =
@@ -67,9 +82,7 @@ CrossTraffic::injectAll()
 double
 CrossTraffic::effectiveBisection() const
 {
-    const double native = mesh_.config().bisectionBytesPerCycle();
-    const double left = native - cfg_.bytesPerCycle;
-    return left > 0.0 ? left : 0.0;
+    return mesh_.config().bisectionBytesPerCycle() - cfg_.bytesPerCycle;
 }
 
 } // namespace alewife::net

@@ -41,6 +41,8 @@ struct CrossTrafficConfig
 
 /**
  * Streams cross-traffic across the mesh bisection for the whole run.
+ * Construction is fatal for a rate at or above the native bisection
+ * (the cross traffic alone would saturate it) and for 0-byte messages.
  */
 class CrossTraffic
 {
@@ -58,7 +60,8 @@ class CrossTraffic
 
     /**
      * The bisection bandwidth (bytes/cycle) left for the application,
-     * i.e. native minus consumed. Clamped at zero.
+     * i.e. native minus consumed; positive, since the constructor
+     * rejects cross traffic at or above the native bisection.
      */
     double effectiveBisection() const;
 

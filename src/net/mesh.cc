@@ -16,6 +16,7 @@ Mesh::Mesh(EventQueue &eq, const MachineConfig &cfg) : eq_(eq), cfg_(cfg)
     // edge exist but are only used by cross-traffic draining off-edge.
     links_.resize(static_cast<std::size_t>(cfg.nodes()) * 4);
     linkParked_.resize(links_.size());
+    scratchLinks_.reserve(static_cast<std::size_t>(cfg.meshX + cfg.meshY));
     // Classify each link once, so send() does no division per hop. The
     // bisection is the vertical cut between columns bisectX-1 and
     // bisectX; an east/west link whose endpoints straddle it crosses.
@@ -110,7 +111,7 @@ Mesh::linkIndex(int x, int y, int nx, int ny) const
 }
 
 void
-Mesh::route(NodeId src, NodeId dst, RouteBuf &links) const
+Mesh::route(NodeId src, NodeId dst, std::vector<int> &links) const
 {
     links.clear();
     int x = src % cfg_.meshX;

@@ -52,7 +52,6 @@
 #include "net/packet.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/small_vec.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -147,13 +146,6 @@ class Mesh
 
     const MachineConfig &config() const { return cfg_; }
 
-    /**
-     * Route scratch type: a route is at most meshX + meshY link
-     * indices, so meshes up to 64 hops across stay in inline storage;
-     * larger ones spill once and then reuse the allocation.
-     */
-    using RouteBuf = sim::SmallVec<int, 64>;
-
     /** One unidirectional link. */
     struct Link
     {
@@ -177,7 +169,7 @@ class Mesh
     int linkIndex(int x, int y, int nx, int ny) const;
 
     /** Compute the XY route; fills @p links with link indices in order. */
-    void route(NodeId src, NodeId dst, RouteBuf &links) const;
+    void route(NodeId src, NodeId dst, std::vector<int> &links) const;
 
     /** Hand an arrived packet to its sink; on reject, park it. */
     void deliver(std::unique_ptr<Packet> pkt, int finalLink);
@@ -270,7 +262,9 @@ class Mesh
     check::Hooks *hooks_ = nullptr;
     double jitterFrac_ = 0.0;
     Rng jitterRng_{0};
-    mutable RouteBuf scratchLinks_;
+    /** Route scratch, reserved to the longest route (meshX + meshY
+     *  links) at construction, so send() never allocates. */
+    mutable std::vector<int> scratchLinks_;
 };
 
 } // namespace alewife::net

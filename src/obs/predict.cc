@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace alewife::obs {
 
 namespace {
-
-constexpr Tick kInfTick = std::numeric_limits<Tick>::max();
 
 int
 manhattan(NodeId a, NodeId b, int meshX)
@@ -36,17 +33,6 @@ overlapTicks(const std::vector<std::pair<Tick, Tick>> &spans, Tick lo,
     return total;
 }
 
-int
-slackBucket(double cycles)
-{
-    static constexpr double kEdge[] = {1.0, 4.0, 16.0, 64.0, 256.0,
-                                       1024.0};
-    for (int i = 0; i < 6; ++i)
-        if (cycles < kEdge[i])
-            return i;
-    return SlackStats::kBuckets - 1;
-}
-
 } // namespace
 
 /** Per-target constants of the edge re-costing model. */
@@ -62,9 +48,6 @@ struct Predictor::CostModel
     double u = 0.0;
     /** Analytic added cross-traffic wait per routed edge, in ticks. */
     double perEdgeAdded = 0.0;
-    /** Symbolic injection: extra ticks added to one event's delta. */
-    std::uint32_t injectSeq = DepGraph::kNoParent;
-    Tick injectTicks = 0;
 
     CostModel(const DepGraph &g, const PredictTarget &t)
     {
@@ -179,8 +162,6 @@ Predictor::forwardPass(const CostModel &m, std::vector<Tick> &pred,
             delta = m.edgeDelta(edgesBySeq_[ei++].second);
         else
             delta = g_.deltaTicks(s);
-        if (s == m.injectSeq) [[unlikely]]
-            delta += m.injectTicks;
         pdelta[i] = delta;
         const std::uint32_t p = g_.parent[i];
         Tick base = 0;
@@ -343,111 +324,6 @@ Predictor::breakdown(const PredictTarget &t) const
         cur = p;
     }
     return b;
-}
-
-std::vector<SlackStats>
-Predictor::slackByNode(const PredictTarget &t) const
-{
-    const CostModel m(g_, t);
-    std::vector<Tick> pred, pdelta;
-    forwardPass(m, pred, pdelta);
-    const Tick finish = finishOf(pred);
-
-    const std::size_t n = g_.size();
-    std::vector<Tick> late(n, kInfTick);
-    for (const DepGraph::FinishContrib &f : g_.finish) {
-        const Tick bound = finish - f.extraTicks;
-        late[f.seq] = std::min(late[f.seq], bound);
-    }
-    for (std::size_t i = n; i-- > 0;) {
-        if (late[i] == kInfTick)
-            continue;
-        const std::uint32_t p = g_.parent[i];
-        if (p == DepGraph::kNoParent)
-            continue;
-        const Tick bound = late[i] - pdelta[i];
-        late[p] = std::min(late[p], bound);
-    }
-
-    std::vector<SlackStats> stats(
-        static_cast<std::size_t>(g_.baseConfig.nodes()));
-    for (const auto &[seq, edge] : g_.netEdges) {
-        if (!g_.executed(seq))
-            continue;
-        const auto dst = static_cast<std::size_t>(edge.dst);
-        if (dst >= stats.size())
-            continue;
-        SlackStats &s = stats[dst];
-        ++s.edges;
-        if (late[seq] == kInfTick) {
-            ++s.unbounded;
-            continue;
-        }
-        const double cycles = ticksToCycles(late[seq] - pred[seq]);
-        ++s.bucket[slackBucket(cycles)];
-        s.meanCycles += cycles;
-        s.maxCycles = std::max(s.maxCycles, cycles);
-    }
-    for (SlackStats &s : stats) {
-        const std::uint64_t bounded = s.edges - s.unbounded;
-        if (bounded > 0)
-            s.meanCycles /= static_cast<double>(bounded);
-    }
-    return stats;
-}
-
-InjectionReport
-Predictor::injectDelay(const PredictTarget &t, NodeId node,
-                       double atCycles, double stallCycles) const
-{
-    CostModel m(g_, t);
-    std::vector<Tick> pred0, pdelta0;
-    forwardPass(m, pred0, pdelta0);
-
-    // Stall the first event the node executes at or after the chosen
-    // tick: every transitively dependent event shifts with it.
-    const Tick atTicks = cyclesToTicks(atCycles);
-    for (std::size_t i = 0; i < g_.size(); ++i) {
-        const auto s = static_cast<std::uint32_t>(i);
-        if (g_.node[i] == static_cast<std::int16_t>(node)
-            && g_.executed(s) && pred0[i] >= atTicks) {
-            m.injectSeq = s;
-            m.injectTicks = cyclesToTicks(stallCycles);
-            break;
-        }
-    }
-    std::vector<Tick> pred1, pdelta1;
-    forwardPass(m, pred1, pdelta1);
-
-    InjectionReport rep;
-    rep.injectNode = node;
-    rep.finishShiftCycles =
-        ticksToCycles(finishOf(pred1)) - ticksToCycles(finishOf(pred0));
-
-    const int nodes = g_.baseConfig.nodes();
-    std::vector<double> done0(static_cast<std::size_t>(nodes), 0.0);
-    std::vector<double> done1(static_cast<std::size_t>(nodes), 0.0);
-    for (const DepGraph::FinishContrib &f : g_.finish) {
-        const auto i = static_cast<std::size_t>(f.node);
-        if (i >= done0.size())
-            continue;
-        done0[i] = std::max(done0[i],
-                            ticksToCycles(pred0[f.seq] + f.extraTicks));
-        done1[i] = std::max(done1[i],
-                            ticksToCycles(pred1[f.seq] + f.extraTicks));
-    }
-    for (int i = 0; i < nodes; ++i) {
-        InjectionReport::NodeImpact imp;
-        imp.node = i;
-        imp.hopsFromInjection =
-            manhattan(i, node, g_.baseConfig.meshX);
-        imp.doneShiftCycles = done1[static_cast<std::size_t>(i)]
-                              - done0[static_cast<std::size_t>(i)];
-        if (imp.doneShiftCycles > 1.0)
-            ++rep.nodesShifted;
-        rep.nodes.push_back(imp);
-    }
-    return rep;
 }
 
 InjectionReport

@@ -33,17 +33,15 @@
  * stable under the re-costing) and the analytic queueing terms, and is
  * reported as MAPE by the fig08/fig09 benches.
  *
- * The same graph yields per-node latency-tolerance (slack) histograms
- * via a CPM backward pass, a Figure-4-style breakdown of the predicted
- * critical path, and a symbolic one-off delay injection; two captured
- * runs (base vs. a real RunSpec::delay injection) are compared by
- * compareInjectedRuns() into a propagation/decay report.
+ * The same graph yields a Figure-4-style breakdown of the predicted
+ * critical path. Two captured runs (base vs. a real RunSpec::delay
+ * injection) are compared by compareInjectedRuns() into a
+ * propagation/decay report.
  */
 
 #ifndef ALEWIFE_OBS_PREDICT_HH
 #define ALEWIFE_OBS_PREDICT_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -78,23 +76,6 @@ struct CritPathBreakdown
     double totalCycles = 0.0;
     std::uint64_t pathEvents = 0;
     std::uint64_t pathNetEdges = 0;
-};
-
-/**
- * Per-node latency-tolerance histogram: slack (cycles the edge could
- * slow down without moving the finish time) of every network edge
- * delivered to the node, in log-spaced buckets.
- */
-struct SlackStats
-{
-    /** Bucket upper bounds in cycles: <1, <4, <16, <64, <256, <1024. */
-    static constexpr int kBuckets = 7; ///< last bucket = >= 1024
-    std::array<std::uint64_t, kBuckets> bucket{};
-    /** Edges that never constrain the finish (infinite slack). */
-    std::uint64_t unbounded = 0;
-    std::uint64_t edges = 0;
-    double meanCycles = 0.0;
-    double maxCycles = 0.0;
 };
 
 /** Result of comparing a delay-injected run against its base run. */
@@ -143,25 +124,6 @@ class Predictor
 
     /** Decompose the predicted critical path (longest chain). */
     CritPathBreakdown breakdown(const PredictTarget &t) const;
-
-    /** Per-node slack histograms; index = NodeId. */
-    std::vector<SlackStats> slackByNode(const PredictTarget &t) const;
-
-    /**
-     * Symbolic one-off delay injection: stall the first event of
-     * @p node at or after @p atCycles by @p stallCycles.
-     *
-     * Propagation follows the *recorded* scheduling edges only — a
-     * barrier release stays pinned to the base run's last arriver, so
-     * a stall on a node with slack reports zero downstream shift.
-     * This makes it a criticality probe (shift > 0 iff the stalled
-     * event is an ancestor of the finish) and a lower bound on a real
-     * injection's effect; compareInjectedRuns() measures the true
-     * propagation from two real runs.
-     */
-    InjectionReport injectDelay(const PredictTarget &t, NodeId node,
-                                double atCycles,
-                                double stallCycles) const;
 
     /** Events replayed per solve (throughput accounting). */
     std::uint64_t solveEvents() const;

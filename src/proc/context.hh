@@ -206,12 +206,7 @@ class Ctx
     /** Drain all outstanding non-blocking writes (release fence). */
     sim::SubTask<void> fence(TimeCat cat = TimeCat::MemWait);
 
-    /** Double-precision wrappers (values bit-cast through words). */
-    MemAwait readD(Addr a, TimeCat cat = TimeCat::MemWait)
-    {
-        return read(a, cat);
-    }
-
+    /** Double-precision store (the value is bit-cast to a word). */
     MemAwait
     writeD(Addr a, double v, TimeCat cat = TimeCat::MemWait)
     {

@@ -27,32 +27,6 @@ EventPool::addSlab()
 
 } // namespace detail
 
-bool
-EventHandle::pending() const
-{
-    detail::EventPool *pool = pool_.get();
-    return pool && pool->queueAlive && pool->slot(idx_).gen == gen_;
-}
-
-void
-EventHandle::cancel()
-{
-    detail::EventPool *pool = pool_.get();
-    if (pool && pool->queueAlive && pool->slot(idx_).gen == gen_)
-        pool->release(idx_); // stale heap entry is skipped on pop
-}
-
-EventQueue::EventQueue() : pool_(detail::PoolRef(new detail::EventPool))
-{
-}
-
-EventQueue::~EventQueue()
-{
-    // Outstanding handles keep the pool's memory alive (via their
-    // refcount) but must see their events as dead from here on.
-    pool_->queueAlive = false;
-}
-
 void
 EventQueue::panicScheduledPast(Tick when) const
 {
@@ -317,8 +291,8 @@ EventQueue::arm(PollerId id, EventFn fn)
     // tick, so the phase stays).
     p.origin = p.base = when - period_;
     p.key = key;
-    p.slot = pool_->allocate();
-    detail::EventPool::Slot &slot = pool_->slot(p.slot);
+    p.slot = pool_.allocate();
+    detail::EventPool::Slot &slot = pool_.slot(p.slot);
     slot.fn = std::move(fn);
     slot.meta = p.meta;
     p.armSeq = seq_++;
@@ -465,12 +439,12 @@ EventQueue::runNext(const Next &n)
             curExec_ = p.armSeq;
             dep_->onExecute(p.armSeq, now_);
         }
-        detail::EventPool::Slot &slot = pool_->slot(idx);
+        detail::EventPool::Slot &slot = pool_.slot(idx);
         ++slot.gen;
         slot.fn();
         slot.fn.reset();
-        slot.nextFree = pool_->freeHead;
-        pool_->freeHead = idx;
+        slot.nextFree = pool_.freeHead;
+        pool_.freeHead = idx;
         finishEvent();
         return;
     }
@@ -487,7 +461,7 @@ EventQueue::runNext(const Next &n)
     // afterwards, so it cannot be handed out mid-execution. Slot
     // addresses are stable across addSlab, so `slot` stays valid even
     // if the callback grows the pool.
-    detail::EventPool::Slot &slot = pool_->slot(e.idx);
+    detail::EventPool::Slot &slot = pool_.slot(e.idx);
     ++slot.gen;
     if (dep_) [[unlikely]] {
         curExec_ = e.seq;
@@ -495,8 +469,8 @@ EventQueue::runNext(const Next &n)
     }
     slot.fn();
     slot.fn.reset();
-    slot.nextFree = pool_->freeHead;
-    pool_->freeHead = e.idx;
+    slot.nextFree = pool_.freeHead;
+    pool_.freeHead = e.idx;
     finishEvent();
 }
 

@@ -16,11 +16,10 @@
  * instead of touching the allocator. Handles address their event as
  * (pool, slot index, generation): releasing a slot bumps its generation,
  * which invalidates every outstanding handle and stale heap entry for
- * the old event in one increment. The pool is kept alive by a
- * non-atomic intrusive refcount (queue + handles — the queue and its
- * handles are single-threaded by design, like the rest of a simulated
- * machine), so a handle may outlive its queue: it then reports
- * not-pending and cancel() is a no-op.
+ * the old event in one increment. A handle is three plain words and
+ * points into its queue, so it must not be used once the queue is
+ * destroyed (a Machine destroys its nodes, which hold the only
+ * long-lived handles, before its queue).
  *
  * Parked pollers. A packet bounced by a full network-interface queue
  * re-polls it every pollPeriod() ticks, and under irregular message
@@ -85,7 +84,6 @@
 #include <optional>
 #include <source_location>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "sim/event_tag.hh"
@@ -107,7 +105,7 @@ namespace alewife {
 /**
  * Inline capture capacity of an event callback, in bytes. Sized so the
  * largest hot-path capture — a coherence lambda holding a ProtoMsg by
- * value — stays inline (coherence.cc asserts this at compile time).
+ * value — fits; a larger capture does not compile (sim::InlineFn).
  */
 inline constexpr std::size_t kEventCallbackBytes = 104;
 
@@ -154,9 +152,8 @@ class DepListener
 namespace detail {
 
 /**
- * Slab-allocated free-list pool of event state, refcounted by one
- * EventQueue plus any outstanding EventHandles (non-atomic: a queue
- * and its handles live on one thread).
+ * Slab-allocated free-list pool of event state, owned by one
+ * EventQueue.
  *
  * A slot's generation counter is bumped every time the slot is
  * released; a handle or heap entry is live iff its recorded generation
@@ -183,10 +180,6 @@ struct EventPool
 
     std::vector<std::unique_ptr<Slot[]>> slabs;
     std::uint32_t freeHead = kNone;
-    /** Intrusive refcount: the owning queue plus live handles. */
-    std::uint32_t refs = 0;
-    /** Cleared by ~EventQueue; dangling handles check it first. */
-    bool queueAlive = true;
 
     Slot &
     slot(std::uint32_t idx)
@@ -225,72 +218,12 @@ struct EventPool
     void addSlab();
 };
 
-/**
- * Non-atomic intrusive smart pointer to an EventPool. Dropping the
- * last reference deletes the pool; copies cost a plain increment, so
- * handle creation on the schedule() hot path stays a few instructions.
- */
-class PoolRef
-{
-  public:
-    PoolRef() = default;
-
-    explicit PoolRef(EventPool *p) : p_(p) { acquire(); }
-
-    PoolRef(const PoolRef &o) : p_(o.p_) { acquire(); }
-
-    PoolRef(PoolRef &&o) noexcept : p_(o.p_) { o.p_ = nullptr; }
-
-    PoolRef &
-    operator=(const PoolRef &o)
-    {
-        if (this != &o) {
-            release();
-            p_ = o.p_;
-            acquire();
-        }
-        return *this;
-    }
-
-    PoolRef &
-    operator=(PoolRef &&o) noexcept
-    {
-        if (this != &o) {
-            release();
-            p_ = o.p_;
-            o.p_ = nullptr;
-        }
-        return *this;
-    }
-
-    ~PoolRef() { release(); }
-
-    EventPool *get() const { return p_; }
-    EventPool *operator->() const { return p_; }
-
-  private:
-    void
-    acquire()
-    {
-        if (p_)
-            ++p_->refs;
-    }
-
-    void
-    release()
-    {
-        if (p_ && --p_->refs == 0)
-            delete p_;
-    }
-
-    EventPool *p_ = nullptr;
-};
-
 } // namespace detail
 
 /**
- * Handle to a scheduled event. Copyable; copies refer to the same
- * event. Cancelling a dead handle is a no-op.
+ * Handle to a scheduled event. Trivially copyable; copies refer to the
+ * same event. Cancelling a dead handle is a no-op. A handle must not
+ * be used after its queue is destroyed.
  */
 class EventHandle
 {
@@ -298,21 +231,30 @@ class EventHandle
     EventHandle() = default;
 
     /** True if the event has neither fired nor been cancelled. */
-    bool pending() const;
+    bool
+    pending() const
+    {
+        return pool_ && pool_->slot(idx_).gen == gen_;
+    }
 
     /** Prevent the event from firing. Safe to call at any time. */
-    void cancel();
+    void
+    cancel()
+    {
+        if (pending())
+            pool_->release(idx_); // stale heap entry is skipped on pop
+    }
 
   private:
     friend class EventQueue;
 
-    EventHandle(const detail::PoolRef &pool, std::uint32_t idx,
+    EventHandle(detail::EventPool *pool, std::uint32_t idx,
                 std::uint64_t gen)
         : pool_(pool), idx_(idx), gen_(gen)
     {
     }
 
-    detail::PoolRef pool_;
+    detail::EventPool *pool_ = nullptr;
     std::uint32_t idx_ = 0;
     std::uint64_t gen_ = 0;
 };
@@ -323,8 +265,7 @@ class EventHandle
 class EventQueue
 {
   public:
-    EventQueue();
-    ~EventQueue();
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -346,15 +287,13 @@ class EventQueue
      *      simulator bug and panics (when == now() is allowed; the
      *      event runs after already-queued same-tick events).
      */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventFn>>>
+    template <typename F>
     EventHandle
     schedule(Tick when, F &&fn,
              std::source_location site = std::source_location::current())
     {
         const std::uint32_t idx = allocateChecked(when);
-        detail::EventPool::Slot &slot = pool_->slot(idx);
+        detail::EventPool::Slot &slot = pool_.slot(idx);
         slot.fn = std::forward<F>(fn);
         slot.meta = EventMeta{};
         slot.siteFile = site.file_name();
@@ -366,50 +305,17 @@ class EventQueue
      * Schedule a *typed* event: @p meta identifies the scheduling site
      * and payload, making the pending event serializable by src/ckpt/.
      */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventFn>>>
+    template <typename F>
     EventHandle
     schedule(Tick when, EventMeta meta, F &&fn)
     {
         const std::uint32_t idx = allocateChecked(when);
-        detail::EventPool::Slot &slot = pool_->slot(idx);
+        detail::EventPool::Slot &slot = pool_.slot(idx);
         slot.fn = std::forward<F>(fn);
         slot.meta = meta;
         slot.siteFile = nullptr;
         slot.siteLine = 0;
         return pushEntry(when, idx, slot.gen);
-    }
-
-    /** Overload for an already-built EventFn (moved into the slot). */
-    EventHandle
-    schedule(Tick when, EventFn fn,
-             std::source_location site = std::source_location::current())
-    {
-        const std::uint32_t idx = allocateChecked(when);
-        detail::EventPool::Slot &slot = pool_->slot(idx);
-        slot.fn = std::move(fn);
-        slot.meta = EventMeta{};
-        slot.siteFile = site.file_name();
-        slot.siteLine = site.line();
-        return pushEntry(when, idx, slot.gen);
-    }
-
-    /** Schedule @p fn to run @p delay ticks from now (untagged). */
-    template <typename F>
-    EventHandle
-    scheduleIn(Tick delay, F &&fn,
-               std::source_location site = std::source_location::current())
-    {
-        return schedule(now_ + delay, std::forward<F>(fn), site);
-    }
-
-    /** Schedule a typed event @p delay ticks from now. */
-    template <typename F>
-    EventHandle
-    scheduleIn(Tick delay, EventMeta meta, F &&fn)
-    {
-        return schedule(now_ + delay, meta, std::forward<F>(fn));
     }
 
     /** Identifies a parked poller (see the file comment). */
@@ -532,7 +438,7 @@ class EventQueue
     forEachPending(Fn fn) const
     {
         heap_.forEach([&](const Entry &e) {
-            const detail::EventPool::Slot &s = pool_->slot(e.idx);
+            const detail::EventPool::Slot &s = pool_.slot(e.idx);
             if (s.gen != e.gen)
                 return; // cancelled
             fn(PendingEvent{e.when, e.pri, e.seq, s.meta, s.siteFile,
@@ -733,7 +639,7 @@ class EventQueue
     {
         if (when < now_) [[unlikely]]
             panicScheduledPast(when);
-        return pool_->allocate();
+        return pool_.allocate();
     }
 
     /** Heap insertion + handle construction shared by schedule(). */
@@ -744,9 +650,9 @@ class EventQueue
         const std::uint64_t seq = seq_++;
         if (dep_) [[unlikely]]
             dep_->onSchedule(seq, curExec_, when, now_,
-                             pool_->slot(idx).meta);
+                             pool_.slot(idx).meta);
         heap_.push(Entry{when, pri, seq, gen, idx});
-        return EventHandle(pool_, idx, gen);
+        return EventHandle(&pool_, idx, gen);
     }
 
     /** Tie-break priority of an event firing at @p when. */
@@ -768,7 +674,7 @@ class EventQueue
     bool
     entryLive(const Entry &e) const
     {
-        return pool_->slot(e.idx).gen == e.gen;
+        return pool_.slot(e.idx).gen == e.gen;
     }
 
     Tick now_ = 0;
@@ -782,7 +688,7 @@ class EventQueue
     /** Seq of the event whose callback is executing (parent of any
      *  event scheduled from inside it); kNoParent between events. */
     std::uint64_t curExec_ = DepListener::kNoParent;
-    detail::PoolRef pool_;
+    detail::EventPool pool_;
     sim::RadixQueue<Entry> heap_;
     /** Parked-poller table, indexed by PollerId; freePollers_ lists
      *  the unused ids. */

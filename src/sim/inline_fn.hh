@@ -5,10 +5,11 @@
  * std::function costs a heap allocation for any capture larger than its
  * (implementation-defined, ~16-byte) inline buffer — which is every
  * event callback this simulator schedules, since they capture at least
- * a component pointer plus a message. InlineFn<N> stores captures up to
- * N bytes inline and only falls back to the heap for oversized or
- * throwing-move captures, so the event-queue hot path allocates
- * nothing in steady state.
+ * a component pointer plus a message. InlineFn<N> stores every capture
+ * inline, so the event-queue hot path allocates nothing in steady
+ * state. A capture over N bytes, over-aligned, or with a throwing move
+ * does not compile; for event callbacks N is kEventCallbackBytes
+ * (sim/event_queue.hh).
  *
  * Dispatch is one indirect call through a per-type operations table
  * (invoke / relocate / destroy), the same manual-vtable technique used
@@ -36,7 +37,7 @@ class InlineFn
   public:
     InlineFn() = default;
 
-    /** Wrap any `void()` callable; inline when it fits, heap otherwise. */
+    /** Wrap a `void()` callable that fits the buffer (fitsInline()). */
     template <typename F,
               typename D = std::decay_t<F>,
               typename = std::enable_if_t<
@@ -103,7 +104,7 @@ class InlineFn
         }
     }
 
-    /** True if a callable of type @p F would be stored inline. */
+    /** True if a callable of type @p F fits the inline buffer. */
     template <typename F>
     static constexpr bool
     fitsInline()
@@ -125,14 +126,12 @@ class InlineFn
     void
     construct(F &&f)
     {
-        if constexpr (fitsInline<D>()) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-            ops_ = &inlineOps<D>;
-        } else {
-            ::new (static_cast<void *>(buf_))
-                D *(new D(std::forward<F>(f)));
-            ops_ = &heapOps<D>;
-        }
+        static_assert(fitsInline<D>(),
+                      "callable exceeds the inline buffer (too large, "
+                      "over-aligned or throwing move); event callbacks "
+                      "get kEventCallbackBytes (sim/event_queue.hh)");
+        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+        ops_ = &opsFor<D>;
     }
 
     template <typename F>
@@ -143,23 +142,13 @@ class InlineFn
     }
 
     template <typename F>
-    static constexpr Ops inlineOps = {
+    static constexpr Ops opsFor = {
         [](void *p) { as<F>(p)(); },
         [](void *src, void *dst) noexcept {
             ::new (dst) F(std::move(as<F>(src)));
             as<F>(src).~F();
         },
         [](void *p) noexcept { as<F>(p).~F(); },
-    };
-
-    template <typename F>
-    static constexpr Ops heapOps = {
-        [](void *p) { (*as<F *>(p))(); },
-        [](void *src, void *dst) noexcept {
-            // The stored pointer is trivially destructible: just copy it.
-            ::new (dst) F *(as<F *>(src));
-        },
-        [](void *p) noexcept { delete as<F *>(p); },
     };
 
     void

@@ -133,6 +133,25 @@ TEST(Experiments, IdealSweepKeepsMpFlat)
                      series[1].points[1].result.runtimeCycles);
 }
 
+TEST(ExperimentsDeath, PlanRejectsBisectionsOutsideZeroToNative)
+{
+    // Planning runs no simulation, so a bad target dies before any
+    // event: at or below 0 the cross traffic would saturate the
+    // bisection, and above native there is nothing to take away.
+    MachineConfig base; // native bisection: 18 bytes/cycle
+    SweepRequest req;
+    req.kind = SweepKind::Bisection;
+    req.mechs = {Mechanism::SharedMemory};
+    for (double target : {0.0, -3.0, 18.5}) {
+        req.points = {target};
+        EXPECT_EXIT(planSweep(base, req), ::testing::ExitedWithCode(1),
+                    "cannot emulate a bisection of .* bytes/cycle: it "
+                    "must be above 0 and at most the native 18 "
+                    "bytes/cycle")
+            << target;
+    }
+}
+
 TEST(Report, TablesRenderWithoutCrashing)
 {
     apps::Stream app(tinyStream());

@@ -41,13 +41,12 @@ TEST(Cache, AbsentLineReportsNoState)
 TEST(Cache, LookupsMissUntilTheFirstFillBuildsStorage)
 {
     // No storage until fill(): every query answers absent, and nothing
-    // is there to invalidate, downgrade or flush.
+    // is there to invalidate or downgrade.
     Cache c(64 * 1024, 16);
     EXPECT_FALSE(c.contains(0x100));
     EXPECT_FALSE(c.state(0x100).has_value());
     EXPECT_FALSE(c.invalidate(0x100).has_value());
     EXPECT_FALSE(c.downgrade(0x100).has_value());
-    c.flushAll();
     EXPECT_FALSE(c.fill(0x100, LineState::Modified, words(1, 2)));
     EXPECT_EQ(c.state(0x100), LineState::Modified);
     EXPECT_EQ(c.readWord(0x108), 2u);
@@ -148,16 +147,6 @@ TEST(Cache, RefillSameLineOverwrites)
     // Same line refill never reports itself as victim.
     EXPECT_FALSE(victim.has_value());
     EXPECT_EQ(c.readWord(0x100), 9u);
-}
-
-TEST(Cache, FlushAllEmptiesCache)
-{
-    Cache c(1024, 16);
-    c.fill(0x100, LineState::Shared, words(1, 2));
-    c.fill(0x200, LineState::Modified, words(3, 4));
-    c.flushAll();
-    EXPECT_FALSE(c.contains(0x100));
-    EXPECT_FALSE(c.contains(0x200));
 }
 
 // ---------------------------------------------------------------------

@@ -105,5 +105,35 @@ TEST(CrossTraffic, StopHaltsInjection)
     EXPECT_EQ(ct.bytesInjected(), at_stop);
 }
 
+// The rejections below happen at construction, before any event runs.
+
+TEST(CrossTrafficDeath, RateAtOrAboveNativeBisectionIsRejected)
+{
+    EventQueue eq;
+    MachineConfig c = testConfig(); // native bisection: 18 bytes/cycle
+    Mesh mesh(eq, c);
+    for (double rate : {c.bisectionBytesPerCycle(), 21.0}) {
+        CrossTrafficConfig cc;
+        cc.bytesPerCycle = rate;
+        EXPECT_EXIT({ CrossTraffic ct(eq, mesh, cc); },
+                    ::testing::ExitedWithCode(1),
+                    "saturates the native bisection of 18 bytes/cycle")
+            << rate;
+    }
+}
+
+TEST(CrossTrafficDeath, ZeroByteMessagesAreRejected)
+{
+    EventQueue eq;
+    MachineConfig c = testConfig();
+    Mesh mesh(eq, c);
+    CrossTrafficConfig cc;
+    cc.bytesPerCycle = 4.0;
+    cc.messageBytes = 0;
+    EXPECT_EXIT({ CrossTraffic ct(eq, mesh, cc); },
+                ::testing::ExitedWithCode(1),
+                "cross-traffic messages of 0 bytes");
+}
+
 } // namespace
 } // namespace alewife::net

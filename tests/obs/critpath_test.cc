@@ -174,14 +174,6 @@ TEST(CritPath, BreakdownAndSlackCoverTheRun)
     EXPECT_NEAR(parts, b.totalCycles, 1e-6 * b.totalCycles);
     EXPECT_GT(b.pathEvents, 0u);
     EXPECT_GT(b.computeCycles, 0.0);
-
-    const auto slack = p.slackByNode(p.baseTarget());
-    ASSERT_EQ(slack.size(),
-              static_cast<std::size_t>(spec.machine.nodes()));
-    std::uint64_t edges = 0;
-    for (const auto &s : slack)
-        edges += s.edges;
-    EXPECT_EQ(edges, rec.graph().netEdges.size());
 }
 
 TEST(CritPath, PredictsTheBisectionSweepWithinTolerance)
@@ -333,29 +325,6 @@ TEST(CritPath, DelayInjectionPropagatesAndDecays)
 
     // The injected node itself shifted.
     EXPECT_GT(rep.nodes[0].doneShiftCycles, 0.0);
-
-    // Symbolic injection is a criticality probe over the recorded
-    // edges: stalling a node off the recorded finish chain reports
-    // zero (barrier joins stay pinned to the base run's last arriver),
-    // stalling a node ON it shifts the finish by at most the stall.
-    // Probing every node must find the chain, and no probe may shift
-    // the finish by more than the stall plus rounding.
-    Predictor p(baseRec.graph());
-    std::uint32_t critical = 0;
-    for (NodeId n = 0; n < base.machine.nodes(); ++n) {
-        const InjectionReport sym = p.injectDelay(
-            p.baseTarget(), n, injected.delay.atCycles,
-            injected.delay.stallCycles);
-        EXPECT_GE(sym.finishShiftCycles, 0.0) << "node " << n;
-        EXPECT_LE(sym.finishShiftCycles,
-                  injected.delay.stallCycles + 1.0)
-            << "node " << n;
-        if (sym.finishShiftCycles > 0.0)
-            ++critical;
-    }
-    EXPECT_GT(critical, 0u);
-    EXPECT_LT(critical,
-              static_cast<std::uint32_t>(base.machine.nodes()));
 }
 
 TEST(CritPath, PredictionIsCheaperThanSimulation)

