@@ -20,16 +20,14 @@ TEST(Context, ChargeCopyUsesGatherScatterRate)
     Machine m(cfg, proc::SyncStyle::SharedMemory,
               msg::RecvMode::Interrupt);
     auto prog = [](Ctx &ctx) -> sim::Thread {
-        if (ctx.self() == 0) {
+        if (ctx.self() == 0)
             co_await ctx.chargeCopy(8); // 4 lines at 60 cycles
-            co_await ctx.chargeCopy(1); // half a line: 30 cycles
-        }
         co_return;
     };
     m.run(prog);
     EXPECT_NEAR(ticksToCycles(
                     m.procAt(0).breakdown().get(TimeCat::MsgOverhead)),
-                270.0, 0.01);
+                240.0, 0.01);
 }
 
 TEST(Context, FlopsCostScalesWithConfig)
